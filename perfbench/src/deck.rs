@@ -77,6 +77,9 @@ pub struct Packed {
     pub secs: f64,
     /// Shards plus manifest, on disk.
     pub stored_bytes: u64,
+    /// The deck line the pack starts at (see [`pack_rotated`]): line `i`
+    /// of the packed deck is deck line `(first_line + i) % len`.
+    pub first_line: usize,
 }
 
 impl Packed {
@@ -91,6 +94,25 @@ impl Packed {
 /// shard fsynced, the directory fsynced, then the manifest published
 /// atomically.
 pub fn pack(deck: &Deck, dir: &Path, threads: usize) -> Result<Packed, ZsmilesError> {
+    pack_rotated(deck, dir, threads, 0)
+}
+
+/// [`pack`], with the deck streamed from line `first_line` to its end
+/// and then from its start: the same lines and bytes, with the shard
+/// cuts in other places.
+pub fn pack_rotated(
+    deck: &Deck,
+    dir: &Path,
+    threads: usize,
+    first_line: usize,
+) -> Result<Packed, ZsmilesError> {
+    let raw = deck.raw_bytes();
+    // Lines are slices of the raw buffer, so a line's address gives its
+    // offset.
+    let cut = match first_line {
+        0 => 0,
+        i => deck.data.line(i).as_ptr() as usize - raw.as_ptr() as usize,
+    };
     if dir.exists() {
         std::fs::remove_dir_all(dir)?;
     }
@@ -106,7 +128,8 @@ pub fn pack(deck: &Deck, dir: &Path, threads: usize) -> Result<Packed, ZsmilesEr
             ..Default::default()
         },
     )?;
-    w.write(deck.raw_bytes())?;
+    w.write(&raw[cut..])?;
+    w.write(&raw[..cut])?;
     let info = w.finish()?;
     let secs = t0.elapsed().as_secs_f64();
     let mut stored_bytes = std::fs::metadata(&manifest)?.len();
@@ -118,6 +141,7 @@ pub fn pack(deck: &Deck, dir: &Path, threads: usize) -> Result<Packed, ZsmilesEr
         info,
         secs,
         stored_bytes,
+        first_line,
     })
 }
 

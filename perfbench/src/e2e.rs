@@ -13,17 +13,21 @@
 //! | `serve_get`    | A depth-1 + B depth-16 `GET`s         | packs, in-process sweeps    |
 //! | `serve_screen` | A depth-1 `GET`s + B `TOP_HITS` k=100 | packs                       |
 //!
-//! The timed section runs in four segments, with a slice of the outside
-//! measurements before each and after the last, and the served
+//! The timed section runs in short segments of `seconds / SEGMENTS`
+//! (on `pack`, of `PACK_SEGMENT` packs), with a slice of the outside
+//! measurements before each and after the last, until the run's seconds
+//! are up, so that every metric samples the whole run; the served
 //! workloads reconnect for each segment. Rates and latencies of the
-//! timed loops are taken per half-second window (see `stats::Windows`):
-//! a rate is the trimmed mean of its per-window, per-pack or per-sweep
-//! values (see `stats::trimmed_mean`), a latency quantile the median of
-//! its per-window values.
+//! timed loops are taken per quarter-second window (see
+//! `stats::Windows`), those of the side gets per slice. A rate is the
+//! median of its per-window, per-pack or per-sweep values, a latency
+//! quantile the median of its per-window values. Every time and rate is
+//! then scaled to the host's nominal speed (see `speed`).
 
 use crate::deck::{self, Deck, Packed};
 use crate::serve::{self, Bulk};
-use crate::stats::{self, median, quantile, trimmed_mean, Rng, Samples, Windows};
+use crate::speed::Speed;
+use crate::stats::{self, median, quantile, Rng, Samples, Windows};
 use crate::{alloc, Args, Report, Workload};
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -31,21 +35,30 @@ use vscreen::{ColdArchive, PocketScreener, ScoreTable};
 use zsmiles_core::serve::{Screener, ServeHandle};
 use zsmiles_core::{DeckReader, ZsmilesError};
 
-/// Random gets per side slice of the `pack` workload.
-const SIDE_GETS: usize = 40_000;
+/// Random gets per side slice of the `pack` workload: one latency
+/// window, with 200 samples beyond its p99.
+const SIDE_GETS: usize = 20_000;
 /// In-process sweeps per side slice, and the lines each covers.
-const SIDE_SWEEPS: usize = 4;
+const SIDE_SWEEPS: usize = 2;
 const SIDE_SWEEP_LINES: usize = SWEEP_BATCH;
 /// Packs per side slice of the read workloads.
-const SIDE_PACKS: usize = 2;
+const SIDE_PACKS: usize = 1;
 /// Random read-backs of the last pack the `pack` workload timed.
 const VERIFY_GETS: usize = 20_000;
 /// Lines per in-process sweep batch: the server's own batch size.
 pub const SWEEP_BATCH: usize = 4096;
 /// Segments the timed section is cut into; connections are fresh in each.
-const SEGMENTS: usize = 4;
+/// With a side slice after every segment, each outside metric gets a
+/// sample about every `seconds / SEGMENTS`.
+const SEGMENTS: usize = 64;
+/// Packs per segment of the `pack` workload. Packed back to back
+/// for a whole `seconds / SEGMENTS`, both CPUs stay busy and the packs
+/// slow down by a third as the run goes on, more than the reference
+/// loop between segments shows; two packs between slices run at the
+/// rate the side packs of the read workloads see.
+const PACK_SEGMENT: usize = 2;
 /// Latency samples kept per window of a timed loop.
-const LAT_CAP: usize = 1 << 16;
+const LAT_CAP: usize = 1 << 14;
 const STREAM_GET: u64 = 0x6E7;
 const STREAM_SIDE: u64 = 0x51DE;
 
@@ -148,9 +161,12 @@ fn local_sweep(reader: &DeckReader, lines: usize, pocket_seed: u64) -> Result<f6
 struct Side {
     pack_rates: Vec<f64>,
     sweep_rates: Vec<f64>,
-    get_lat: Samples,
-    get_ops: u64,
-    get_secs: f64,
+    /// Per slice of side gets: operations per second, p50 and p99.
+    get_rates: Vec<f64>,
+    get_p50: Vec<f64>,
+    get_p99: Vec<f64>,
+    /// The reference loop, sampled at both ends of every slice.
+    speed: Speed,
     rng: Rng,
 }
 
@@ -159,22 +175,17 @@ impl Side {
         Side {
             pack_rates,
             sweep_rates: Vec::new(),
-            get_lat: Samples::with_capacity((SEGMENTS + 1) * SIDE_GETS),
-            get_ops: 0,
-            get_secs: 0.0,
+            get_rates: Vec::new(),
+            get_p50: Vec::new(),
+            get_p99: Vec::new(),
+            speed: Speed::new(),
             rng: Rng::new(seed, STREAM_SIDE),
         }
     }
 
     /// One slice: what the workload's own timed section does not give.
     fn slice(&mut self, args: &Args, env: &Env, r: &mut Report) -> Result<(), ZsmilesError> {
-        if args.workload != Workload::Pack {
-            for _ in 0..SIDE_PACKS {
-                let p = deck::pack(&env.deck, &args.work_dir.join("side-pack"), crate::nproc())?;
-                self.pack_rates.push(p.mb_s(&env.deck));
-            }
-            r.count(SIDE_PACKS as u64, 0);
-        }
+        self.speed.sample();
         if args.workload != Workload::ServeScreen {
             let lines = SIDE_SWEEP_LINES.min(env.deck.len());
             for _ in 0..SIDE_SWEEPS {
@@ -184,25 +195,38 @@ impl Side {
             }
             r.count(SIDE_SWEEPS as u64, 0);
         }
+        if args.workload != Workload::Pack {
+            for _ in 0..SIDE_PACKS {
+                let first = self.rng.below(env.deck.len());
+                let dir = args.work_dir.join("side-pack");
+                let p = deck::pack_rotated(&env.deck, &dir, crate::nproc(), first)?;
+                self.pack_rates.push(p.mb_s(&env.deck));
+            }
+            r.count(SIDE_PACKS as u64, 0);
+        }
         if args.workload == Workload::Pack {
-            let n = SIDE_GETS.min(env.deck.len() * 4) as u64;
-            let lat = &mut self.get_lat;
+            let n = SIDE_GETS.min(env.deck.len() * 4);
+            let mut lat = Samples::with_capacity(n);
             let t0 = Instant::now();
             let (ops, failed) = random_gets(
                 &env.reader,
                 &env.deck,
                 &mut self.rng,
-                |ops, _| ops >= n,
+                |ops, _| ops >= n as u64,
                 |_, ns| lat.push(ns),
             );
-            self.get_secs += t0.elapsed().as_secs_f64();
-            self.get_ops += ops;
+            self.get_rates.push(ops as f64 / t0.elapsed().as_secs_f64());
+            let lat = lat.into_sorted();
+            self.get_p50.push(quantile(&lat, 0.50));
+            self.get_p99.push(quantile(&lat, 0.99));
             r.count(ops, failed);
         }
+        self.speed.sample();
         Ok(())
     }
 
     fn report(self, workload: Workload, r: &mut Report) {
+        r.host_speed = Some(self.speed.relative());
         if workload != Workload::Pack {
             r.windowed("pack_mb_s", self.pack_rates, "MB/s");
         }
@@ -210,10 +234,9 @@ impl Side {
             r.windowed("sweep_lines_s", self.sweep_rates, "lines/s");
         }
         if workload == Workload::Pack {
-            let lat = self.get_lat.into_sorted();
-            r.metric("get_ops_s", self.get_ops as f64 / self.get_secs, "1/s");
-            r.metric("get_p50_ns", quantile(&lat, 0.50), "ns");
-            r.metric("get_p99_ns", quantile(&lat, 0.99), "ns");
+            r.windowed("get_ops_s", self.get_rates, "1/s");
+            r.windowed("get_p50_ns", self.get_p50, "ns");
+            r.windowed("get_p99_ns", self.get_p99, "ns");
         }
     }
 }
@@ -263,19 +286,21 @@ fn segment(
 ) -> Result<(), ZsmilesError> {
     match args.workload {
         Workload::Pack => {
-            // Pack the deck into a fresh directory again and again.
+            // Pack the deck into a fresh directory again and again, each
+            // time from a seeded random line: where the shard cuts fall
+            // decides which staged buffers must grow, so the heap and
+            // the rate of one placement depend on the seed, and their
+            // mean over many placements does not.
             let dir = args.work_dir.join("pack");
-            let t0 = Instant::now();
-            let mut n = 0;
-            while n == 0 || t0.elapsed().as_secs_f64() < secs {
+            for _ in 0..PACK_SEGMENT {
+                let first = t.rng.below(env.deck.len());
                 let win = alloc::Window::open();
-                let p = deck::pack(&env.deck, &dir, crate::nproc())?;
+                let p = deck::pack_rotated(&env.deck, &dir, crate::nproc(), first)?;
                 t.pack_heap.push(win.peak_mb());
                 t.pack_rates.push(p.mb_s(&env.deck));
                 t.last_pack = Some(p);
-                n += 1;
             }
-            r.count(n, 0);
+            r.count(PACK_SEGMENT as u64, 0);
         }
         Workload::Get => {
             // One thread, uniformly random gets.
@@ -338,8 +363,12 @@ fn finish(
             // Which staged shard buffers overlap at a pack's worst moment
             // depends on thread timing, so the high-water of one pack
             // moves in steps of a whole raw shard; the largest over a run
-            // catches a rare step, the median over the packs does not.
-            r.metric("peak_heap_mb", median(&t.pack_heap), "MB");
+            // catches a rare step, and the median over the packs jumps
+            // between steps as the share of each moves. The mean over
+            // the packs follows that share smoothly.
+            Report::show("peak_heap_mb", &t.pack_heap);
+            let mean = t.pack_heap.iter().sum::<f64>() / t.pack_heap.len() as f64;
+            r.metric("peak_heap_mb", mean, "MB");
             r.windowed("pack_mb_s", t.pack_rates, "MB/s");
             // Read the last pack back, then the deep check.
             let p = t.last_pack.expect("at least one pack");
@@ -350,9 +379,15 @@ fn finish(
             );
             let reader = deck::open(&p)?;
             let mut rng = Rng::new(args.seed, STREAM_GET);
-            let n = VERIFY_GETS as u64;
-            let (ops, failed) = random_gets(&reader, deck, &mut rng, |ops, _| ops >= n, |_, _| {});
-            r.count(ops, failed);
+            let mut failed = 0;
+            for _ in 0..VERIFY_GETS {
+                let i = rng.below(deck.len());
+                let want = deck.expected.get((p.first_line + i) % deck.len());
+                if !matches!(reader.get(i), Ok(l) if l.as_slice() == want) {
+                    failed += 1;
+                }
+            }
+            r.count(VERIFY_GETS as u64, failed);
             drop(reader);
             let report = zsmiles_core::check_deck(&p.manifest)?;
             r.check(
@@ -362,8 +397,8 @@ fn finish(
         }
         Workload::Get => {
             r.windowed("get_ops_s", stats::ops_s(&t.a, None), "1/s");
-            r.windowed_median("get_p50_ns", stats::latency(&t.a, 0.50), "ns");
-            r.windowed_median("get_p99_ns", stats::latency(&t.a, 0.99), "ns");
+            r.windowed("get_p50_ns", stats::latency(&t.a, 0.50), "ns");
+            r.windowed("get_p99_ns", stats::latency(&t.a, 0.99), "ns");
         }
         Workload::ServeGet | Workload::ServeScreen => {
             let screen = args.workload == Workload::ServeScreen;
@@ -371,8 +406,8 @@ fn finish(
                 served == t.client_ops,
                 "server request count equals client requests",
             );
-            r.windowed_median("get_p50_ns", stats::latency(&t.a, 0.50), "ns");
-            r.windowed_median("get_p99_ns", stats::latency(&t.a, 0.99), "ns");
+            r.windowed("get_p50_ns", stats::latency(&t.a, 0.50), "ns");
+            r.windowed("get_p99_ns", stats::latency(&t.a, 0.99), "ns");
             if !screen {
                 r.windowed("get_ops_s", stats::ops_s(&t.a, Some(&t.b)), "1/s");
                 return Ok(());
@@ -409,8 +444,6 @@ pub fn run(args: &Args) -> Result<Report, ZsmilesError> {
         env.packed.stored_bytes as f64 / env.deck.raw_bytes().len() as f64,
         "ratio",
     );
-    // The timed section runs as SEGMENTS segments with a side slice
-    // before each and after the last.
     let secs = args.seconds / SEGMENTS as f64;
     let windows = |cap| (0..SEGMENTS).map(|_| Windows::new(secs, cap)).collect();
     let mut t = Timed {
@@ -426,32 +459,43 @@ pub fn run(args: &Args) -> Result<Report, ZsmilesError> {
     };
     let requests = |env: &Env| env.server.as_ref().map_or(0, |s| s.stats().requests);
     let before = requests(&env);
+    // Segments and side slices alternate until the run's seconds are up
+    // (at most `SEGMENTS` timed ones, which have a window set each), so
+    // a slow host runs fewer of them rather than a longer run.
     let mut side = Side::new(args.seed, setup_pack_rates);
+    let max_segments = match args.workload {
+        Workload::Pack => usize::MAX,
+        _ => SEGMENTS,
+    };
+    let t0 = Instant::now();
     side.slice(args, &env, &mut r)?;
-    for k in 0..SEGMENTS {
+    let mut k = 0;
+    while k == 0 || (k < max_segments && t0.elapsed().as_secs_f64() < args.seconds) {
         segment(args, &env, k, secs, &mut t, &mut r)?;
         side.slice(args, &env, &mut r)?;
+        k += 1;
     }
+    t.a.truncate(k);
+    t.b.truncate(k);
     let served = requests(&env) - before;
     finish(args, &env, t, served, &mut r)?;
     side.report(args.workload, &mut r);
+    // Packs keep both CPUs busy, as do the served workloads' server and
+    // client threads; set-up, random gets and in-process sweeps run on
+    // one.
+    let serving = matches!(args.workload, Workload::ServeGet | Workload::ServeScreen);
+    r.scale_to_nominal(|name| name == "pack_mb_s" || (serving && name != "setup_s"));
     Ok(r)
 }
 
 impl Report {
-    /// A rate summarised from per-window (or per-pack, per-sweep) values
-    /// by their trimmed mean. The values also go to stderr, so that a
-    /// run's spread can be inspected.
+    /// A rate or latency quantile summarised from its per-window (or
+    /// per-pack, per-sweep, per-slice) values by their median: a window
+    /// in which a request waited behind a long job (a `TOP_HITS` sweep
+    /// holds a request for up to a second) has a quantile thousands of
+    /// times the others, and the median ignores it. The values also go
+    /// to stderr, so that a run's spread can be inspected.
     fn windowed(&mut self, name: &str, values: Vec<f64>, unit: &'static str) {
-        Report::show(name, &values);
-        self.metric(name, trimmed_mean(&values), unit);
-    }
-
-    /// A latency quantile summarised from its per-window values by their
-    /// median: a window in which a request waited behind a long job (a
-    /// `TOP_HITS` sweep holds a request for up to a second) has a
-    /// quantile thousands of times the others, and the median ignores it.
-    fn windowed_median(&mut self, name: &str, values: Vec<f64>, unit: &'static str) {
         Report::show(name, &values);
         self.metric(name, median(&values), unit);
     }

@@ -65,6 +65,8 @@ pub struct Inputs<'a> {
     pub deck_bytes: usize,
     pub shards: usize,
     pub threads: usize,
+    /// The host's speed over the run, when the run measured it.
+    pub host_speed: Option<crate::speed::HostSpeed>,
 }
 
 /// One-line JSON object describing host, build and inputs.
@@ -86,7 +88,8 @@ pub fn provenance(inp: &Inputs) -> String {
         "{{\"provenance\": {{\"cpu_model\": {}, \"nproc\": {}, \"caches\": [{caches}], \
          \"kernel\": {}, \"rustc\": {}, \"git_commit\": {}, \"source_digest\": {}, \
          \"counting_alloc\": {}, \"workload\": {}, \"seed\": {}, \"seconds\": {}, \"trace\": {}, \
-         \"deck_lines\": {}, \"deck_bytes\": {}, \"shards\": {}, \"threads\": {}}}}}",
+         \"deck_lines\": {}, \"deck_bytes\": {}, \"shards\": {}, \"threads\": {}, \
+         \"host_speed\": {}}}}}",
         json_str(&cpu_model()),
         crate::nproc(),
         json_str(&read_trim("/proc/sys/kernel/osrelease").unwrap_or_else(|| "unknown".into())),
@@ -102,5 +105,12 @@ pub fn provenance(inp: &Inputs) -> String {
         inp.deck_bytes,
         inp.shards,
         inp.threads,
+        inp.host_speed.map_or_else(
+            || "null".to_string(),
+            |s| format!(
+                "{{\"one_cpu\": {:?}, \"all_cpus\": {:?}}}",
+                s.one_cpu, s.all_cpus
+            )
+        ),
     )
 }

@@ -18,6 +18,7 @@ mod e2e;
 mod host;
 mod sched;
 mod serve;
+mod speed;
 mod stats;
 mod trace;
 
@@ -166,6 +167,8 @@ pub struct Report {
     pub attempted: u64,
     pub failed: u64,
     pub metrics: Vec<(String, f64, &'static str)>,
+    /// The host's speed over the run (see `speed`), when measured.
+    pub host_speed: Option<speed::HostSpeed>,
 }
 
 impl Report {
@@ -174,6 +177,32 @@ impl Report {
         match self.metrics.iter_mut().find(|(n, _, _)| n == name) {
             Some(m) => *m = (name.to_string(), value, unit),
             None => self.metrics.push((name.to_string(), value, unit)),
+        }
+    }
+
+    /// Scale every time (unit `s` or `ns`) and rate (a unit per second)
+    /// to the host's nominal speed: a time measured on a host running at
+    /// speed `x` is `x` times the nominal one, a rate is divided by it.
+    /// `x` is the speed with every CPU busy for the metrics `all_cpus`
+    /// names, else the one-CPU speed. Sizes and ratios stay as measured.
+    /// The measured values go to stderr.
+    pub fn scale_to_nominal(&mut self, all_cpus: impl Fn(&str) -> bool) {
+        let Some(hs) = self.host_speed else {
+            return;
+        };
+        eprintln!("perfbench: host speed {hs:?} x nominal; as measured:");
+        for (name, value, unit) in &mut self.metrics {
+            eprintln!("perfbench:   {name} = {value} {unit}");
+            let speed = if all_cpus(name) {
+                hs.all_cpus
+            } else {
+                hs.one_cpu
+            };
+            if matches!(*unit, "s" | "ns") {
+                *value *= speed;
+            } else if unit.ends_with("/s") {
+                *value /= speed;
+            }
         }
     }
 
@@ -257,6 +286,7 @@ fn main() -> ExitCode {
                     deck_bytes: report.deck_bytes,
                     shards: deck::SHARDS,
                     threads: nproc(),
+                    host_speed: report.host_speed,
                 })
             );
             println!("{}", report.to_json());

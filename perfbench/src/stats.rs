@@ -51,14 +51,15 @@ impl Samples {
     }
 }
 
-/// Operations and their latencies in consecutive half-second windows of
+/// Operations and their latencies in consecutive quarter-second windows of
 /// one segment of a timed section. Metrics are taken per complete window
 /// ([`ops_s`], [`latency`]) and summarised over the windows of every
 /// segment, so a burst of outside load moves a few windows, not the
 /// result.
 pub struct Windows {
     start: Instant,
-    /// Window length: `WINDOW_SECS`, or the whole segment when shorter.
+    /// Window length: the segment split evenly into windows of about
+    /// `WINDOW_SECS`, or the whole segment when shorter.
     len: f64,
     /// Complete windows; index `full` collects what runs past the end.
     full: usize,
@@ -66,16 +67,16 @@ pub struct Windows {
     lat: Vec<Samples>,
 }
 
-pub const WINDOW_SECS: f64 = 0.5;
+pub const WINDOW_SECS: f64 = 0.25;
 
 impl Windows {
     /// Windows for a segment of `secs` seconds, each keeping up to `cap`
     /// latency samples (allocated here, up front).
     pub fn new(secs: f64, cap: usize) -> Windows {
-        let full = ((secs / WINDOW_SECS) as usize).max(1);
+        let full = ((secs / WINDOW_SECS).round() as usize).max(1);
         Windows {
             start: Instant::now(),
-            len: secs.min(WINDOW_SECS),
+            len: secs / full as f64,
             full,
             ops: vec![0; full + 1],
             lat: (0..=full).map(|_| Samples::with_capacity(cap)).collect(),
@@ -155,19 +156,17 @@ pub fn quantile(sorted: &[u64], p: f64) -> f64 {
     sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac
 }
 
-/// Mean of the middle 80% of a set of measurements: the highest and the
-/// lowest tenth are dropped. Steadier than the median when the host
-/// flips between a fast and a slow state from one window to the next,
-/// and, unlike the mean, not moved by a single stalled window.
-pub fn trimmed_mean(xs: &[f64]) -> f64 {
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let cut = v.len() / 10;
-    let kept = &v[cut..v.len() - cut];
-    if kept.is_empty() {
+/// The upper quartile of unsorted measurements, interpolated as
+/// [`quantile`] does.
+pub fn upper_quartile(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
         return f64::NAN;
     }
-    kept.iter().sum::<f64>() / kept.len() as f64
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = 0.75 * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
 }
 
 /// Median of a set of measurements.
@@ -234,8 +233,8 @@ mod tests {
         assert_eq!(quantile(&v, 1.0), 40.0);
         assert_eq!(quantile(&v, 0.5), 25.0);
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        let xs: Vec<f64> = (1..=10).map(f64::from).chain([1000.0]).collect();
-        assert_eq!(trimmed_mean(&xs), 6.0);
+        let xs: Vec<f64> = (0..=10).rev().map(|x| f64::from(x) * 10.0).collect();
+        assert_eq!(upper_quartile(&xs), 75.0);
     }
 
     #[test]
