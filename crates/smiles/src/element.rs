@@ -23,6 +23,25 @@ pub const SYMBOLS: [&str; 118] = [
     "Fl", "Mc", "Lv", "Ts", "Og",
 ];
 
+/// Atomic number by symbol bytes, `0` where no element has that symbol.
+/// Row = upper-case first letter; column 0 = one-letter symbol, column
+/// `1 + (b1 - b'a')` = lower-case second letter `b1`.
+const SYMBOL_INDEX: [u8; 26 * 27] = {
+    let mut table = [0u8; 26 * 27];
+    let mut i = 0;
+    while i < SYMBOLS.len() {
+        let s = SYMBOLS[i].as_bytes();
+        let col = if s.len() == 2 {
+            (s[1] - b'a') as usize + 1
+        } else {
+            0
+        };
+        table[(s[0] - b'A') as usize * 27 + col] = (i + 1) as u8;
+        i += 1;
+    }
+    table
+};
+
 /// Standard atomic weights (CIAAW 2021 conventional values, u), indexed by
 /// `Z - 1`. Elements with no stable isotope carry the mass number of their
 /// longest-lived isotope, the usual convention for tables like this.
@@ -52,16 +71,19 @@ pub enum Element {
 impl Element {
     /// Look up an element by its case-sensitive symbol (`"Cl"`, not `"CL"`).
     pub fn from_symbol(sym: &[u8]) -> Option<Element> {
-        if sym == b"*" {
-            return Some(Element::Wildcard);
+        let (b0, col) = match *sym {
+            [b'*'] => return Some(Element::Wildcard),
+            [b0] => (b0, 0),
+            [b0, b1 @ b'a'..=b'z'] => (b0, (b1 - b'a') as usize + 1),
+            _ => return None,
+        };
+        if !b0.is_ascii_uppercase() {
+            return None;
         }
-        // Linear scan grouped by first byte would be faster, but symbol
-        // lookup only happens while lexing bracket atoms, which are rare in
-        // screening decks; keep it simple.
-        SYMBOLS
-            .iter()
-            .position(|s| s.as_bytes() == sym)
-            .map(|i| Element::Z(i as u8 + 1))
+        match SYMBOL_INDEX[(b0 - b'A') as usize * 27 + col] {
+            0 => None,
+            z => Some(Element::Z(z)),
+        }
     }
 
     /// The printable symbol.
@@ -217,6 +239,25 @@ mod tests {
                 Some(e),
                 "symbol {sym}"
             );
+        }
+    }
+
+    #[test]
+    fn symbol_lookup_is_exact_over_every_short_ascii_string() {
+        let mut strings: Vec<Vec<u8>> = (0..128u8).map(|b| vec![b]).collect();
+        for b0 in 0..128u8 {
+            strings.extend((0..128u8).map(|b1| vec![b0, b1]));
+        }
+        for s in strings {
+            let want = if s == b"*" {
+                Some(Element::Wildcard)
+            } else {
+                SYMBOLS
+                    .iter()
+                    .position(|sym| sym.as_bytes() == s.as_slice())
+                    .map(|i| Element::Z(i as u8 + 1))
+            };
+            assert_eq!(Element::from_symbol(&s), want, "{s:?}");
         }
     }
 

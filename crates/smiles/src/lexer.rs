@@ -17,6 +17,32 @@ pub struct Spanned {
     pub span: Span,
 }
 
+/// Bytes [`Lexer::next_ring`] steps over without lexing: each always
+/// starts a complete one-byte, non-ring token (a branch, a dot, a bond,
+/// `*`, a one-letter organic atom), or the two-byte `Cl` / `Br` (see
+/// [`SECOND`]). `s` is not here: a following `e` makes it an error.
+const STEP_OVER: [bool; 256] = {
+    let mut table = [false; 256];
+    let bytes = b"()./-=#$:\\*BCNOPSFIbcnop";
+    let mut i = 0;
+    while i < bytes.len() {
+        table[bytes[i] as usize] = true;
+        i += 1;
+    }
+    table
+};
+
+/// Per byte, the second letter that extends it to a two-byte bare atom
+/// (`C` → `l`, `B` → `r`), or a value no byte has. Neither `C` nor `B` is
+/// ever the second byte of a token, so an `l` after a stepped-over `C`
+/// (an `r` after a `B`) always completes `Cl` (`Br`).
+const SECOND: [u16; 256] = {
+    let mut table = [u16::MAX; 256];
+    table[b'C' as usize] = b'l' as u16;
+    table[b'B' as usize] = b'r' as u16;
+    table
+};
+
 /// Iterator-style lexer over one SMILES line.
 pub struct Lexer<'a> {
     input: &'a [u8],
@@ -121,6 +147,37 @@ impl<'a> Lexer<'a> {
             token,
             span: Span::new(start, self.pos),
         }))
+    }
+
+    /// Lex forward to the next ring-bond token, or `Ok(None)` at end of
+    /// line. Yields exactly the `Ring` tokens, spans and first error that
+    /// filtering [`Lexer::next_token`] would, without building the tokens
+    /// in between: bytes that can only start a one- or two-byte non-ring
+    /// token are stepped over by table, and everything else (digits,
+    /// `%nn`, bracket atoms, `s`, bad bytes) goes through `next_token`.
+    pub fn next_ring(&mut self) -> Result<Option<Spanned>, SmilesError> {
+        let input = self.input;
+        loop {
+            // Whether a byte may be stepped over depends only on it and
+            // the byte before, so the loop carries no dependency but
+            // `pos`. A scan resumes after a digit, `]` or `s`, never
+            // after a `C` or `B`.
+            let mut pos = self.pos;
+            let mut prev = pos.checked_sub(1).map_or(0, |p| input[p]);
+            while let Some(&b) = input.get(pos) {
+                if !(STEP_OVER[b as usize] || SECOND[prev as usize] == b as u16) {
+                    break;
+                }
+                prev = b;
+                pos += 1;
+            }
+            self.pos = pos;
+            match self.next_token()? {
+                Some(st) if matches!(st.token, Token::Ring { .. }) => return Ok(Some(st)),
+                Some(_) => {}
+                None => return Ok(None),
+            }
+        }
     }
 
     /// Bare upper-case atom: one of the organic subset, honouring two-letter

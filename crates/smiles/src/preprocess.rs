@@ -21,7 +21,7 @@
 //! string survive untouched. `%nn` spellings shrink to plain digits whenever
 //! the new ID fits (`%12` → `3`), which is itself worth a few bytes.
 
-use crate::error::SmilesError;
+use crate::error::{SmilesError, Span};
 use crate::lexer::Lexer;
 use crate::token::{RingForm, Token};
 
@@ -40,25 +40,56 @@ pub enum RingRenumber {
     Preserve,
 }
 
-/// One open/close ring-digit pair found in a line.
+/// One bit per ring ID `0..=MAX_RING_ID`.
+type IdSet = u128;
+
+const ALL_IDS: IdSet = (1 << (MAX_RING_ID + 1)) - 1;
+
+/// Marks a pair that has no new ID yet (innermost, still open) or could
+/// not get one (the ID space ran out).
+const NO_ID: u16 = u16::MAX;
+
+/// The pair an input ring ID currently keeps open.
 #[derive(Debug, Clone, Copy)]
-struct RingPair {
-    /// Byte span of the opening digit (excluding any bond symbol).
-    open_span: (usize, usize),
-    close_span: (usize, usize),
-    /// Occurrence order indices used for interval intersection tests.
-    open_seq: u32,
-    close_seq: u32,
+struct OpenRing {
+    /// Index of the pair in `Preprocessor::ids`; `u32::MAX` when the
+    /// input ID is not open.
+    pair: u32,
+    /// Length of `Preprocessor::closed` when the pair opened.
+    closed_mark: u32,
 }
 
-/// Reusable pre-processor. Holds scratch buffers so per-line processing is
-/// allocation-free in the steady state.
+const NOT_OPEN: OpenRing = OpenRing {
+    pair: u32::MAX,
+    closed_mark: 0,
+};
+
+impl OpenRing {
+    fn is_open(&self) -> bool {
+        self.pair != NOT_OPEN.pair
+    }
+}
+
+/// Reusable pre-processor. Its scratch lives between lines, so per-line
+/// processing is allocation-free in the steady state.
+///
+/// One scan of the line pairs the ring digits and colors the intervals
+/// as it goes: [`RingRenumber::Outermost`] gives a pair the smallest ID
+/// no still-open pair holds when it opens; [`RingRenumber::Innermost`]
+/// gives it, when it closes, the smallest ID no pair that closed in the
+/// meantime took. A second walk over the recorded ring digits splices the
+/// new IDs into the output.
 #[derive(Debug)]
 pub struct Preprocessor {
-    pairs: Vec<RingPair>,
-    assigned: Vec<u16>,
-    /// Map id -> index into `pairs` of the currently-open pair.
-    open_slots: [i32; 100],
+    /// Every ring digit of the line in order: its span and its pair.
+    sites: Vec<(Span, u32)>,
+    /// New ID per pair, pairs in opening order.
+    ids: Vec<u16>,
+    /// Innermost only: new IDs in the order their pairs closed.
+    closed: Vec<u8>,
+    /// Per input ring ID, the pair it currently keeps open. All
+    /// [`NOT_OPEN`] between lines.
+    open: [OpenRing; 100],
 }
 
 impl Default for Preprocessor {
@@ -70,16 +101,17 @@ impl Default for Preprocessor {
 impl Preprocessor {
     pub fn new() -> Self {
         Preprocessor {
-            pairs: Vec::new(),
-            assigned: Vec::new(),
-            open_slots: [-1; 100],
+            sites: Vec::new(),
+            ids: Vec::new(),
+            closed: Vec::new(),
+            open: [NOT_OPEN; 100],
         }
     }
 
     /// Renumber ring IDs in `line` (no trailing newline), appending the
-    /// result to `out`. `out` is *not* cleared. The first assigned ID is
-    /// `first_id` — the paper starts at 0; conventional exporters start
-    /// at 1.
+    /// result to `out`. `out` is *not* cleared, and on error it is left
+    /// as it was. The first assigned ID is `first_id` — the paper starts
+    /// at 0; conventional exporters start at 1.
     pub fn process_into(
         &mut self,
         line: &[u8],
@@ -91,118 +123,112 @@ impl Preprocessor {
             out.extend_from_slice(line);
             return Ok(());
         }
-        self.collect_pairs(line)?;
-        if self.pairs.is_empty() {
-            out.extend_from_slice(line);
-            return Ok(());
+        if let Err(e) = self.assign_ids(line, strategy, first_id) {
+            self.open = [NOT_OPEN; 100];
+            return Err(e);
         }
-        self.assign_ids(strategy, first_id)?;
         self.rewrite(line, out);
         Ok(())
     }
 
-    /// Find and pair all ring digits. Errors on an unclosed ring, the only
-    /// structural property the transform needs. (Full validation is the
-    /// parser's job; compression must work even on lines it has not parsed.)
-    fn collect_pairs(&mut self, line: &[u8]) -> Result<(), SmilesError> {
-        self.pairs.clear();
-        self.open_slots = [-1; 100];
-        let mut lexer = Lexer::new(line);
-        let mut seq: u32 = 0;
-        while let Some(st) = lexer.next_token()? {
-            if let Token::Ring { id, form: _ } = st.token {
-                let slot = &mut self.open_slots[id as usize];
-                if *slot < 0 {
-                    self.pairs.push(RingPair {
-                        open_span: (st.span.start, st.span.end),
-                        close_span: (0, 0),
-                        open_seq: seq,
-                        close_seq: u32::MAX,
-                    });
-                    *slot = (self.pairs.len() - 1) as i32;
-                } else {
-                    let p = &mut self.pairs[*slot as usize];
-                    p.close_span = (st.span.start, st.span.end);
-                    p.close_seq = seq;
-                    *slot = -1;
-                }
-                seq += 1;
-            }
-        }
-        if let Some(id) = self.open_slots.iter().position(|&s| s >= 0) {
-            return Err(SmilesError::UnclosedRing { id: id as u16 });
-        }
-        Ok(())
-    }
-
-    /// Greedy interval coloring in the strategy's order.
-    fn assign_ids(&mut self, strategy: RingRenumber, first_id: u16) -> Result<(), SmilesError> {
-        let n = self.pairs.len();
-        self.assigned.clear();
-        self.assigned.resize(n, u16::MAX);
-
-        // Processing order: indices of `pairs`, sorted by close or open seq.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        match strategy {
-            RingRenumber::Innermost => {
-                order.sort_unstable_by_key(|&i| self.pairs[i as usize].close_seq)
-            }
-            RingRenumber::Outermost => {
-                order.sort_unstable_by_key(|&i| self.pairs[i as usize].open_seq)
-            }
-            RingRenumber::Preserve => unreachable!("handled by caller"),
-        }
-
-        for &pi in &order {
-            let p = self.pairs[pi as usize];
-            // IDs already taken by assigned pairs whose interval intersects.
-            let mut taken = [false; 100];
-            for (qi, q) in self.pairs.iter().enumerate() {
-                let qid = self.assigned[qi];
-                if qid == u16::MAX {
-                    continue;
-                }
-                let disjoint = p.close_seq < q.open_seq || q.close_seq < p.open_seq;
-                if !disjoint {
-                    taken[qid as usize] = true;
-                }
-            }
-            let id = (first_id..=MAX_RING_ID)
-                .find(|&id| !taken[id as usize])
-                .ok_or(SmilesError::RingIdSpaceExhausted { concurrent: n })?;
-            self.assigned[pi as usize] = id;
-        }
-        Ok(())
-    }
-
-    /// Copy `line` to `out`, substituting ring-digit spans.
-    fn rewrite(&self, line: &[u8], out: &mut Vec<u8>) {
-        // Collect (span, new_id) for both halves of every pair, sorted by
-        // position, then splice.
-        let mut edits: Vec<((usize, usize), u16)> = Vec::with_capacity(self.pairs.len() * 2);
-        for (i, p) in self.pairs.iter().enumerate() {
-            let id = self.assigned[i];
-            edits.push((p.open_span, id));
-            edits.push((p.close_span, id));
-        }
-        edits.sort_unstable_by_key(|(span, _)| span.0);
-
-        let mut pos = 0;
-        for ((start, end), id) in edits {
-            out.extend_from_slice(&line[pos..start]);
-            let tok = if id < 10 {
-                Token::Ring {
-                    id,
-                    form: RingForm::Digit,
-                }
+    /// Pair all ring digits and give each pair its new ID. Errors, in
+    /// this order: the line's first lexical error, an unclosed ring (the
+    /// only structural property the transform needs; full validation is
+    /// the parser's job, and compression must work even on lines it has
+    /// not parsed), then an exhausted ID space.
+    fn assign_ids(
+        &mut self,
+        line: &[u8],
+        strategy: RingRenumber,
+        first_id: u16,
+    ) -> Result<(), SmilesError> {
+        self.sites.clear();
+        self.ids.clear();
+        self.closed.clear();
+        let allowed = ALL_IDS & !((1 << first_id.min(MAX_RING_ID + 1)) - 1);
+        // Outermost: the new IDs of the pairs open right now.
+        let mut held: IdSet = 0;
+        let mut open_count = 0usize;
+        let mut exhausted = false;
+        let mut lowest_free = |taken: IdSet| {
+            let free = allowed & !taken;
+            if free == 0 {
+                exhausted = true;
+                NO_ID
             } else {
-                Token::Ring {
-                    id,
-                    form: RingForm::Percent,
-                }
+                free.trailing_zeros() as u16
+            }
+        };
+        let mut lexer = Lexer::new(line);
+        while let Some(st) = lexer.next_ring()? {
+            let Token::Ring { id, .. } = st.token else {
+                unreachable!("next_ring yields ring tokens only")
             };
-            tok.write_to(out);
-            pos = end;
+            let slot = &mut self.open[id as usize];
+            let pair = if !slot.is_open() {
+                let pair = self.ids.len() as u32;
+                let new_id = if strategy == RingRenumber::Outermost {
+                    lowest_free(held)
+                } else {
+                    NO_ID
+                };
+                if new_id != NO_ID {
+                    held |= 1 << new_id;
+                }
+                self.ids.push(new_id);
+                *slot = OpenRing {
+                    pair,
+                    closed_mark: self.closed.len() as u32,
+                };
+                open_count += 1;
+                pair
+            } else {
+                let pair = slot.pair;
+                let p = pair as usize;
+                if strategy == RingRenumber::Innermost {
+                    let taken = self.closed[slot.closed_mark as usize..]
+                        .iter()
+                        .fold(0, |set: IdSet, &id| set | 1 << id);
+                    self.ids[p] = lowest_free(taken);
+                    if self.ids[p] != NO_ID {
+                        self.closed.push(self.ids[p] as u8);
+                    }
+                } else if self.ids[p] != NO_ID {
+                    held &= !(1 << self.ids[p]);
+                }
+                *slot = NOT_OPEN;
+                open_count -= 1;
+                pair
+            };
+            self.sites.push((st.span, pair));
+        }
+        if open_count > 0 {
+            let id = self.open.iter().position(OpenRing::is_open);
+            return Err(SmilesError::UnclosedRing {
+                id: id.expect("an open ring") as u16,
+            });
+        }
+        if exhausted {
+            return Err(SmilesError::RingIdSpaceExhausted {
+                concurrent: self.ids.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Copy `line` to `out`, substituting the new ID at every ring digit.
+    fn rewrite(&self, line: &[u8], out: &mut Vec<u8>) {
+        let mut pos = 0;
+        for &(span, pair) in &self.sites {
+            out.extend_from_slice(&line[pos..span.start]);
+            let id = self.ids[pair as usize];
+            let form = if id < 10 {
+                RingForm::Digit
+            } else {
+                RingForm::Percent
+            };
+            Token::Ring { id, form }.write_to(out);
+            pos = span.end;
         }
         out.extend_from_slice(&line[pos..]);
     }

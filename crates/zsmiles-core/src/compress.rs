@@ -66,9 +66,8 @@ pub struct Compressor<'d> {
     /// ratio but is never incorrect, so it is a tunable, not an invariant.
     preprocess: PreprocessStage,
     scratch: SpScratch,
-    /// Staging for preprocessed sources of one batched group (the per-line
-    /// [`PreprocessStage`] buffer is reused per line, so a batch needs its
-    /// own arena).
+    /// Arena one batched group is preprocessed into
+    /// ([`PreprocessStage::apply_batch`]).
     batch_buf: Vec<u8>,
 }
 
@@ -149,21 +148,9 @@ impl LineEncoder for Compressor<'_> {
         let mut stats = CompressStats::default();
         for chunk in lines.chunks(sp::BATCH_LINES) {
             let mut srcs: [&[u8]; sp::BATCH_LINES] = [b""; sp::BATCH_LINES];
-            let mut spans = [(0usize, 0usize); sp::BATCH_LINES];
-            self.batch_buf.clear();
-            if self.preprocess.enabled() {
-                for (k, &line) in chunk.iter().enumerate() {
-                    let (src, failed) = self.preprocess.apply(line);
-                    stats.preprocess_failures += failed as usize;
-                    spans[k] = (self.batch_buf.len(), src.len());
-                    self.batch_buf.extend_from_slice(src);
-                }
-                for (k, (start, len)) in spans.iter().take(chunk.len()).enumerate() {
-                    srcs[k] = &self.batch_buf[*start..start + len];
-                }
-            } else {
-                srcs[..chunk.len()].copy_from_slice(chunk);
-            }
+            stats.preprocess_failures +=
+                self.preprocess
+                    .apply_batch(chunk, &mut self.batch_buf, &mut srcs);
             stats.lines += chunk.len();
             stats.in_bytes += chunk.iter().map(|l| l.len()).sum::<usize>();
             stats.out_bytes += match self.dict.compact().view() {

@@ -11,6 +11,7 @@ use crate::codec::ESCAPE;
 use crate::dict::Dictionary;
 use crate::engine::LineDecoder;
 use crate::error::ZsmilesError;
+use smiles::preprocess::{Preprocessor, RingRenumber};
 
 /// Accounting for one decompression run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,10 +86,11 @@ impl DecodeTable {
 pub struct Decompressor<'d> {
     /// The dictionary's shared arena-backed expansion table.
     table: &'d DecodeTable,
-    /// Re-number ring IDs to the conventional exporter style after
-    /// expansion (Fig. 3's optional post-process). Off by default: the
-    /// archived pre-processed form is already valid SMILES.
-    postprocess: bool,
+    /// Re-numbers ring IDs to the conventional exporter style after
+    /// expansion (Fig. 3's optional post-process), reused across lines.
+    /// `None` by default: the archived pre-processed form is already
+    /// valid SMILES. Boxed so the default decompressor stays small.
+    postprocess: Option<Box<Preprocessor>>,
     ppbuf: Vec<u8>,
 }
 
@@ -96,13 +98,13 @@ impl<'d> Decompressor<'d> {
     pub fn new(dict: &'d Dictionary) -> Self {
         Decompressor {
             table: dict.decode_table(),
-            postprocess: false,
+            postprocess: None,
             ppbuf: Vec::new(),
         }
     }
 
     pub fn with_postprocess(mut self, on: bool) -> Self {
-        self.postprocess = on;
+        self.postprocess = on.then(Box::default);
         self
     }
 
@@ -119,7 +121,7 @@ impl<'d> Decompressor<'d> {
         out: &mut Vec<u8>,
     ) -> Result<usize, ZsmilesError> {
         let start = out.len();
-        if self.postprocess {
+        if self.postprocess.is_some() {
             self.ppbuf.clear();
         }
         // Sweep 1: validate + size.
@@ -144,7 +146,7 @@ impl<'d> Decompressor<'d> {
         }
         // Sweep 2: expand into `out` directly unless post-processing
         // needs a staging buffer.
-        let target_is_out = !self.postprocess;
+        let target_is_out = self.postprocess.is_none();
         {
             let target: &mut Vec<u8> = if target_is_out { out } else { &mut self.ppbuf };
             target.reserve(total);
@@ -163,12 +165,14 @@ impl<'d> Decompressor<'d> {
                 }
             }
         }
-        if self.postprocess {
-            match smiles::postprocess(&self.ppbuf) {
-                Ok(pp) => out.extend_from_slice(&pp),
-                // A line that is not valid SMILES (it was archived raw) is
-                // returned as-is.
-                Err(_) => out.extend_from_slice(&self.ppbuf),
+        if let Some(pp) = self.postprocess.as_mut() {
+            // Same numbering as `smiles::postprocess`. A line that is not
+            // valid SMILES (it was archived raw) is returned as-is.
+            if pp
+                .process_into(&self.ppbuf, RingRenumber::Outermost, 1, out)
+                .is_err()
+            {
+                out.extend_from_slice(&self.ppbuf);
             }
         }
         Ok(out.len() - start)
@@ -281,6 +285,31 @@ mod tests {
         dc.decompress_line(&z, &mut back).unwrap();
         // Outermost-from-1 numbering; both rings disjoint → both get 1.
         assert_eq!(back, b"C1=CC=C(C=C1)C(=O)CC(=O)C1=CC=CC=C1");
+
+        // A multi-line buffer through one decompressor: every line gets
+        // the one-shot postprocess numbering, and lines that are not
+        // SMILES (an unclosed ring, a stray byte) come back as archived.
+        let lines: [&[u8]; 5] = [
+            b"C1CC2CCC2CC1",
+            b"C1=CC=C(C=C1)C(=O)CC(=O)C2=CC=CC=C2",
+            b"C1CC",
+            b"c1ccc2ccccc2c1",
+            b"C!C",
+        ];
+        let input: Vec<u8> = lines.iter().flat_map(|l| [*l, b"\n"].concat()).collect();
+        let mut z = Vec::new();
+        c.compress_buffer(&input, &mut z);
+        let mut back = Vec::new();
+        let stats = dc.decompress_buffer(&z, &mut back).unwrap();
+        assert_eq!(stats.lines, lines.len());
+        let mut want = Vec::new();
+        for line in lines {
+            let archived = smiles::preprocess(line).unwrap_or_else(|_| line.to_vec());
+            want.extend(smiles::postprocess(&archived).unwrap_or(archived));
+            want.push(b'\n');
+        }
+        assert_eq!(back, want);
+        assert!(back.starts_with(b"C1CC2CCC2CC1\nC1=CC=C(C=C1)C(=O)CC(=O)C1=CC=CC=C1\nC1CC\n"));
     }
 
     #[test]

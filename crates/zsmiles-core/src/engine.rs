@@ -193,10 +193,6 @@ impl PreprocessStage {
         }
     }
 
-    pub fn enabled(&self) -> bool {
-        self.on
-    }
-
     pub fn set_enabled(&mut self, on: bool) {
         self.on = on;
     }
@@ -216,6 +212,44 @@ impl PreprocessStage {
             Ok(()) => (&self.buf, false),
             Err(_) => (line, true),
         }
+    }
+
+    /// Stage one batched group (at most [`crate::sp::BATCH_LINES`] lines)
+    /// for encoding: fills `srcs[..lines.len()]` with the bytes to encode
+    /// per line and returns how many lines failed preprocessing. With the
+    /// stage on, every line is preprocessed straight into `arena` (the
+    /// raw line where that fails); with it off, `srcs` borrows `lines`.
+    pub fn apply_batch<'a>(
+        &mut self,
+        lines: &[&'a [u8]],
+        arena: &'a mut Vec<u8>,
+        srcs: &mut [&'a [u8]],
+    ) -> usize {
+        if !self.on {
+            srcs[..lines.len()].copy_from_slice(lines);
+            return 0;
+        }
+        arena.clear();
+        let ends = &mut [0usize; crate::sp::BATCH_LINES][..lines.len()];
+        let mut failures = 0;
+        for (end, &line) in ends.iter_mut().zip(lines) {
+            if self
+                .pp
+                .process_into(line, RingRenumber::Innermost, 0, arena)
+                .is_err()
+            {
+                arena.extend_from_slice(line);
+                failures += 1;
+            }
+            *end = arena.len();
+        }
+        let arena: &'a [u8] = arena;
+        let mut start = 0;
+        for (src, &end) in srcs.iter_mut().zip(ends.iter()) {
+            *src = &arena[start..end];
+            start = end;
+        }
+        failures
     }
 }
 

@@ -153,6 +153,14 @@ mod imp {
         },
     }
 
+    impl Job {
+        /// Sweeps and flips: jobs that hold a worker for long. Everything
+        /// else is a bounded read or a counter snapshot.
+        fn is_slow(&self) -> bool {
+            matches!(self, Job::One { req, .. } if !inline_eligible(req))
+        }
+    }
+
     /// One finished response frame, ready to flush in sequence order.
     struct Done {
         conn: u64,
@@ -183,13 +191,23 @@ mod imp {
             self.ready.notify_all();
         }
 
-        /// Claim up to `max` queued jobs in one lock. Blocks while the
-        /// queue is empty and open; `None` once closed and drained.
+        /// Claim up to `max` queued jobs in one lock, stopping before a
+        /// second slow one so that sweeps and flips spread over the pool.
+        /// Blocks while the queue is empty and open; `None` once closed
+        /// and drained.
         fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
             let mut q = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if !q.0.is_empty() {
-                    let n = q.0.len().min(max);
+                    let mut slow = 0;
+                    let n =
+                        q.0.iter()
+                            .take(max)
+                            .take_while(|job| {
+                                slow += job.is_slow() as usize;
+                                slow < 2
+                            })
+                            .count();
                     return Some(q.0.drain(..n).collect());
                 }
                 if q.1 {
@@ -428,34 +446,46 @@ mod imp {
             .map_err(|e| ZsmilesError::Io(e.to_string()))
     }
 
+    /// Answer one job, appending its response frames to `done`.
+    fn run_job(shared: &Shared, job: Job, done: &mut Vec<Done>) {
+        match job {
+            Job::One { conn, seq, req } => {
+                let frame = shared.answer(req).encode();
+                done.push(Done { conn, seq, frame });
+            }
+            Job::GetRun {
+                conn,
+                first_seq,
+                lines,
+            } => {
+                let gen = shared.snapshot();
+                done.extend(
+                    shared
+                        .answer_get_run(&gen, &lines)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, resp)| Done {
+                            conn,
+                            seq: first_seq + i as u64,
+                            frame: resp.encode(),
+                        }),
+                );
+            }
+        }
+    }
+
+    /// Run claimed batches. The cheap jobs of a batch run first and are
+    /// published before its slow job starts, so a `GET` claimed together
+    /// with a sweep or a flip is not held until that job ends.
     fn worker_loop(queue: &JobQueue, shared: &Shared, completions: &Completions) {
-        while let Some(batch) = queue.pop_batch(WORKER_BATCH) {
+        while let Some(mut batch) = queue.pop_batch(WORKER_BATCH) {
+            batch.sort_by_key(Job::is_slow);
             let mut done: Vec<Done> = Vec::with_capacity(batch.len());
             for job in batch {
-                match job {
-                    Job::One { conn, seq, req } => {
-                        let frame = shared.answer(req).encode();
-                        done.push(Done { conn, seq, frame });
-                    }
-                    Job::GetRun {
-                        conn,
-                        first_seq,
-                        lines,
-                    } => {
-                        let gen = shared.snapshot();
-                        done.extend(
-                            shared
-                                .answer_get_run(&gen, &lines)
-                                .into_iter()
-                                .enumerate()
-                                .map(|(i, resp)| Done {
-                                    conn,
-                                    seq: first_seq + i as u64,
-                                    frame: resp.encode(),
-                                }),
-                        );
-                    }
+                if job.is_slow() && !done.is_empty() {
+                    completions.finish(std::mem::take(&mut done));
                 }
+                run_job(shared, job, &mut done);
             }
             completions.finish(done);
         }
@@ -852,30 +882,10 @@ mod imp {
                     let mut pooled: Vec<Job> = Vec::new();
                     let mut done: Vec<Done> = Vec::new();
                     for job in jobs.drain(..) {
-                        match job {
-                            Job::One { conn, seq, req } if inline_eligible(&req) => {
-                                let frame = shared.answer(req).encode();
-                                done.push(Done { conn, seq, frame });
-                            }
-                            Job::GetRun {
-                                conn,
-                                first_seq,
-                                lines,
-                            } => {
-                                let gen = shared.snapshot();
-                                done.extend(
-                                    shared
-                                        .answer_get_run(&gen, &lines)
-                                        .into_iter()
-                                        .enumerate()
-                                        .map(|(i, resp)| Done {
-                                            conn,
-                                            seq: first_seq + i as u64,
-                                            frame: resp.encode(),
-                                        }),
-                                );
-                            }
-                            other => pooled.push(other),
+                        if job.is_slow() {
+                            pooled.push(job);
+                        } else {
+                            run_job(shared, job, &mut done);
                         }
                     }
                     jobs = pooled;

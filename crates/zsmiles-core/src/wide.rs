@@ -589,7 +589,7 @@ pub struct WideCompressor<'d> {
     matcher: MatcherKind,
     preprocess: PreprocessStage,
     scratch: WideScratch,
-    /// Staging for preprocessed sources of one batched group (mirrors
+    /// Arena one batched group is preprocessed into (mirrors
     /// [`crate::Compressor`]).
     batch_buf: Vec<u8>,
 }
@@ -660,21 +660,9 @@ impl LineEncoder for WideCompressor<'_> {
         let mut stats = CompressStats::default();
         for chunk in lines.chunks(crate::sp::BATCH_LINES) {
             let mut srcs: [&[u8]; crate::sp::BATCH_LINES] = [b""; crate::sp::BATCH_LINES];
-            let mut spans = [(0usize, 0usize); crate::sp::BATCH_LINES];
-            self.batch_buf.clear();
-            if self.preprocess.enabled() {
-                for (k, &line) in chunk.iter().enumerate() {
-                    let (src, failed) = self.preprocess.apply(line);
-                    stats.preprocess_failures += failed as usize;
-                    spans[k] = (self.batch_buf.len(), src.len());
-                    self.batch_buf.extend_from_slice(src);
-                }
-                for (k, (start, len)) in spans.iter().take(chunk.len()).enumerate() {
-                    srcs[k] = &self.batch_buf[*start..start + len];
-                }
-            } else {
-                srcs[..chunk.len()].copy_from_slice(chunk);
-            }
+            stats.preprocess_failures +=
+                self.preprocess
+                    .apply_batch(chunk, &mut self.batch_buf, &mut srcs);
             stats.lines += chunk.len();
             stats.in_bytes += chunk.iter().map(|l| l.len()).sum::<usize>();
             stats.out_bytes += match self.dict.compact().view() {

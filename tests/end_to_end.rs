@@ -268,3 +268,20 @@ fn archives_cut_and_combine() {
         smiles::validate::full_check(line).unwrap();
     }
 }
+
+/// Output bytes of the shipped dictionary (ring-ID preprocessing on) over
+/// a fixed generated deck, pinned so that changes to preprocessing or
+/// encoding cannot shift a single archived byte unnoticed.
+#[test]
+fn builtin_dictionary_output_is_pinned() {
+    let ds = Dataset::generate_mixed(20_000, 7);
+    let dict = zsmiles_core::Dictionary::builtin();
+    assert!(dict.preprocessed());
+    let mut z = Vec::new();
+    let stats = Compressor::new(dict).compress_buffer(ds.as_bytes(), &mut z);
+    assert_eq!(stats.lines, 20_000);
+    assert_eq!(stats.preprocess_failures, 0);
+    assert_eq!(stats.out_bytes, 391_893);
+    assert_eq!(z.len(), 391_893 + 20_000, "one newline per line");
+    assert_eq!(textcomp::crc32::crc32(&z), 0x7509_ba45);
+}

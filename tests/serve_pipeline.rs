@@ -3,19 +3,21 @@
 //! mid-pipeline get typed errors while surviving requests keep their
 //! order, a 256-client pipelined stress stays flip-atomic under the
 //! pooled executor, `top_hits` over the wire is byte-identical to a
-//! local screening campaign, and a saturated server still answers its
+//! local screening campaign, a `GET` is never held behind a sweep the
+//! same worker claimed, and a saturated server still answers its
 //! `health` probe.
 
 use proptest::prelude::*;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::serve::protocol::{self, ErrorCode, FrameRead, Request, Response};
-use zsmiles_core::serve::{ClientOptions, Executor, QueryClient, ServeOptions, Server};
+use zsmiles_core::serve::{ClientOptions, Executor, QueryClient, Screener, ServeOptions, Server};
 use zsmiles_core::shard::ShardPolicy;
-use zsmiles_core::{DeckReader, DictBuilder, ShardedWriter, WriterOptions};
+use zsmiles_core::{DeckReader, DictBuilder, ShardedWriter, WriterOptions, ZsmilesError};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("zsmiles_it_pipe_{tag}_{}", std::process::id()));
@@ -350,6 +352,95 @@ fn wire_top_hits_is_byte_identical_to_local_campaign() {
     assert!(err.to_string().contains("Unsupported"), "got: {err}");
     bare.shutdown();
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// A sweep does not hold up the GETs claimed with it
+// ---------------------------------------------------------------------------
+
+/// A screener whose sweep cannot finish until the test lets it: every
+/// `score_batch` waits for the release message (or for the sender to be
+/// dropped) and scores each line by its length.
+struct GatedScreener {
+    release: Mutex<Receiver<()>>,
+}
+
+impl Screener for GatedScreener {
+    fn score_batch(
+        &self,
+        _pattern: &str,
+        lines: &[Vec<u8>],
+        out: &mut Vec<f64>,
+    ) -> Result<(), ZsmilesError> {
+        let gate = self.release.lock().unwrap();
+        match gate.recv_timeout(Duration::from_secs(30)) {
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {}
+            Err(RecvTimeoutError::Timeout) => {
+                return Err(ZsmilesError::Protocol {
+                    reason: "sweep was never released".into(),
+                })
+            }
+        }
+        out.extend(lines.iter().map(|l| l.len() as f64));
+        Ok(())
+    }
+}
+
+/// A `GET` and a `TOP_HITS` pipelined in one write reach the two-worker
+/// pool as one push, so a single worker claims both. The sweep blocks
+/// until the test has read the `GET`'s answer: the worker must publish
+/// that answer before the sweep starts, or the read times out.
+#[test]
+fn get_is_answered_before_a_sweep_claimed_in_the_same_batch_ends() {
+    let dir = tmpdir("sweep_batch");
+    let deck = molgen::Dataset::generate_mixed(120, 5);
+    let zsm = pack_deck(&dir, "deck.zsm", &deck, 0);
+    let (release, gate) = mpsc::channel();
+    let handle = Server::start(
+        &zsm,
+        "127.0.0.1:0",
+        ServeOptions {
+            workers: 2,
+            screener: Some(Arc::new(GatedScreener {
+                release: Mutex::new(gate),
+            })),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+
+    let mut s = std::net::TcpStream::connect(handle.addr()).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut burst = Request::Get { line: 7 }.encode();
+    burst.extend_from_slice(
+        &Request::TopHits {
+            k: 3,
+            pattern: "any".into(),
+        }
+        .encode(),
+    );
+    s.write_all(&burst).unwrap();
+
+    let mut read = || match protocol::read_frame(&mut s, protocol::MAX_RESPONSE_FRAME) {
+        Ok(FrameRead::Frame(body)) => Response::decode(&body).unwrap(),
+        other => panic!("expected a response frame, got {other:?}"),
+    };
+    assert_eq!(read(), Response::Lines(vec![deck.line(7).to_vec()]));
+    release.send(()).unwrap();
+    drop(release);
+    match read() {
+        Response::Hits(rows) => {
+            let indices: Vec<u64> = rows.iter().map(|r| r.index).collect();
+            let mut want: Vec<usize> = (0..deck.len()).collect();
+            want.sort_by_key(|&i| (std::cmp::Reverse(deck.line(i).len()), i));
+            let want: Vec<u64> = want[..3].iter().map(|&i| i as u64).collect();
+            assert_eq!(indices, want);
+        }
+        other => panic!("expected hits, got {other:?}"),
+    }
+
+    handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
