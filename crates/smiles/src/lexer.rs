@@ -19,8 +19,8 @@ pub struct Spanned {
 
 /// Bytes [`Lexer::next_ring`] steps over without lexing: each always
 /// starts a complete one-byte, non-ring token (a branch, a dot, a bond,
-/// `*`, a one-letter organic atom), or the two-byte `Cl` / `Br` (see
-/// [`SECOND`]). `s` is not here: a following `e` makes it an error.
+/// `*`, a one-letter organic atom) or the two-byte `Cl` / `Br`. `s` is
+/// not here: a following `e` makes it an error.
 const STEP_OVER: [bool; 256] = {
     let mut table = [false; 256];
     let bytes = b"()./-=#$:\\*BCNOPSFIbcnop";
@@ -29,17 +29,6 @@ const STEP_OVER: [bool; 256] = {
         table[bytes[i] as usize] = true;
         i += 1;
     }
-    table
-};
-
-/// Per byte, the second letter that extends it to a two-byte bare atom
-/// (`C` → `l`, `B` → `r`), or a value no byte has. Neither `C` nor `B` is
-/// ever the second byte of a token, so an `l` after a stepped-over `C`
-/// (an `r` after a `B`) always completes `Cl` (`Br`).
-const SECOND: [u16; 256] = {
-    let mut table = [u16::MAX; 256];
-    table[b'C' as usize] = b'l' as u16;
-    table[b'B' as usize] = b'r' as u16;
     table
 };
 
@@ -153,19 +142,26 @@ impl<'a> Lexer<'a> {
     /// line. Yields exactly the `Ring` tokens, spans and first error that
     /// filtering [`Lexer::next_token`] would, without building the tokens
     /// in between: bytes that can only start a one- or two-byte non-ring
-    /// token are stepped over by table, and everything else (digits,
+    /// token are stepped over, and everything else (digits,
     /// `%nn`, bracket atoms, `s`, bad bytes) goes through `next_token`.
     pub fn next_ring(&mut self) -> Result<Option<Spanned>, SmilesError> {
         let input = self.input;
         loop {
             // Whether a byte may be stepped over depends only on it and
             // the byte before, so the loop carries no dependency but
-            // `pos`. A scan resumes after a digit, `]` or `s`, never
-            // after a `C` or `B`.
+            // `pos`. Neither `C` nor `B` is ever the second byte of a
+            // token, so an `l` after a stepped-over `C` (an `r` after a
+            // `B`) always completes `Cl` (`Br`). A scan resumes after a
+            // digit, `]` or `s`, never after a `C` or `B`. The two bytes
+            // are compared as one `u16`: testing them one at a time ran
+            // about 10% slower.
+            const CL: u16 = u16::from_be_bytes(*b"Cl");
+            const BR: u16 = u16::from_be_bytes(*b"Br");
             let mut pos = self.pos;
             let mut prev = pos.checked_sub(1).map_or(0, |p| input[p]);
             while let Some(&b) = input.get(pos) {
-                if !(STEP_OVER[b as usize] || SECOND[prev as usize] == b as u16) {
+                let pair = u16::from_be_bytes([prev, b]);
+                if !(STEP_OVER[b as usize] || pair == CL || pair == BR) {
                     break;
                 }
                 prev = b;

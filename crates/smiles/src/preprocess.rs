@@ -131,6 +131,21 @@ impl Preprocessor {
         Ok(())
     }
 
+    /// The paper's pre-processing (innermost-first, IDs from 0), as
+    /// [`Preprocessor::process_into`]: what every compressor applies
+    /// before encoding.
+    pub fn preprocess_into(&mut self, line: &[u8], out: &mut Vec<u8>) -> Result<(), SmilesError> {
+        self.process_into(line, RingRenumber::Innermost, 0, out)
+    }
+
+    /// Post-processing to the conventional exporter style
+    /// (outermost-first, IDs from 1, no ID 0), as
+    /// [`Preprocessor::process_into`]. Decompressed archives stay valid
+    /// SMILES without this; it exists for tools that dislike ring ID 0.
+    pub fn postprocess_into(&mut self, line: &[u8], out: &mut Vec<u8>) -> Result<(), SmilesError> {
+        self.process_into(line, RingRenumber::Outermost, 1, out)
+    }
+
     /// Pair all ring digits and give each pair its new ID. Errors, in
     /// this order: the line's first lexical error, an unclosed ring (the
     /// only structural property the transform needs; full validation is
@@ -234,20 +249,17 @@ impl Preprocessor {
     }
 }
 
-/// One-shot convenience: renumber with the paper's defaults
-/// (innermost-first, IDs from 0).
+/// One-shot [`Preprocessor::preprocess_into`].
 pub fn preprocess(line: &[u8]) -> Result<Vec<u8>, SmilesError> {
     let mut out = Vec::with_capacity(line.len());
-    Preprocessor::new().process_into(line, RingRenumber::Innermost, 0, &mut out)?;
+    Preprocessor::new().preprocess_into(line, &mut out)?;
     Ok(out)
 }
 
-/// One-shot post-processing: renumber to the conventional exporter style
-/// (outermost-first, IDs from 1, no ID 0). Decompressed archives stay valid
-/// SMILES without this; it exists for tools that dislike ring ID 0.
+/// One-shot [`Preprocessor::postprocess_into`].
 pub fn postprocess(line: &[u8]) -> Result<Vec<u8>, SmilesError> {
     let mut out = Vec::with_capacity(line.len() + 4);
-    Preprocessor::new().process_into(line, RingRenumber::Outermost, 1, &mut out)?;
+    Preprocessor::new().postprocess_into(line, &mut out)?;
     Ok(out)
 }
 

@@ -11,7 +11,7 @@ use crate::codec::ESCAPE;
 use crate::dict::Dictionary;
 use crate::engine::LineDecoder;
 use crate::error::ZsmilesError;
-use smiles::preprocess::{Preprocessor, RingRenumber};
+use smiles::preprocess::Preprocessor;
 
 /// Accounting for one decompression run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -166,12 +166,9 @@ impl<'d> Decompressor<'d> {
             }
         }
         if let Some(pp) = self.postprocess.as_mut() {
-            // Same numbering as `smiles::postprocess`. A line that is not
-            // valid SMILES (it was archived raw) is returned as-is.
-            if pp
-                .process_into(&self.ppbuf, RingRenumber::Outermost, 1, out)
-                .is_err()
-            {
+            // A line that is not valid SMILES (it was archived raw) is
+            // returned as-is.
+            if pp.postprocess_into(&self.ppbuf, out).is_err() {
                 out.extend_from_slice(&self.ppbuf);
             }
         }

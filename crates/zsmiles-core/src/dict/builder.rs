@@ -25,7 +25,7 @@
 use super::{Dictionary, MAX_PATTERN_LEN};
 use crate::codec::Prepopulation;
 use crate::error::ZsmilesError;
-use smiles::preprocess::{Preprocessor, RingRenumber};
+use smiles::preprocess::Preprocessor;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -175,10 +175,7 @@ where
     for line in lines {
         if preprocess {
             let before = corpus.len();
-            if pp
-                .process_into(line, RingRenumber::Innermost, 0, &mut corpus)
-                .is_err()
-            {
+            if pp.preprocess_into(line, &mut corpus).is_err() {
                 // Invalid SMILES still deserve compression; train on the
                 // raw bytes.
                 corpus.truncate(before);

@@ -34,7 +34,7 @@ use crate::dict::Dictionary;
 use crate::error::ZsmilesError;
 use crate::sp::SpAlgorithm;
 use crate::wide::{WideCompressor, WideDecompressor, WideDictionary};
-use smiles::preprocess::{Preprocessor, RingRenumber};
+use smiles::preprocess::Preprocessor;
 use std::cell::RefCell;
 use std::io::Write;
 use std::path::Path;
@@ -205,10 +205,7 @@ impl PreprocessStage {
             return (line, false);
         }
         self.buf.clear();
-        match self
-            .pp
-            .process_into(line, RingRenumber::Innermost, 0, &mut self.buf)
-        {
+        match self.pp.preprocess_into(line, &mut self.buf) {
             Ok(()) => (&self.buf, false),
             Err(_) => (line, true),
         }
@@ -233,11 +230,7 @@ impl PreprocessStage {
         let ends = &mut [0usize; crate::sp::BATCH_LINES][..lines.len()];
         let mut failures = 0;
         for (end, &line) in ends.iter_mut().zip(lines) {
-            if self
-                .pp
-                .process_into(line, RingRenumber::Innermost, 0, arena)
-                .is_err()
-            {
+            if self.pp.preprocess_into(line, arena).is_err() {
                 arena.extend_from_slice(line);
                 failures += 1;
             }

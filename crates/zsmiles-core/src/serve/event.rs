@@ -191,23 +191,13 @@ mod imp {
             self.ready.notify_all();
         }
 
-        /// Claim up to `max` queued jobs in one lock, stopping before a
-        /// second slow one so that sweeps and flips spread over the pool.
-        /// Blocks while the queue is empty and open; `None` once closed
-        /// and drained.
+        /// Claim up to `max` queued jobs in one lock. Blocks while the
+        /// queue is empty and open; `None` once closed and drained.
         fn pop_batch(&self, max: usize) -> Option<Vec<Job>> {
             let mut q = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if !q.0.is_empty() {
-                    let mut slow = 0;
-                    let n =
-                        q.0.iter()
-                            .take(max)
-                            .take_while(|job| {
-                                slow += job.is_slow() as usize;
-                                slow < 2
-                            })
-                            .count();
+                    let n = q.0.len().min(max);
                     return Some(q.0.drain(..n).collect());
                 }
                 if q.1 {
@@ -476,7 +466,9 @@ mod imp {
 
     /// Run claimed batches. The cheap jobs of a batch run first and are
     /// published before its slow job starts, so a `GET` claimed together
-    /// with a sweep or a flip is not held until that job ends.
+    /// with a sweep or a flip is not held until that job ends. A read
+    /// pipelined behind a flip may therefore see the old generation, as
+    /// on the inline path; replies still go out in submission order.
     fn worker_loop(queue: &JobQueue, shared: &Shared, completions: &Completions) {
         while let Some(mut batch) = queue.pop_batch(WORKER_BATCH) {
             batch.sort_by_key(Job::is_slow);
