@@ -153,8 +153,9 @@ impl<'a> Lexer<'a> {
             // token, so an `l` after a stepped-over `C` (an `r` after a
             // `B`) always completes `Cl` (`Br`). A scan resumes after a
             // digit, `]` or `s`, never after a `C` or `B`. The two bytes
-            // are compared as one `u16`: testing them one at a time ran
-            // about 10% slower.
+            // are compared as one `u16`: testing them one at a time made
+            // preprocessing about 10% slower (80 000-line deck, 2-vCPU
+            // Xeon).
             const CL: u16 = u16::from_be_bytes(*b"Cl");
             const BR: u16 = u16::from_be_bytes(*b"Br");
             let mut pos = self.pos;
