@@ -4,7 +4,11 @@
 //! of compression:
 //!
 //! * [`lexer`] — byte-level tokenizer with spans;
-//! * [`parser`] — tokens → [`graph::Molecule`] with full structural checks;
+//! * [`parser`] — the grammar: one loop that pulls tokens from the lexer,
+//!   checks the structure, and reports atoms and bonds to a builder
+//!   ([`graph::Molecule`], or the counting builder below);
+//! * [`features`] — the counting pass: per-molecule atom, aromatic,
+//!   heteroatom, halogen and ring counts without a graph;
 //! * [`writer`] — molecule → SMILES with configurable ring-ID allocation;
 //! * [`mod@preprocess`] — the paper's §IV-A ring-ID renumbering transform;
 //! * [`alphabet`] — the SMILES character set used for dictionary
@@ -27,6 +31,7 @@ pub mod alphabet;
 pub mod canon;
 pub mod element;
 pub mod error;
+pub mod features;
 pub mod formula;
 pub mod graph;
 pub mod lexer;
@@ -37,7 +42,9 @@ pub mod validate;
 pub mod writer;
 
 pub use error::{SmilesError, Span};
+pub use features::{FeatureCounter, FeatureCounts};
 pub use formula::{molar_mass, molecular_formula, Composition};
 pub use graph::{AtomKind, Bond, Molecule};
+pub use parser::{Builder, Parser};
 pub use preprocess::{postprocess, preprocess, Preprocessor, RingRenumber};
 pub use token::{BareAtom, BondSym, BracketAtom, Chirality, RingForm, Token};

@@ -1,199 +1,291 @@
-//! SMILES grammar: token stream → [`Molecule`].
+//! SMILES grammar: one loop that pulls tokens from the [`Lexer`] and
+//! reports each atom and bond it accepts to a [`Builder`].
 //!
 //! The parser enforces the structural rules the lexer cannot see:
 //! branch balance, ring-bond pairing (first occurrence opens, second
 //! closes, IDs reusable after closing), bond-symbol agreement between the
-//! two halves of a ring closure, and sane placement of dots and bonds.
+//! two halves of a ring closure, no ring closure onto an existing bond,
+//! and sane placement of dots and bonds. What is built from the accepted
+//! atoms and bonds is the builder's business: [`parse`] builds a
+//! [`Molecule`], and [`crate::features::FeatureCounter`] only counts.
+//!
+//! A grammar error is reported only once the rest of the line has lexed:
+//! a lexical error anywhere in the line wins over it, so every builder
+//! sees the same `Result` a tokenize-first parse would give.
 
 use crate::error::{SmilesError, Span};
 use crate::graph::{AtomKind, Molecule};
-use crate::lexer::{tokenize, Spanned};
+use crate::lexer::{Lexer, Spanned};
 use crate::token::{BondSym, Token};
+
+/// Receives what the grammar accepts, in line order. Atoms are numbered
+/// from 0 in the order they are added; a bond names two added atoms.
+pub trait Builder {
+    fn add_atom(&mut self, atom: AtomKind);
+    /// A bond between atoms `a` and `b`; `sym` is `None` when implicit,
+    /// `ring` marks a ring closure.
+    fn add_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>, ring: bool);
+}
+
+impl Builder for Molecule {
+    fn add_atom(&mut self, atom: AtomKind) {
+        Molecule::add_atom(self, atom);
+    }
+
+    fn add_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>, ring: bool) {
+        Molecule::add_bond(self, a, b, sym, ring);
+    }
+}
+
+/// Chain parent of the first atom of each dot-separated fragment.
+const NO_ATOM: u32 = u32::MAX;
 
 /// An open ring-bond half waiting for its partner digit.
 #[derive(Debug, Clone, Copy)]
 struct OpenRing {
     atom: u32,
     bond: Option<BondSym>,
-    span: Span,
 }
 
-/// Parse one SMILES line into a molecule.
-pub fn parse(line: &[u8]) -> Result<Molecule, SmilesError> {
-    let tokens = tokenize(line)?;
-    parse_tokens(&tokens)
+/// The grammar's state. Its buffers are kept between lines, so a warmed
+/// parser driving an allocation-free builder does not allocate.
+#[derive(Debug, Clone)]
+pub struct Parser {
+    /// Attachment point to restore at each `)`, with its `(` byte position.
+    branches: Vec<(u32, usize)>,
+    /// Open ring-bond halves by ID. `%nn` and single digits share the
+    /// 100 IDs: the value is what matters, not the spelling.
+    rings: [Option<OpenRing>; 100],
+    open_rings: usize,
+    /// For each atom, the atom its chain bond came from, or [`NO_ATOM`].
+    chain_parent: Vec<u32>,
+    /// Atom pairs joined by ring closures so far, smaller index first.
+    ring_bonds: Vec<(u32, u32)>,
+    atoms: u32,
+    /// The attachment point for the next atom or ring digit.
+    prev: Option<u32>,
+    /// A bond symbol waiting for its next atom or ring digit, with its
+    /// byte position.
+    pending_bond: Option<(BondSym, usize)>,
+    /// Set right after `(`, to detect `()`.
+    branch_just_opened: bool,
+    /// Byte position of the last token, when that token was a dot.
+    trailing_dot: Option<usize>,
 }
 
-/// Parse an already-tokenized line.
-pub fn parse_tokens(tokens: &[Spanned]) -> Result<Molecule, SmilesError> {
-    let mut mol = Molecule::new();
-    // `prev` is the attachment point for the next atom/ring digit.
-    let mut prev: Option<u32> = None;
-    // Branch stack stores the attachment point to restore at ')'.
-    let mut stack: Vec<(u32, usize)> = Vec::new(); // (atom, '(' byte pos)
-    let mut pending_bond: Option<(BondSym, usize)> = None;
-    // 100 possible ring IDs (0..=9 digits, %00..%99 overlap on 0..=9: the
-    // ID value is what matters, not the spelling).
-    let mut open_rings: Vec<Option<OpenRing>> = vec![None; 100];
-    let mut open_ring_count: usize = 0;
-    // Set when the token immediately after '(' has been seen, to detect "()".
-    let mut branch_just_opened = false;
+impl Default for Parser {
+    fn default() -> Self {
+        Parser::new()
+    }
+}
 
-    for st in tokens {
-        let tok = &st.token;
-        match tok {
-            Token::Atom(_) | Token::Bracket(_) => {
-                let kind = match tok {
-                    Token::Atom(a) => AtomKind::Bare(*a),
-                    Token::Bracket(b) => AtomKind::Bracket(*b),
-                    _ => unreachable!(),
-                };
-                let idx = mol.add_atom(kind);
-                if let Some(p) = prev {
-                    let sym = pending_bond.take().map(|(s, _)| s);
-                    mol.add_bond(p, idx, sym, false);
-                } else if let Some((_, at)) = pending_bond.take() {
+impl Parser {
+    pub fn new() -> Parser {
+        Parser {
+            branches: Vec::new(),
+            rings: [None; 100],
+            open_rings: 0,
+            chain_parent: Vec::new(),
+            ring_bonds: Vec::new(),
+            atoms: 0,
+            prev: None,
+            pending_bond: None,
+            branch_just_opened: false,
+            trailing_dot: None,
+        }
+    }
+
+    /// Parse one SMILES line into a molecule.
+    pub fn parse(&mut self, line: &[u8]) -> Result<Molecule, SmilesError> {
+        let mut mol = Molecule::new();
+        self.build(line, &mut mol)?;
+        Ok(mol)
+    }
+
+    /// Run the grammar over `line`, reporting every accepted atom and
+    /// bond to `out`. On error `out` may hold part of the line.
+    pub fn build<B: Builder>(&mut self, line: &[u8], out: &mut B) -> Result<(), SmilesError> {
+        self.reset();
+        let mut lexer = Lexer::new(line);
+        while let Some(st) = lexer.next_token()? {
+            if let Err(grammar) = self.accept(st, out) {
+                // Finish lexing: a lexical error later in the line wins.
+                while lexer.next_token()?.is_some() {}
+                return Err(grammar);
+            }
+        }
+        self.finish()
+    }
+
+    fn reset(&mut self) {
+        self.branches.clear();
+        if self.open_rings > 0 {
+            self.rings = [None; 100];
+            self.open_rings = 0;
+        }
+        self.chain_parent.clear();
+        self.ring_bonds.clear();
+        self.atoms = 0;
+        self.prev = None;
+        self.pending_bond = None;
+        self.branch_just_opened = false;
+        self.trailing_dot = None;
+    }
+
+    /// One grammar step: the token `st` extends the line or is an error.
+    #[inline]
+    fn accept<B: Builder>(&mut self, st: Spanned, out: &mut B) -> Result<(), SmilesError> {
+        let at = st.span.start;
+        self.trailing_dot = None;
+        match st.token {
+            Token::Atom(a) => self.atom(AtomKind::Bare(a), out)?,
+            Token::Bracket(b) => self.atom(AtomKind::Bracket(b), out)?,
+            Token::Bond(sym) => {
+                if self.pending_bond.is_some() || self.prev.is_none() {
                     return Err(SmilesError::DanglingBond { at });
                 }
-                prev = Some(idx);
-                branch_just_opened = false;
+                self.pending_bond = Some((sym, at));
             }
-            Token::Bond(sym) => {
-                if pending_bond.is_some() {
-                    return Err(SmilesError::DanglingBond { at: st.span.start });
-                }
-                if prev.is_none() {
-                    return Err(SmilesError::DanglingBond { at: st.span.start });
-                }
-                pending_bond = Some((*sym, st.span.start));
-                branch_just_opened = false;
-            }
-            Token::Ring { id, form: _ } => {
-                let cur = match prev {
-                    Some(p) => p,
-                    None => return Err(SmilesError::RingWithoutAtom { at: st.span.start }),
-                };
-                let slot = &mut open_rings[*id as usize];
-                match slot.take() {
-                    None => {
-                        // Opening half.
-                        *slot = Some(OpenRing {
-                            atom: cur,
-                            bond: pending_bond.take().map(|(s, _)| s),
-                            span: st.span,
-                        });
-                        open_ring_count += 1;
-                    }
-                    Some(open) => {
-                        // Closing half.
-                        open_ring_count -= 1;
-                        if open.atom == cur {
-                            return Err(SmilesError::RingSelfBond {
-                                id: *id,
-                                span: st.span,
-                            });
-                        }
-                        let close_bond = pending_bond.take().map(|(s, _)| s);
-                        let sym = match (open.bond, close_bond) {
-                            (Some(a), Some(b)) if a != b => {
-                                // Directional bonds may legitimately differ
-                                // (/ on one side, \ on the other).
-                                let dir = |s: BondSym| matches!(s, BondSym::Up | BondSym::Down);
-                                if dir(a) && dir(b) {
-                                    Some(a)
-                                } else {
-                                    return Err(SmilesError::RingBondMismatch {
-                                        id: *id,
-                                        span: st.span,
-                                    });
-                                }
-                            }
-                            (Some(a), _) => Some(a),
-                            (None, b) => b,
-                        };
-                        if mol.has_bond_between(open.atom, cur) {
-                            return Err(SmilesError::DuplicateRingBond {
-                                id: *id,
-                                span: st.span,
-                            });
-                        }
-                        let _ = open.span;
-                        mol.add_bond(open.atom, cur, sym, true);
-                    }
-                }
-                branch_just_opened = false;
-            }
+            Token::Ring { id, .. } => self.ring(id, st.span, out)?,
             Token::BranchOpen => {
-                let cur = match prev {
-                    Some(p) => p,
-                    None => return Err(SmilesError::BranchWithoutAtom { at: st.span.start }),
-                };
-                if pending_bond.is_some() {
+                let cur = self.prev.ok_or(SmilesError::BranchWithoutAtom { at })?;
+                if self.pending_bond.is_some() {
                     // "C=(C)" is not legal: the bond belongs inside.
-                    return Err(SmilesError::DanglingBond { at: st.span.start });
+                    return Err(SmilesError::DanglingBond { at });
                 }
-                stack.push((cur, st.span.start));
-                branch_just_opened = true;
+                self.branches.push((cur, at));
+                self.branch_just_opened = true;
+                return Ok(());
             }
             Token::BranchClose => {
-                let (restore, open_at) = match stack.pop() {
-                    Some(v) => v,
-                    None => return Err(SmilesError::UnmatchedBranchClose { at: st.span.start }),
-                };
-                if branch_just_opened {
+                let (restore, open_at) = self
+                    .branches
+                    .pop()
+                    .ok_or(SmilesError::UnmatchedBranchClose { at })?;
+                if self.branch_just_opened {
                     return Err(SmilesError::EmptyBranch {
                         span: Span::new(open_at, st.span.end),
                     });
                 }
-                if let Some((_, at)) = pending_bond.take() {
+                if let Some((_, at)) = self.pending_bond.take() {
                     return Err(SmilesError::DanglingBond { at });
                 }
-                prev = Some(restore);
-                branch_just_opened = false;
+                self.prev = Some(restore);
             }
             Token::Dot => {
-                if !stack.is_empty() {
-                    return Err(SmilesError::MisplacedDot { at: st.span.start });
+                if !self.branches.is_empty() || self.prev.is_none() {
+                    return Err(SmilesError::MisplacedDot { at });
                 }
-                if prev.is_none() {
-                    return Err(SmilesError::MisplacedDot { at: st.span.start });
-                }
-                if let Some((_, at)) = pending_bond.take() {
+                if let Some((_, at)) = self.pending_bond.take() {
                     return Err(SmilesError::DanglingBond { at });
                 }
-                prev = None;
-                branch_just_opened = false;
+                self.prev = None;
+                self.trailing_dot = Some(at);
             }
         }
+        self.branch_just_opened = false;
+        Ok(())
     }
 
-    if mol.atom_count() == 0 {
-        return Err(SmilesError::EmptyInput);
+    #[inline]
+    fn atom<B: Builder>(&mut self, kind: AtomKind, out: &mut B) -> Result<(), SmilesError> {
+        let idx = self.atoms;
+        self.atoms += 1;
+        out.add_atom(kind);
+        let parent = match self.prev {
+            Some(p) => {
+                let sym = self.pending_bond.take().map(|(s, _)| s);
+                out.add_bond(p, idx, sym, false);
+                p
+            }
+            None => {
+                if let Some((_, at)) = self.pending_bond.take() {
+                    return Err(SmilesError::DanglingBond { at });
+                }
+                NO_ATOM
+            }
+        };
+        self.chain_parent.push(parent);
+        self.prev = Some(idx);
+        Ok(())
     }
-    if let Some((_, at)) = pending_bond {
-        return Err(SmilesError::DanglingBond { at });
-    }
-    if let Some((_, at)) = stack.first() {
-        return Err(SmilesError::UnclosedBranch { at: *at });
-    }
-    if open_ring_count > 0 {
-        let id = open_rings
-            .iter()
-            .position(|s| s.is_some())
-            .expect("count says one is open") as u16;
-        return Err(SmilesError::UnclosedRing { id });
-    }
-    // Trailing dot leaves prev == None with atoms present: "C." — the dot
-    // token would have required a following atom; detect by checking the
-    // last token.
-    if let Some(last) = tokens.last() {
-        if matches!(last.token, Token::Dot) {
-            return Err(SmilesError::MisplacedDot {
-                at: last.span.start,
+
+    fn ring<B: Builder>(&mut self, id: u16, span: Span, out: &mut B) -> Result<(), SmilesError> {
+        let cur = self
+            .prev
+            .ok_or(SmilesError::RingWithoutAtom { at: span.start })?;
+        let slot = &mut self.rings[id as usize];
+        let Some(open) = slot.take() else {
+            // Opening half.
+            *slot = Some(OpenRing {
+                atom: cur,
+                bond: self.pending_bond.take().map(|(s, _)| s),
             });
+            self.open_rings += 1;
+            return Ok(());
+        };
+        // Closing half.
+        self.open_rings -= 1;
+        if open.atom == cur {
+            return Err(SmilesError::RingSelfBond { id, span });
         }
+        let close_bond = self.pending_bond.take().map(|(s, _)| s);
+        let sym = match (open.bond, close_bond) {
+            (Some(a), Some(b)) if a != b => {
+                // Directional bonds may legitimately differ (/ on one
+                // side, \ on the other).
+                let dir = |s: BondSym| matches!(s, BondSym::Up | BondSym::Down);
+                if dir(a) && dir(b) {
+                    Some(a)
+                } else {
+                    return Err(SmilesError::RingBondMismatch { id, span });
+                }
+            }
+            (Some(a), _) => Some(a),
+            (None, b) => b,
+        };
+        let pair = (open.atom.min(cur), open.atom.max(cur));
+        if self.chain_parent[pair.0 as usize] == pair.1
+            || self.chain_parent[pair.1 as usize] == pair.0
+            || self.ring_bonds.contains(&pair)
+        {
+            return Err(SmilesError::DuplicateRingBond { id, span });
+        }
+        self.ring_bonds.push(pair);
+        out.add_bond(open.atom, cur, sym, true);
+        Ok(())
     }
-    Ok(mol)
+
+    /// The end-of-line checks, once every token has been accepted.
+    fn finish(&self) -> Result<(), SmilesError> {
+        if self.atoms == 0 {
+            return Err(SmilesError::EmptyInput);
+        }
+        if let Some((_, at)) = self.pending_bond {
+            return Err(SmilesError::DanglingBond { at });
+        }
+        if let Some(&(_, at)) = self.branches.first() {
+            return Err(SmilesError::UnclosedBranch { at });
+        }
+        if self.open_rings > 0 {
+            let id = self
+                .rings
+                .iter()
+                .position(|s| s.is_some())
+                .expect("count says one is open") as u16;
+            return Err(SmilesError::UnclosedRing { id });
+        }
+        // "C." — the dot needed a following atom.
+        if let Some(at) = self.trailing_dot {
+            return Err(SmilesError::MisplacedDot { at });
+        }
+        Ok(())
+    }
+}
+
+/// Parse one SMILES line into a molecule.
+pub fn parse(line: &[u8]) -> Result<Molecule, SmilesError> {
+    Parser::new().parse(line)
 }
 
 #[cfg(test)]

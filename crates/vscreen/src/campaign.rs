@@ -11,6 +11,8 @@ use crate::archive::Archive;
 use crate::pocket::Pocket;
 use crate::score::ScoreTable;
 use molgen::Dataset;
+use smiles::FeatureCounter;
+use std::cell::RefCell;
 use zsmiles_core::ZsmilesError;
 
 /// Score an unparseable line poorly instead of failing the campaign: real
@@ -19,10 +21,7 @@ pub const UNPARSEABLE_SCORE: f64 = f64::NEG_INFINITY;
 
 /// Score every ligand in `deck` against `pocket`, serially.
 pub fn screen(deck: &Dataset, pocket: &Pocket) -> ScoreTable {
-    let mut scores = Vec::with_capacity(deck.len());
-    for line in deck.iter() {
-        scores.push(score_line(line, pocket));
-    }
+    let scores = with_scorer(|s| deck.iter().map(|line| s.score(line, pocket)).collect());
     ScoreTable::new(scores)
 }
 
@@ -42,8 +41,9 @@ pub fn screen_parallel(deck: &Dataset, pocket: &Pocket, workers: usize) -> Score
         for (w, out) in scores.chunks_mut(chunk).enumerate() {
             let start = w * chunk;
             s.spawn(move || {
+                let mut scorer = Scorer::new();
                 for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = score_line(deck.line(start + k), pocket);
+                    *slot = scorer.score(deck.line(start + k), pocket);
                 }
             });
         }
@@ -51,15 +51,46 @@ pub fn screen_parallel(deck: &Dataset, pocket: &Pocket, workers: usize) -> Score
     ScoreTable::new(scores)
 }
 
-/// Score one deck line against a pocket — the per-ligand kernel that
-/// [`screen`], [`screen_parallel`] and the wire-protocol screener
-/// ([`crate::wire::PocketScreener`]) must all share so their scores stay
-/// bit-identical. Unparseable lines sink to [`UNPARSEABLE_SCORE`].
-pub fn score_line(line: &[u8], pocket: &Pocket) -> f64 {
-    match smiles::parser::parse(line) {
-        Ok(mol) => pocket.score(&mol),
-        Err(_) => UNPARSEABLE_SCORE,
+/// The per-ligand kernel that [`screen`], [`screen_parallel`],
+/// [`score_line`] and the wire-protocol screener
+/// ([`crate::wire::PocketScreener`]) all share, so their scores stay
+/// bit-identical: one counting pass over the line (no molecular graph)
+/// and the pocket's formula. Unparseable lines sink to
+/// [`UNPARSEABLE_SCORE`]. Its parser scratch is kept between lines, so a
+/// warmed scorer does not allocate.
+#[derive(Debug, Clone, Default)]
+pub struct Scorer {
+    counter: FeatureCounter,
+}
+
+impl Scorer {
+    pub fn new() -> Scorer {
+        Scorer::default()
     }
+
+    /// Score one deck line against a pocket.
+    pub fn score(&mut self, line: &[u8], pocket: &Pocket) -> f64 {
+        match self.counter.count(line) {
+            Ok(counts) => pocket.score(&counts),
+            Err(_) => UNPARSEABLE_SCORE,
+        }
+    }
+}
+
+thread_local! {
+    /// Each thread's scorer, warmed by every line it scores.
+    static SCORER: RefCell<Scorer> = RefCell::new(Scorer::new());
+}
+
+/// Run `f` with the calling thread's [`Scorer`].
+pub(crate) fn with_scorer<R>(f: impl FnOnce(&mut Scorer) -> R) -> R {
+    SCORER.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Score one deck line against a pocket with the calling thread's
+/// [`Scorer`].
+pub fn score_line(line: &[u8], pocket: &Pocket) -> f64 {
+    with_scorer(|s| s.score(line, pocket))
 }
 
 /// One retrieved hit: deck line number, its score, and the decompressed

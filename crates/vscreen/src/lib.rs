@@ -42,9 +42,9 @@ pub mod wire;
 
 pub use archive::{Archive, ColdArchive};
 pub use campaign::{
-    score_line, screen, screen_parallel, top_hits, top_hits_cold, Hit, StorageModel,
+    score_line, screen, screen_parallel, top_hits, top_hits_cold, Hit, Scorer, StorageModel,
 };
 pub use filter::{ro5_filter, Ro5Profile};
-pub use pocket::Pocket;
+pub use pocket::{parse_pocket_seed, Pocket};
 pub use score::ScoreTable;
 pub use wire::PocketScreener;

@@ -8,6 +8,8 @@
 //! from a seed: aromatic-ring affinity, heteroatom affinity, an optimal
 //! ligand size, and a hydrophobicity preference.
 
+use smiles::FeatureCounts;
+
 /// A seeded screening target: deterministic feature weights standing in for
 /// a binding-site model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,32 +55,24 @@ impl Pocket {
         self.seed
     }
 
-    /// Score one parsed ligand: weighted feature counts minus a size
-    /// penalty. Higher is a better predicted binder.
-    pub fn score(&self, mol: &smiles::Molecule) -> f64 {
-        let atoms = mol.atom_count() as f64;
-        let mut aromatic = 0.0;
-        let mut hetero = 0.0;
-        let mut halogen = 0.0;
-        for a in mol.atoms() {
-            if a.aromatic() {
-                aromatic += 1.0;
-            }
-            match a.element().symbol() {
-                "C" | "H" => {}
-                "F" | "Cl" | "Br" | "I" => {
-                    halogen += 1.0;
-                    hetero += 1.0;
-                }
-                _ => hetero += 1.0,
-            }
-        }
-        let rings = mol.ring_count() as f64;
-        self.w_aromatic * aromatic
-            + self.w_hetero * hetero
-            + self.w_ring * rings
-            + self.w_halogen * halogen
-            - 0.15 * (atoms - self.size_opt).abs()
+    /// Score one ligand from its feature counts: weighted counts minus a
+    /// size penalty. Higher is a better predicted binder.
+    pub fn score(&self, c: &FeatureCounts) -> f64 {
+        self.w_aromatic * c.aromatic as f64
+            + self.w_hetero * c.hetero as f64
+            + self.w_ring * c.rings as f64
+            + self.w_halogen * c.halogen as f64
+            - 0.15 * (c.atoms as f64 - self.size_opt).abs()
+    }
+}
+
+/// Read a pocket seed the way every command and the wire take one:
+/// decimal, or hex after `0x`/`0X`, surrounding whitespace ignored.
+pub fn parse_pocket_seed(text: &str) -> Option<u64> {
+    let t = text.trim();
+    match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => t.parse().ok(),
     }
 }
 
@@ -86,14 +80,24 @@ impl Pocket {
 mod tests {
     use super::*;
 
-    fn mol(s: &str) -> smiles::Molecule {
-        smiles::parser::parse(s.as_bytes()).unwrap()
+    fn counts(s: &str) -> FeatureCounts {
+        smiles::FeatureCounter::new().count(s.as_bytes()).unwrap()
     }
 
     #[test]
     fn same_seed_same_pocket() {
         assert_eq!(Pocket::from_seed(42), Pocket::from_seed(42));
         assert_eq!(Pocket::from_seed(42).seed(), 42);
+    }
+
+    #[test]
+    fn seeds_read_as_decimal_or_hex() {
+        assert_eq!(parse_pocket_seed("7"), Some(7));
+        assert_eq!(parse_pocket_seed(" 0xD0C5EED "), Some(0xD0C5EED));
+        assert_eq!(parse_pocket_seed("0X1f"), Some(31));
+        assert_eq!(parse_pocket_seed("not a seed"), None);
+        assert_eq!(parse_pocket_seed(""), None);
+        assert_eq!(parse_pocket_seed("-1"), None);
     }
 
     #[test]
@@ -106,7 +110,7 @@ mod tests {
     #[test]
     fn scoring_is_deterministic() {
         let p = Pocket::from_seed(7);
-        let m = mol("COc1cc(C=O)ccc1O");
+        let m = counts("COc1cc(C=O)ccc1O");
         assert_eq!(p.score(&m), p.score(&m));
     }
 
@@ -114,8 +118,8 @@ mod tests {
     fn aromatic_rich_ligand_beats_plain_chain_on_aromatic_pocket() {
         let p = Pocket::from_seed(7);
         assert!(p.w_aromatic > 0.0);
-        let aromatic = mol("c1ccccc1c1ccccc1");
-        let chain = mol("CCCCCCCCCCCC");
+        let aromatic = counts("c1ccccc1c1ccccc1");
+        let chain = counts("CCCCCCCCCCCC");
         assert!(p.score(&aromatic) > p.score(&chain));
     }
 
@@ -123,8 +127,8 @@ mod tests {
     fn size_penalty_applies() {
         let p = Pocket::from_seed(3);
         // A huge featureless chain scores worse than one near size_opt.
-        let near = mol(&"C".repeat(p.size_opt as usize));
-        let huge = mol(&"C".repeat(90));
+        let near = counts(&"C".repeat(p.size_opt as usize));
+        let huge = counts(&"C".repeat(90));
         assert!(p.score(&near) > p.score(&huge));
     }
 
@@ -139,7 +143,7 @@ mod tests {
             "OCC(O)C(O)C(O)C(O)CO",
             "c1ccc2ccccc2c1",
         ];
-        let mols: Vec<_> = panel.iter().map(|s| mol(s)).collect();
+        let mols: Vec<_> = panel.iter().map(|s| counts(s)).collect();
         let order = |p: &Pocket| {
             let mut idx: Vec<usize> = (0..mols.len()).collect();
             idx.sort_by(|&a, &b| p.score(&mols[b]).partial_cmp(&p.score(&mols[a])).unwrap());

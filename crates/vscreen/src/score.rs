@@ -8,6 +8,7 @@
 //! properties.
 
 use std::io::{BufRead, BufReader, Read, Write};
+use zsmiles_core::score_order;
 
 /// Per-ligand scores, indexed by deck line number.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -37,29 +38,24 @@ impl ScoreTable {
         &self.scores
     }
 
-    /// Line numbers of the `k` best-scoring ligands, best first. Ties
-    /// break toward the smaller line number, so selection is total and
-    /// deterministic.
+    /// Line numbers of the `k` best-scoring ligands, best first, in one
+    /// bounded pass ([`zsmiles_core::topk`]). The order is total: higher
+    /// scores first; NaN below every number, −∞ included; equal scores
+    /// (±0 included) and NaNs toward the smaller line number.
     pub fn top_k(&self, k: usize) -> Vec<(usize, f64)> {
-        let mut idx: Vec<usize> = (0..self.scores.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.scores[b]
-                .partial_cmp(&self.scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        idx.truncate(k);
-        idx.into_iter().map(|i| (i, self.scores[i])).collect()
+        zsmiles_core::top_k(&self.scores, k)
     }
 
-    /// The score at the `p`-th percentile (0.0–1.0), by nearest rank.
-    /// Returns `None` on an empty table.
+    /// The score at the `p`-th percentile (0.0–1.0), by nearest rank,
+    /// ranked as [`ScoreTable::top_k`] ranks (NaN lowest). Returns `None`
+    /// on an empty table.
     pub fn percentile(&self, p: f64) -> Option<f64> {
         if self.scores.is_empty() {
             return None;
         }
         let mut sorted = self.scores.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        // Worst first: the top-k order, reversed.
+        sorted.sort_by(|a, b| score_order(*b, *a));
         let rank = ((p.clamp(0.0, 1.0)) * (sorted.len() - 1) as f64).round() as usize;
         Some(sorted[rank])
     }
@@ -121,6 +117,28 @@ mod tests {
         assert_eq!(top, vec![(4, 7.0), (1, 5.0), (2, 5.0)]);
         assert_eq!(t.top_k(0), vec![]);
         assert_eq!(t.top_k(99).len(), 5, "k larger than table clamps");
+    }
+
+    /// Every 7th score NaN: a sort by `partial_cmp(..).unwrap_or(Equal)`
+    /// panicked on this table ("does not correctly implement a total
+    /// order").
+    #[test]
+    fn nan_scores_rank_last_and_do_not_panic() {
+        let scores: Vec<f64> = (0..64usize)
+            .map(|i| {
+                if i % 7 == 0 {
+                    f64::NAN
+                } else {
+                    ((i * 7919) % 1000) as f64
+                }
+            })
+            .collect();
+        let t = ScoreTable::new(scores);
+        let top: Vec<usize> = t.top_k(5).iter().map(|&(i, _)| i).collect();
+        // (i * 7919) % 1000 = 978, 975, 950, 947, 922.
+        assert_eq!(top, vec![62, 25, 50, 13, 38]);
+        assert!(t.percentile(0.0).unwrap().is_nan(), "NaN is the lowest");
+        assert_eq!(t.percentile(1.0), Some(978.0));
     }
 
     #[test]

@@ -6,30 +6,19 @@
 //! `top_hits` requests through a pluggable hook. [`PocketScreener`] is
 //! the production hook: the request's pattern string names a pocket seed
 //! (the same `u64` `screen --pocket-seed` takes), and every line is
-//! scored by the exact [`crate::campaign::score_line`] kernel the local
+//! scored by the exact [`crate::campaign::Scorer`] kernel the local
 //! campaign uses — which is what makes wire results byte-identical to
 //! [`crate::top_hits_cold`] over the same deck.
 
-use crate::campaign::score_line;
-use crate::pocket::Pocket;
+use crate::campaign::with_scorer;
+use crate::pocket::{parse_pocket_seed, Pocket};
 use zsmiles_core::serve::Screener;
 use zsmiles_core::ZsmilesError;
 
 /// Scores wire `top_hits` batches against [`Pocket::from_seed`] pockets;
-/// the request pattern is the decimal (or `0x`-prefixed hex) seed.
+/// the request pattern is the seed, read by [`parse_pocket_seed`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PocketScreener;
-
-fn parse_seed(pattern: &str) -> Result<u64, ZsmilesError> {
-    let p = pattern.trim();
-    let parsed = match p.strip_prefix("0x").or_else(|| p.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => p.parse(),
-    };
-    parsed.map_err(|_| ZsmilesError::Protocol {
-        reason: format!("top_hits pattern '{pattern}' is not a pocket seed (u64)"),
-    })
-}
 
 impl Screener for PocketScreener {
     fn score_batch(
@@ -38,8 +27,11 @@ impl Screener for PocketScreener {
         lines: &[Vec<u8>],
         out: &mut Vec<f64>,
     ) -> Result<(), ZsmilesError> {
-        let pocket = Pocket::from_seed(parse_seed(pattern)?);
-        out.extend(lines.iter().map(|l| score_line(l, &pocket)));
+        let seed = parse_pocket_seed(pattern).ok_or_else(|| ZsmilesError::Protocol {
+            reason: format!("top_hits pattern '{pattern}' is not a pocket seed (u64)"),
+        })?;
+        let pocket = Pocket::from_seed(seed);
+        with_scorer(|s| out.extend(lines.iter().map(|l| s.score(l, &pocket))));
         Ok(())
     }
 }
@@ -47,13 +39,15 @@ impl Screener for PocketScreener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::score_line;
 
     #[test]
-    fn seed_parsing_takes_decimal_and_hex() {
-        assert_eq!(parse_seed("7").unwrap(), 7);
-        assert_eq!(parse_seed(" 0xD0C5EED ").unwrap(), 0xD0C5EED);
-        assert!(parse_seed("not a seed").is_err());
-        assert!(parse_seed("").is_err());
+    fn a_pattern_that_is_not_a_seed_is_a_protocol_error() {
+        let err = PocketScreener
+            .score_batch("not a seed", &[b"C".to_vec()], &mut Vec::new())
+            .unwrap_err();
+        assert!(matches!(err, ZsmilesError::Protocol { .. }));
+        assert!(err.to_string().contains("pocket seed"), "{err}");
     }
 
     #[test]

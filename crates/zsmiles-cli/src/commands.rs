@@ -82,6 +82,7 @@ const USAGE: &str =
               nonzero when the served deck is degraded — a ready-made
               readiness probe)
   screen     -i deck.smi [--pocket-seed S] [--top K] [--threads N] [--scores out.tsv]
+             (S is decimal or 0x-prefixed hex, as query --pattern takes it)
   stats      -i file.smi
   inspect    -d dict.dct [-i corpus.smi] [--dict-stats]
              (--dict-stats adds the symbol count, a pattern length
@@ -998,7 +999,13 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 fn cmd_screen(args: &Args) -> Result<(), String> {
     let input = args.require("--input")?;
     let ds = Dataset::load(Path::new(input)).map_err(|e| e.to_string())?;
-    let pocket = vscreen::Pocket::from_seed(args.get_u64("--pocket-seed", 0xD0C5EED)?);
+    let seed = match args.get("--pocket-seed") {
+        None => 0xD0C5EED,
+        Some(v) => vscreen::parse_pocket_seed(v).ok_or_else(|| {
+            format!("flag '--pocket-seed': '{v}' is not a pocket seed (decimal or 0x-prefixed hex)")
+        })?,
+    };
+    let pocket = vscreen::Pocket::from_seed(seed);
     let threads = args.get_usize("--threads", 2)?;
     let top = args.get_usize("--top", 10)?;
     let t0 = Instant::now();
@@ -1914,6 +1921,24 @@ mod tests {
         let ds = Dataset::load(Path::new(&smi)).unwrap();
         let again = vscreen::screen(&ds, &vscreen::Pocket::from_seed(7));
         assert_eq!(table, again);
+        // The seed takes the same spellings as `query --pattern`.
+        let screen_with = |seed: &str| {
+            run(&argv(&[
+                "screen",
+                "-i",
+                &smi,
+                "--pocket-seed",
+                seed,
+                "--scores",
+                &tsv,
+                "--quiet",
+            ]))
+        };
+        screen_with("0x7").unwrap();
+        let hex = vscreen::ScoreTable::read_tsv(std::fs::File::open(&tsv).unwrap()).unwrap();
+        assert_eq!(hex, again);
+        let err = screen_with("seven").unwrap_err();
+        assert!(err.contains("pocket seed"), "{err}");
         std::fs::remove_file(&smi).ok();
         std::fs::remove_file(&tsv).ok();
     }

@@ -75,6 +75,9 @@
 //!   layout behind one read surface);
 //! * [`index`] — the exact per-line byte-range table, standalone (`.zsx`
 //!   sidecar) or embedded in a container;
+//! * [`topk`] — bounded best-k selection over per-line scores under one
+//!   total order (NaN last, ties toward the smaller line), shared by
+//!   screening campaigns and the server's `TOP_HITS`;
 //! * [`train`] — corpus-driven dictionary training behind one
 //!   [`train::DictBuilder`] trait: seeded reservoir sampling
 //!   ([`train::TrainCorpus`]), Apriori substring harvesting, and greedy
@@ -127,6 +130,7 @@ pub mod shard;
 pub mod sink;
 pub mod source;
 pub mod sp;
+pub mod topk;
 pub mod train;
 pub mod trie;
 pub mod wide;
@@ -174,6 +178,7 @@ pub use source::{
     ArchiveSource, AutoSource, CachedSource, CountingSource, FileSource, InMemorySource, MmapSource,
 };
 pub use sp::SpAlgorithm;
+pub use topk::{score_order, top_k, TopK};
 // The `train::DictBuilder` *trait* is deliberately not re-exported at the
 // root: `zsmiles_core::DictBuilder` keeps naming the paper's Algorithm-1
 // configuration struct, and the trait is reached as

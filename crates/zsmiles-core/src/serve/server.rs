@@ -30,6 +30,7 @@ use super::protocol::{
 use crate::cache::BlockCache;
 use crate::error::ZsmilesError;
 use crate::shard::{DeckOptions, DeckReader};
+use crate::topk::TopK;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -79,6 +80,10 @@ pub enum Executor {
 /// contract that makes wire results byte-identical to a local campaign:
 /// the same `(pattern, line)` must produce the same `f64` bits here as
 /// in the local scorer.
+///
+/// The server ranks the scores with [`crate::topk`]: higher first; NaN
+/// below every number, −∞ included; equal scores (±0 included) and NaNs
+/// toward the smaller line.
 pub trait Screener: Send + Sync {
     /// Append one score per line of `lines` (in order) to `out`. A
     /// malformed `pattern` should come back as
@@ -290,9 +295,9 @@ impl Shared {
     }
 
     /// Run a screening campaign over one generation snapshot: score the
-    /// whole deck in bounded batches, select the top `k` exactly as the
-    /// local campaign does (stable sort, ties toward the smaller line),
-    /// then fetch only the winners.
+    /// deck in bounded batches, keep the best `k` as the local campaign
+    /// ranks them ([`crate::topk`]), then fetch only the winners. A sweep
+    /// holds `k` ranked lines and one batch, never a score per line.
     fn answer_top_hits(&self, gen: &Generation, k: usize, pattern: &str) -> Response {
         let Some(screener) = self.screener.as_ref() else {
             return Response::Error {
@@ -301,7 +306,8 @@ impl Shared {
             };
         };
         let len = gen.deck.len();
-        let mut scores: Vec<f64> = Vec::with_capacity(len);
+        let mut best = TopK::new(k);
+        let mut scores: Vec<f64> = Vec::with_capacity(SCREEN_BATCH.min(len));
         let mut start = 0;
         while start < len {
             let end = (start + SCREEN_BATCH).min(len);
@@ -309,38 +315,36 @@ impl Shared {
                 Ok(lines) => lines,
                 Err(e) => return error_response(e),
             };
+            scores.clear();
             if let Err(e) = screener.score_batch(pattern, &lines, &mut scores) {
                 return error_response(e);
             }
+            if scores.len() != lines.len() {
+                return Response::Error {
+                    code: ErrorCode::Internal,
+                    message: format!(
+                        "screener returned {} scores for {} lines",
+                        scores.len(),
+                        lines.len()
+                    ),
+                };
+            }
+            best.extend(start, &scores);
             start = end;
         }
-        if scores.len() != len {
-            return Response::Error {
-                code: ErrorCode::Internal,
-                message: format!("screener returned {} scores for {len} lines", scores.len()),
-            };
-        }
-        // Selection must match `ScoreTable::top_k` bit for bit: best
-        // first, ties (and NaN pairs) resolved toward the smaller line
-        // by the stable sort.
-        let mut idx: Vec<usize> = (0..len).collect();
-        idx.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        idx.truncate(k);
+        let ranked = best.into_sorted();
+        let idx: Vec<usize> = ranked.iter().map(|&(i, _)| i).collect();
         let fetched = match gen.deck.get_many(&idx) {
             Ok(lines) => lines,
             Err(e) => return error_response(e),
         };
         Response::Hits(
-            idx.into_iter()
+            ranked
+                .into_iter()
                 .zip(fetched)
-                .map(|(i, smiles)| HitRow {
+                .map(|((i, score), smiles)| HitRow {
                     index: i as u64,
-                    score_bits: scores[i].to_bits(),
+                    score_bits: score.to_bits(),
                     smiles,
                 })
                 .collect(),

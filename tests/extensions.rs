@@ -133,7 +133,8 @@ fn campaign_on_a_wide_archive_equivalent() {
         let from_deck = smiles::parser::parse(ds.line(h.index)).unwrap();
         let from_archive = smiles::parser::parse(&h.smiles).unwrap();
         assert_eq!(from_deck.signature(), from_archive.signature());
-        assert_eq!(h.score, pocket.score(&from_deck));
+        assert_eq!(h.score, vscreen::score_line(ds.line(h.index), &pocket));
+        assert_eq!(h.score, vscreen::score_line(&h.smiles, &pocket));
     }
 
     // Storage arithmetic is consistent with the measured ratio.

@@ -4,8 +4,8 @@
 //! order, a 256-client pipelined stress stays flip-atomic under the
 //! pooled executor, `top_hits` over the wire is byte-identical to a
 //! local screening campaign, a `GET` is never held behind a sweep the
-//! same worker claimed, and a saturated server still answers its
-//! `health` probe.
+//! same worker claimed, NaN scores rank last without taking a worker
+//! down, and a saturated server still answers its `health` probe.
 
 use proptest::prelude::*;
 use std::io::Write;
@@ -441,6 +441,103 @@ fn get_is_answered_before_a_sweep_claimed_in_the_same_batch_ends() {
     }
 
     handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// ---------------------------------------------------------------------------
+// NaN scores: a total order, and the worker survives
+// ---------------------------------------------------------------------------
+
+/// Scores line `i` of a batch NaN when `i % 7 == 0`, else
+/// `(i * 7919) % 1000`. The decks below fit in one batch, so `i` is the
+/// deck line.
+struct NanScreener;
+
+impl Screener for NanScreener {
+    fn score_batch(
+        &self,
+        _pattern: &str,
+        lines: &[Vec<u8>],
+        out: &mut Vec<f64>,
+    ) -> Result<(), ZsmilesError> {
+        out.extend((0..lines.len()).map(|i| {
+            if i % 7 == 0 {
+                f64::NAN
+            } else {
+                ((i * 7919) % 1000) as f64
+            }
+        }));
+        Ok(())
+    }
+}
+
+/// A screener that returns NaN must not take a worker down: `TOP_HITS`
+/// answers k rows ranked with NaN below every number and ties toward
+/// the smaller line, and a `GET` pipelined behind it is answered. A
+/// comparison sort that is not a total order panicked here, and the
+/// client then waited forever — so every read has a timeout.
+#[test]
+fn nan_scores_rank_last_and_the_get_behind_them_is_answered() {
+    let dir = tmpdir("nan_scores");
+    let deck = molgen::Dataset::generate_mixed(120, 9);
+    let zsm = pack_deck(&dir, "deck.zsm", &deck, 0);
+    let n = deck.len();
+    let mut numbers: Vec<usize> = (0..n).filter(|i| i % 7 != 0).collect();
+    numbers.sort_by_key(|&i| (std::cmp::Reverse((i * 7919) % 1000), i));
+    let nans: Vec<usize> = (0..n).step_by(7).collect();
+
+    for executor in [Executor::Pooled, Executor::Threaded] {
+        let handle = Server::start(
+            &zsm,
+            "127.0.0.1:0",
+            ServeOptions {
+                executor,
+                screener: Some(Arc::new(NanScreener)),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut s = std::net::TcpStream::connect(handle.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut burst = Vec::new();
+        for k in [5, n as u32] {
+            burst.extend_from_slice(
+                &Request::TopHits {
+                    k,
+                    pattern: "any".into(),
+                }
+                .encode(),
+            );
+        }
+        burst.extend_from_slice(&Request::Get { line: 7 }.encode());
+        s.write_all(&burst).unwrap();
+
+        let mut read = || match protocol::read_frame(&mut s, protocol::MAX_RESPONSE_FRAME) {
+            Ok(FrameRead::Frame(body)) => Response::decode(&body).unwrap(),
+            other => panic!("{executor:?}: expected a response frame, got {other:?}"),
+        };
+        let indices = |resp: Response| match resp {
+            Response::Hits(rows) => {
+                for r in &rows {
+                    assert_eq!(
+                        f64::from_bits(r.score_bits).is_nan(),
+                        r.index % 7 == 0,
+                        "{executor:?}: line {}",
+                        r.index
+                    );
+                    assert_eq!(r.smiles, deck.line(r.index as usize), "{executor:?}");
+                }
+                rows.iter().map(|r| r.index as usize).collect::<Vec<_>>()
+            }
+            other => panic!("{executor:?}: expected hits, got {other:?}"),
+        };
+        assert_eq!(indices(read()), numbers[..5], "{executor:?}");
+        let all = indices(read());
+        assert_eq!(all[..numbers.len()], numbers[..], "{executor:?}");
+        assert_eq!(all[numbers.len()..], nans[..], "{executor:?}");
+        assert_eq!(read(), Response::Lines(vec![deck.line(7).to_vec()]));
+        handle.shutdown();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
