@@ -27,7 +27,7 @@ pub struct FeatureCounts {
 
 /// Counts lines through one reused [`Parser`]: once warmed, a counter
 /// does not allocate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct FeatureCounter {
     parser: Parser,
     tally: Tally,
@@ -50,7 +50,7 @@ impl FeatureCounter {
 /// The counting builder. `root` is a union-find over the atoms: a bond
 /// whose ends already share a root closes a ring, any other bond joins
 /// two components, so the rings counted are `bonds + components − atoms`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Tally {
     counts: FeatureCounts,
     root: Vec<u32>,

@@ -45,6 +45,6 @@ pub use error::{SmilesError, Span};
 pub use features::{FeatureCounter, FeatureCounts};
 pub use formula::{molar_mass, molecular_formula, Composition};
 pub use graph::{AtomKind, Bond, Molecule};
-pub use parser::{Builder, Parser};
+pub use parser::Parser;
 pub use preprocess::{postprocess, preprocess, Preprocessor, RingRenumber};
 pub use token::{BareAtom, BondSym, BracketAtom, Chirality, RingForm, Token};

@@ -1,5 +1,5 @@
 //! SMILES grammar: one loop that pulls tokens from the [`Lexer`] and
-//! reports each atom and bond it accepts to a [`Builder`].
+//! reports each atom and bond it accepts to a builder.
 //!
 //! The parser enforces the structural rules the lexer cannot see:
 //! branch balance, ring-bond pairing (first occurrence opens, second
@@ -11,7 +11,7 @@
 //!
 //! A grammar error is reported only once the rest of the line has lexed:
 //! a lexical error anywhere in the line wins over it, so every builder
-//! sees the same `Result` a tokenize-first parse would give.
+//! gets the same `Result` a tokenize-first parse would give.
 
 use crate::error::{SmilesError, Span};
 use crate::graph::{AtomKind, Molecule};
@@ -20,7 +20,7 @@ use crate::token::{BondSym, Token};
 
 /// Receives what the grammar accepts, in line order. Atoms are numbered
 /// from 0 in the order they are added; a bond names two added atoms.
-pub trait Builder {
+pub(crate) trait Builder {
     fn add_atom(&mut self, atom: AtomKind);
     /// A bond between atoms `a` and `b`; `sym` is `None` when implicit,
     /// `ring` marks a ring closure.
@@ -49,7 +49,7 @@ struct OpenRing {
 
 /// The grammar's state. Its buffers are kept between lines, so a warmed
 /// parser driving an allocation-free builder does not allocate.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Parser {
     /// Attachment point to restore at each `)`, with its `(` byte position.
     branches: Vec<(u32, usize)>,
@@ -104,7 +104,11 @@ impl Parser {
 
     /// Run the grammar over `line`, reporting every accepted atom and
     /// bond to `out`. On error `out` may hold part of the line.
-    pub fn build<B: Builder>(&mut self, line: &[u8], out: &mut B) -> Result<(), SmilesError> {
+    pub(crate) fn build<B: Builder>(
+        &mut self,
+        line: &[u8],
+        out: &mut B,
+    ) -> Result<(), SmilesError> {
         self.reset();
         let mut lexer = Lexer::new(line);
         while let Some(st) = lexer.next_token()? {

@@ -58,7 +58,7 @@ pub fn screen_parallel(deck: &Dataset, pocket: &Pocket, workers: usize) -> Score
 /// and the pocket's formula. Unparseable lines sink to
 /// [`UNPARSEABLE_SCORE`]. Its parser scratch is kept between lines, so a
 /// warmed scorer does not allocate.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Scorer {
     counter: FeatureCounter,
 }

@@ -72,7 +72,7 @@ impl TopK {
     }
 
     /// Offer one scored line.
-    pub fn push(&mut self, line: usize, score: f64) {
+    fn push(&mut self, line: usize, score: f64) {
         let entry = Ranked { line, score };
         if self.kept.len() < self.k {
             self.kept.push(entry);
