@@ -142,8 +142,8 @@ impl Parser {
         let at = st.span.start;
         self.trailing_dot = None;
         match st.token {
-            Token::Atom(a) => self.atom(AtomKind::Bare(a), out)?,
-            Token::Bracket(b) => self.atom(AtomKind::Bracket(b), out)?,
+            Token::Atom(a) => self.atom(AtomKind::Bare(a), out),
+            Token::Bracket(b) => self.atom(AtomKind::Bracket(b), out),
             Token::Bond(sym) => {
                 if self.pending_bond.is_some() || self.prev.is_none() {
                     return Err(SmilesError::DanglingBond { at });
@@ -192,26 +192,19 @@ impl Parser {
     }
 
     #[inline]
-    fn atom<B: Builder>(&mut self, kind: AtomKind, out: &mut B) -> Result<(), SmilesError> {
+    fn atom<B: Builder>(&mut self, kind: AtomKind, out: &mut B) {
+        // A bond symbol is only accepted after an atom, and a dot refuses
+        // a pending one, so a pending bond always has an atom to follow.
+        debug_assert!(self.prev.is_some() || self.pending_bond.is_none());
         let idx = self.atoms;
         self.atoms += 1;
         out.add_atom(kind);
-        let parent = match self.prev {
-            Some(p) => {
-                let sym = self.pending_bond.take().map(|(s, _)| s);
-                out.add_bond(p, idx, sym, false);
-                p
-            }
-            None => {
-                if let Some((_, at)) = self.pending_bond.take() {
-                    return Err(SmilesError::DanglingBond { at });
-                }
-                NO_ATOM
-            }
-        };
-        self.chain_parent.push(parent);
+        if let Some(p) = self.prev {
+            let sym = self.pending_bond.take().map(|(s, _)| s);
+            out.add_bond(p, idx, sym, false);
+        }
+        self.chain_parent.push(self.prev.unwrap_or(NO_ATOM));
         self.prev = Some(idx);
-        Ok(())
     }
 
     fn ring<B: Builder>(&mut self, id: u16, span: Span, out: &mut B) -> Result<(), SmilesError> {
@@ -248,11 +241,10 @@ impl Parser {
             (Some(a), _) => Some(a),
             (None, b) => b,
         };
+        // A chain parent always precedes its atom, so only the later atom
+        // of the pair can have a chain bond to the earlier one.
         let pair = (open.atom.min(cur), open.atom.max(cur));
-        if self.chain_parent[pair.0 as usize] == pair.1
-            || self.chain_parent[pair.1 as usize] == pair.0
-            || self.ring_bonds.contains(&pair)
-        {
+        if self.chain_parent[pair.1 as usize] == pair.0 || self.ring_bonds.contains(&pair) {
             return Err(SmilesError::DuplicateRingBond { id, span });
         }
         self.ring_bonds.push(pair);
