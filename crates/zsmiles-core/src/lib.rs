@@ -178,7 +178,7 @@ pub use source::{
     ArchiveSource, AutoSource, CachedSource, CountingSource, FileSource, InMemorySource, MmapSource,
 };
 pub use sp::SpAlgorithm;
-pub use topk::{score_order, top_k, TopK};
+pub use topk::{score_order, top_k};
 // The `train::DictBuilder` *trait* is deliberately not re-exported at the
 // root: `zsmiles_core::DictBuilder` keeps naming the paper's Algorithm-1
 // configuration struct, and the trait is reached as

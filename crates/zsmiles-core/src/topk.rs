@@ -50,7 +50,7 @@ impl Eq for Ranked {}
 /// The `k` best-ranked lines seen so far, in O(k) memory: scores arrive
 /// in batches and only the current best `k` are kept.
 #[derive(Debug)]
-pub struct TopK {
+pub(crate) struct TopK {
     k: usize,
     /// Max-heap on rank: the worst kept line is on top.
     kept: BinaryHeap<Ranked>,
