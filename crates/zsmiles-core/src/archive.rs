@@ -38,7 +38,7 @@
 
 use crate::compress::CompressStats;
 use crate::decompress::DecompressStats;
-use crate::engine::{AnyDictionary, DictFlavor, DynEngine};
+use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
 use crate::index::LineIndex;
 use std::io::Write;
@@ -240,42 +240,32 @@ impl Archive {
     /// touched, not the archive.
     pub fn get(&self, i: usize) -> Result<Vec<u8>, ZsmilesError> {
         let line = self.compressed_line(i)?;
-        let mut out = Vec::with_capacity(line.len() * 3);
+        let mut out = Vec::new();
         self.dict.decompress_line(line, &mut out)?;
         Ok(out)
     }
 
-    /// Decode a set of lines in the order given with one reused decoder —
-    /// the shared core of every batched fetch.
+    /// Decode a set of lines in the order given — the shared core of
+    /// every batched fetch.
     fn decode_lines<I>(&self, indices: I) -> Result<Vec<Vec<u8>>, ZsmilesError>
     where
         I: ExactSizeIterator<Item = usize>,
     {
-        let mut dec = self.dict.boxed_decoder();
         let mut out = Vec::with_capacity(indices.len());
         for i in indices {
-            if i >= self.index.len() {
-                return Err(ZsmilesError::LineOutOfRange {
-                    line: i,
-                    len: self.index.len(),
-                });
-            }
-            let line = self.index.line(&self.payload, i);
-            let mut smiles = Vec::with_capacity(line.len() * 3);
-            dec.decode_line(line, &mut smiles)?;
-            out.push(smiles);
+            out.push(self.get(i)?);
         }
         Ok(out)
     }
 
-    /// Decompress a contiguous run of ligands with one reused decoder —
-    /// the batch-fetch unit screening campaigns pull after scoring.
+    /// Decompress a contiguous run of ligands — the batch-fetch unit
+    /// screening campaigns pull after scoring.
     pub fn get_range(&self, lines: std::ops::Range<usize>) -> Result<Vec<Vec<u8>>, ZsmilesError> {
         self.decode_lines(lines)
     }
 
     /// Decompress an arbitrary set of ligands (hit lists are rarely
-    /// contiguous) with one reused decoder, in the order given.
+    /// contiguous), in the order given.
     pub fn get_many(&self, indices: &[usize]) -> Result<Vec<Vec<u8>>, ZsmilesError> {
         self.decode_lines(indices.iter().copied())
     }

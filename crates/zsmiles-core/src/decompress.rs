@@ -8,7 +8,7 @@
 //! many times.
 
 use crate::codec::ESCAPE;
-use crate::dict::Dictionary;
+use crate::dict::{Dictionary, MAX_PATTERN_LEN};
 use crate::engine::LineDecoder;
 use crate::error::ZsmilesError;
 use smiles::preprocess::Preprocessor;
@@ -21,26 +21,22 @@ pub struct DecompressStats {
     pub out_bytes: usize,
 }
 
-/// Packed-span sentinel for "code has no entry".
-const ABSENT: u32 = u32::MAX;
+/// One expansion slot: a pattern left-aligned and zero-padded to the
+/// longest pattern the format allows.
+type Slot = [u8; MAX_PATTERN_LEN];
 
-/// The flat expansion table the decode hot loop reads.
+/// The fixed-slot expansion table the decode hot loop reads.
 ///
-/// All pattern bytes live back-to-back in one arena; per code a single
-/// packed word `(offset << 8) | len` locates the expansion. Compared to
-/// the previous `[Option<&[u8]>; 256]` this removes the per-lookup
-/// `Option` discriminant test and the pointer chase into 222 separately
-/// boxed patterns — every expansion is a slice of one contiguous,
-/// cache-resident buffer (≤ 222 × 16 bytes, under 4 KiB). Built once per
+/// Every code owns one [`MAX_PATTERN_LEN`]-byte slot holding its pattern,
+/// zero-padded, plus a one-byte length (0 = the code has no entry). The
+/// copy loop moves a whole slot per code and advances by the length — one
+/// fixed-size copy instead of a variable-length one, FSST's symbol-table
+/// trick. 256 slots and 256 lengths make 4.25 KiB; built once per
 /// [`Dictionary`] and shared by every [`Decompressor`] worker.
 #[derive(Debug, Clone)]
 pub struct DecodeTable {
-    /// Every pattern's bytes, concatenated in code order.
-    arena: Box<[u8]>,
-    /// `spans[code]` = `(arena offset << 8) | pattern length`, or
-    /// [`ABSENT`]. Offsets fit 24 bits (the arena is ≤ 3 552 bytes) and
-    /// lengths fit 8 ([`crate::dict::MAX_PATTERN_LEN`] is 16).
-    spans: [u32; 256],
+    slots: Box<[Slot; 256]>,
+    lens: [u8; 256],
 }
 
 impl DecodeTable {
@@ -48,43 +44,159 @@ impl DecodeTable {
     ///
     /// # Panics
     ///
-    /// If a pattern is longer than 255 bytes or the arena would exceed
-    /// the 24-bit offset field — impossible for dictionary-shaped input
-    /// (≤ 256 patterns of ≤ [`crate::dict::MAX_PATTERN_LEN`] bytes), and
-    /// a corrupt packed word must never be built silently.
+    /// If a pattern is empty or longer than [`MAX_PATTERN_LEN`] — both
+    /// rejected by every dictionary constructor, and a pattern that does
+    /// not fit its slot must never be built silently.
     pub fn build<'a, I: IntoIterator<Item = (u8, &'a [u8])>>(entries: I) -> DecodeTable {
-        let mut arena = Vec::new();
-        let mut spans = [ABSENT; 256];
+        let mut slots = Box::new([[0u8; MAX_PATTERN_LEN]; 256]);
+        let mut lens = [0u8; 256];
         for (code, pat) in entries {
-            assert!(pat.len() <= 0xFF, "pattern length fits the packed word");
-            assert!(arena.len() < (1 << 24), "arena offset fits the packed word");
-            let packed = ((arena.len() as u32) << 8) | pat.len() as u32;
-            assert!(packed != ABSENT, "packed word collides with the sentinel");
-            spans[code as usize] = packed;
-            arena.extend_from_slice(pat);
+            assert!(
+                (1..=MAX_PATTERN_LEN).contains(&pat.len()),
+                "pattern of length {} does not fit a decode slot",
+                pat.len()
+            );
+            slots[code as usize][..pat.len()].copy_from_slice(pat);
+            lens[code as usize] = pat.len() as u8;
         }
-        DecodeTable {
-            arena: arena.into_boxed_slice(),
-            spans,
-        }
+        DecodeTable { slots, lens }
+    }
+
+    /// Build from a code-indexed entry list (`entries[code]`), as the
+    /// dictionary constructors hold it while assigning codes.
+    pub(crate) fn from_entries(entries: &[Option<Box<[u8]>>]) -> DecodeTable {
+        DecodeTable::build(
+            entries
+                .iter()
+                .enumerate()
+                .filter_map(|(c, e)| e.as_deref().map(|p| (c as u8, p))),
+        )
     }
 
     /// The pattern `code` expands to, if any.
     #[inline]
     pub fn expansion(&self, code: u8) -> Option<&[u8]> {
-        let packed = self.spans[code as usize];
-        if packed == ABSENT {
-            None
+        match self.lens[code as usize] as usize {
+            0 => None,
+            n => Some(&self.slots[code as usize][..n]),
+        }
+    }
+
+    /// Codes with an entry.
+    pub(crate) fn len(&self) -> usize {
+        self.lens.iter().filter(|&&n| n != 0).count()
+    }
+
+    /// Copy `code`'s whole slot to `dst[pos..]` and return the position
+    /// after its pattern. The caller guarantees a slot of room.
+    #[inline(always)]
+    fn put(&self, code: u8, dst: &mut [u8], pos: usize) -> usize {
+        dst[pos..pos + MAX_PATTERN_LEN].copy_from_slice(&self.slots[code as usize]);
+        pos + self.lens[code as usize] as usize
+    }
+}
+
+/// Expansions up to this size (a slot of slack included) are staged on
+/// the stack, so the line lands in `out` with one exact-size append.
+/// SMILES lines run to tens of bytes; a longer line expands in place.
+const STAGE_BYTES: usize = 256;
+
+/// The decode kernel both code widths share: expand one line (no
+/// newline), appending to `out`, and return the bytes appended.
+///
+/// `page(b)` names the table a two-byte code starting with `b` indexes
+/// by its second byte — always `None` for the one-byte codec, so that
+/// branch compiles away there. Two sweeps: the first validates the whole
+/// line and sums the expanded size, so a bad line returns its error with
+/// `out` untouched; the second copies one whole slot per code into a
+/// buffer with a slot of slack — a stack stage appended to `out` in one
+/// exact-size copy, or, for a line too long to stage, `out` itself, grown
+/// once and truncated. A fresh `out` therefore ends sized to the line,
+/// never with more than [`MAX_PATTERN_LEN`] bytes of spare capacity, and
+/// appends of many lines to one buffer grow it amortised.
+#[inline]
+pub(crate) fn decode_slots<'t>(
+    base: &'t DecodeTable,
+    page: impl Fn(u8) -> Option<&'t DecodeTable>,
+    line: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<usize, ZsmilesError> {
+    // Sweep 1: validate + size.
+    let mut total = 0usize;
+    let mut i = 0;
+    while i < line.len() {
+        let b = line[i];
+        let (n, step) = if b == ESCAPE {
+            if i + 1 >= line.len() {
+                return Err(ZsmilesError::TruncatedEscape { at: i });
+            }
+            (1, 2)
+        } else if let Some(table) = page(b) {
+            let Some(&sub) = line.get(i + 1) else {
+                return Err(ZsmilesError::TruncatedWideCode { at: i });
+            };
+            match table.lens[sub as usize] {
+                0 => {
+                    return Err(ZsmilesError::UnknownCode {
+                        code: sub,
+                        at: i + 1,
+                    })
+                }
+                n => (n as usize, 2),
+            }
         } else {
-            let off = (packed >> 8) as usize;
-            Some(&self.arena[off..off + (packed & 0xFF) as usize])
+            match base.lens[b as usize] {
+                0 => return Err(ZsmilesError::UnknownCode { code: b, at: i }),
+                n => (n as usize, 1),
+            }
+        };
+        total += n;
+        i += step;
+    }
+    // Sweep 2.
+    if total + MAX_PATTERN_LEN <= STAGE_BYTES {
+        let mut stage = [0u8; STAGE_BYTES];
+        expand_slots(base, &page, line, &mut stage);
+        out.extend_from_slice(&stage[..total]);
+    } else {
+        let start = out.len();
+        out.resize(start + total + MAX_PATTERN_LEN, 0);
+        expand_slots(base, &page, line, &mut out[start..]);
+        out.truncate(start + total);
+    }
+    Ok(total)
+}
+
+/// Sweep 2 of [`decode_slots`] on a validated line: copy one whole slot
+/// per code into `dst`, which holds the expansion plus a slot of slack.
+/// No error paths.
+#[inline(always)]
+fn expand_slots<'t>(
+    base: &'t DecodeTable,
+    page: &impl Fn(u8) -> Option<&'t DecodeTable>,
+    line: &[u8],
+    dst: &mut [u8],
+) {
+    let (mut i, mut pos) = (0, 0);
+    while i < line.len() {
+        let b = line[i];
+        if b == ESCAPE {
+            dst[pos] = line[i + 1];
+            pos += 1;
+            i += 2;
+        } else if let Some(table) = page(b) {
+            pos = table.put(line[i + 1], dst, pos);
+            i += 2;
+        } else {
+            pos = base.put(b, dst, pos);
+            i += 1;
         }
     }
 }
 
 /// A reusable decompressor bound to one dictionary.
 pub struct Decompressor<'d> {
-    /// The dictionary's shared arena-backed expansion table.
+    /// The dictionary's shared fixed-slot expansion table.
     table: &'d DecodeTable,
     /// Re-numbers ring IDs to the conventional exporter style after
     /// expansion (Fig. 3's optional post-process), reused across lines.
@@ -110,67 +222,26 @@ impl<'d> Decompressor<'d> {
 
     /// Decompress one line (no newline), appending to `out`.
     ///
-    /// Bulk expansion in two sweeps: the first validates the whole line
-    /// and sums the expanded size, the second reserves once and copies
-    /// with no error paths — so the copy loop carries no bounds/realloc
-    /// bookkeeping and a bad line is rejected before any output bytes are
-    /// produced.
+    /// Runs the shared slot kernel: a bad line is rejected before any
+    /// output bytes are produced, and a line decoded into an empty `out`
+    /// is sized exactly (at most [`MAX_PATTERN_LEN`] bytes of spare
+    /// capacity). With post-processing on, the expansion is staged in a
+    /// reused buffer first.
     pub fn decompress_line(
         &mut self,
         line: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<usize, ZsmilesError> {
+        let Some(pp) = self.postprocess.as_mut() else {
+            return decode_slots(self.table, |_| None, line, out);
+        };
+        self.ppbuf.clear();
+        decode_slots(self.table, |_| None, line, &mut self.ppbuf)?;
         let start = out.len();
-        if self.postprocess.is_some() {
-            self.ppbuf.clear();
-        }
-        // Sweep 1: validate + size.
-        let mut total = 0usize;
-        let mut i = 0;
-        while i < line.len() {
-            let b = line[i];
-            if b == ESCAPE {
-                if i + 1 >= line.len() {
-                    return Err(ZsmilesError::TruncatedEscape { at: i });
-                }
-                total += 1;
-                i += 2;
-            } else {
-                let packed = self.table.spans[b as usize];
-                if packed == ABSENT {
-                    return Err(ZsmilesError::UnknownCode { code: b, at: i });
-                }
-                total += (packed & 0xFF) as usize;
-                i += 1;
-            }
-        }
-        // Sweep 2: expand into `out` directly unless post-processing
-        // needs a staging buffer.
-        let target_is_out = self.postprocess.is_none();
-        {
-            let target: &mut Vec<u8> = if target_is_out { out } else { &mut self.ppbuf };
-            target.reserve(total);
-            let mut i = 0;
-            while i < line.len() {
-                let b = line[i];
-                if b == ESCAPE {
-                    target.push(line[i + 1]);
-                    i += 2;
-                } else {
-                    let packed = self.table.spans[b as usize];
-                    let off = (packed >> 8) as usize;
-                    target
-                        .extend_from_slice(&self.table.arena[off..off + (packed & 0xFF) as usize]);
-                    i += 1;
-                }
-            }
-        }
-        if let Some(pp) = self.postprocess.as_mut() {
-            // A line that is not valid SMILES (it was archived raw) is
-            // returned as-is.
-            if pp.postprocess_into(&self.ppbuf, out).is_err() {
-                out.extend_from_slice(&self.ppbuf);
-            }
+        // A line that is not valid SMILES (it was archived raw) is
+        // returned as-is.
+        if pp.postprocess_into(&self.ppbuf, out).is_err() {
+            out.extend_from_slice(&self.ppbuf);
         }
         Ok(out.len() - start)
     }

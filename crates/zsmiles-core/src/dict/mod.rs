@@ -23,8 +23,6 @@ pub const MAX_PATTERN_LEN: usize = 16;
 /// An immutable compression dictionary.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
-    /// `entries[code]` = the pattern this code expands to.
-    entries: Vec<Option<Box<[u8]>>>,
     /// Which codes are pre-population identity entries (as opposed to
     /// trained patterns that may *coincidentally* map a byte to itself).
     identity: Vec<bool>,
@@ -45,8 +43,9 @@ pub struct Dictionary {
     /// default ([`crate::MatcherKind::Compact`]); lazy and shared across
     /// clones like `automaton`.
     compact: std::sync::Arc<std::sync::OnceLock<CompactAutomaton>>,
-    /// The arena-backed expansion table the decode hot path reads (a few
-    /// KiB; built eagerly).
+    /// `decode.expansion(code)` = the pattern this code expands to: the
+    /// fixed-slot table the decode hot path reads (4.25 KiB; built
+    /// eagerly) is also the dictionary's only copy of its entries.
     decode: DecodeTable,
 }
 
@@ -119,14 +118,8 @@ impl Dictionary {
                 trie.insert(pat, code as u8);
             }
         }
-        let decode = DecodeTable::build(
-            entries
-                .iter()
-                .enumerate()
-                .filter_map(|(c, e)| e.as_deref().map(|p| (c as u8, p))),
-        );
+        let decode = DecodeTable::from_entries(&entries);
         Ok(Dictionary {
-            entries,
             identity: identity_flags,
             prepopulation,
             lmin,
@@ -166,7 +159,7 @@ impl Dictionary {
     /// The pattern a code expands to.
     #[inline]
     pub fn entry(&self, code: u8) -> Option<&[u8]> {
-        self.entries[code as usize].as_deref()
+        self.decode.expansion(code)
     }
 
     /// The matching trie (the build-time / reference structure).
@@ -192,7 +185,7 @@ impl Dictionary {
             .get_or_init(|| CompactAutomaton::compile(&self.trie))
     }
 
-    /// The arena-backed expansion table shared by every
+    /// The fixed-slot expansion table shared by every
     /// [`crate::Decompressor`] worker on this dictionary.
     pub fn decode_table(&self) -> &DecodeTable {
         &self.decode
@@ -200,7 +193,7 @@ impl Dictionary {
 
     /// Total entries (identity + patterns).
     pub fn len(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.decode.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -213,19 +206,13 @@ impl Dictionary {
     /// own byte value as code is still a pattern entry and must survive
     /// serialization.
     pub fn pattern_entries(&self) -> impl Iterator<Item = (u8, &[u8])> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| !self.identity[*c])
-            .filter_map(|(c, e)| e.as_deref().map(|p| (c as u8, p)))
+        self.all_entries()
+            .filter(|&(c, _)| !self.identity[c as usize])
     }
 
     /// All entries (identity included), in code order.
     pub fn all_entries(&self) -> impl Iterator<Item = (u8, &[u8])> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter_map(|(c, e)| e.as_deref().map(|p| (c as u8, p)))
+        (0..=255u8).filter_map(|c| self.decode.expansion(c).map(|p| (c, p)))
     }
 
     pub fn prepopulation(&self) -> Prepopulation {
@@ -250,20 +237,14 @@ impl Dictionary {
     }
 
     /// Sanity invariants, used by tests and after deserialization: codes
-    /// must be displayable, patterns bounded and newline-free.
+    /// must be displayable and patterns newline-free (their length is
+    /// bounded by construction — every entry fills one decode slot).
     pub fn validate(&self) -> Result<(), ZsmilesError> {
-        for (c, e) in self.entries.iter().enumerate() {
-            let Some(pat) = e else { continue };
-            if !is_code_byte(c as u8) {
+        for (c, pat) in self.all_entries() {
+            if !is_code_byte(c) {
                 return Err(ZsmilesError::DictFormat {
                     line: 0,
                     reason: format!("code 0x{c:02x} is reserved"),
-                });
-            }
-            if pat.is_empty() || pat.len() > MAX_PATTERN_LEN {
-                return Err(ZsmilesError::DictFormat {
-                    line: 0,
-                    reason: format!("pattern for code 0x{c:02x} has length {}", pat.len()),
                 });
             }
             if pat.contains(&b'\n') {

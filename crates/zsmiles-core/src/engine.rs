@@ -652,9 +652,14 @@ impl AnyDictionary {
         crate::parallel::decompress_parallel_dyn(self, input, threads)
     }
 
-    /// Decompress a single line (no newline), appending to `out`.
+    /// Decompress a single line (no newline), appending to `out` — the
+    /// random-access decode step. Dispatches on the flavour to an unboxed
+    /// decoder, so the call allocates nothing beyond growing `out` once.
     pub fn decompress_line(&self, line: &[u8], out: &mut Vec<u8>) -> Result<usize, ZsmilesError> {
-        self.boxed_decoder().decode_line(line, out)
+        match self {
+            AnyDictionary::Base(d) => Decompressor::new(d).decompress_line(line, out),
+            AnyDictionary::Wide(d) => WideDecompressor::new(d).decompress_line(line, out),
+        }
     }
 }
 

@@ -10,21 +10,21 @@
 //!    dictionary and the line index — a few hundred kilobytes for a
 //!    multi-gigabyte archive. The payload is *never* loaded wholesale.
 //! 2. **`get(line)`** issues one positioned read for that line's exact
-//!    byte range (the [`crate::index::LineIndex`] stores exact ends) and
-//!    decodes it. A random-access fetch transfers footer + metadata once,
-//!    then one compressed line per request — the property the
-//!    counting-source tests pin down.
+//!    byte range (the [`crate::index::LineIndex`] stores exact ends) into
+//!    a stack buffer and decodes it into an exactly sized result — one
+//!    heap allocation per call. A random-access fetch transfers footer +
+//!    metadata once, then one compressed line per request — the property
+//!    the counting-source tests pin down.
 //! 3. **`get_range`** / [`ArchiveReader::lines`] / `unpack_to` batch
-//!    contiguous lines into single reads and reuse one decoder worker,
-//!    for campaign-style "pull these thousand hits" workloads and full
-//!    streaming unpacks in bounded memory.
+//!    contiguous lines into single reads, for campaign-style "pull these
+//!    thousand hits" workloads and full streaming unpacks in bounded
+//!    memory.
 //!
 //! The reader is generic over [`ArchiveSource`] — a file via
 //! [`FileSource`], bytes via [`crate::source::InMemorySource`] or
 //! `&[u8]`, or any caller-provided positioned-read backend (an mmap, an
-//! object store). Decoding goes through the dyn-safe
-//! [`DynEngine`] facade, so none of this code knows which
-//! code width the archive uses.
+//! object store). Decoding goes through [`AnyDictionary`], so none of
+//! this code knows which code width the archive uses.
 //!
 //! # Integrity
 //!
@@ -36,7 +36,7 @@
 
 use crate::archive::{bad, parse_layout, FOOTER_LEN, HEADER_LEN};
 use crate::decompress::DecompressStats;
-use crate::engine::{AnyDictionary, DictFlavor, DynEngine, LineDecoder};
+use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
 use crate::index::LineIndex;
 use crate::source::{ArchiveSource, AutoSource, FileSource};
@@ -47,6 +47,10 @@ use textcomp::crc32::Crc32;
 
 /// Default byte budget for one batched payload read.
 pub const DEFAULT_BATCH_BYTES: usize = 1 << 20;
+
+/// Stack buffer a single-line fetch reads into. Compressed SMILES lines
+/// run to tens of bytes; a longer line takes one heap read instead.
+const LINE_STACK_BYTES: usize = 256;
 
 /// A `.zsa` archive opened for random access without loading its payload.
 #[derive(Debug)]
@@ -198,15 +202,31 @@ impl<S: ArchiveSource> ArchiveReader<S> {
 
     /// Decompress ligand `i` — the paper's random-access read, out of
     /// core: the transfer is that line's compressed bytes, nothing else.
+    /// A line of up to 256 compressed bytes is read into a stack buffer, so
+    /// the returned line is the call's only heap allocation.
     pub fn get(&self, i: usize) -> Result<Vec<u8>, ZsmilesError> {
-        let line = self.compressed_line(i)?;
-        let mut out = Vec::with_capacity(line.len() * 3);
-        self.dict.decompress_line(&line, &mut out)?;
+        self.check_line(i)?;
+        let r = self.index.line_range(i);
+        let mut stack = [0u8; LINE_STACK_BYTES];
+        let heap;
+        let line: &[u8] = match stack.get_mut(..r.len()) {
+            Some(buf) => {
+                self.source
+                    .read_at(self.payload_start + r.start as u64, buf)?;
+                buf
+            }
+            None => {
+                heap = self.read_span(r)?;
+                &heap
+            }
+        };
+        let mut out = Vec::new();
+        self.dict.decompress_line(line, &mut out)?;
         Ok(out)
     }
 
     /// Decompress a contiguous run of ligands with **one** positioned
-    /// read covering the run and one reused decoder worker.
+    /// read covering the run.
     pub fn get_range(&self, lines: Range<usize>) -> Result<Vec<Vec<u8>>, ZsmilesError> {
         if lines.end > self.index.len() {
             return Err(ZsmilesError::LineOutOfRange {
@@ -221,30 +241,24 @@ impl<S: ArchiveSource> ArchiveReader<S> {
         let span_end = self.index.line_range(lines.end - 1).end;
         let span = self.read_span(span_start..span_end)?;
 
-        let mut dec = self.dict.boxed_decoder();
         let mut out = Vec::with_capacity(lines.len());
         for i in lines {
             let r = self.index.line_range(i);
-            let line = &span[r.start - span_start..r.end - span_start];
-            let mut smiles = Vec::with_capacity(line.len() * 3);
-            dec.decode_line(line, &mut smiles)?;
+            let mut smiles = Vec::new();
+            self.dict
+                .decompress_line(&span[r.start - span_start..r.end - span_start], &mut smiles)?;
             out.push(smiles);
         }
         Ok(out)
     }
 
     /// Decompress an arbitrary set of ligands (hit lists are rarely
-    /// contiguous), in the order given, with one reused decoder — one
-    /// positioned read per requested line.
+    /// contiguous), in the order given — one [`ArchiveReader::get`] per
+    /// requested line, so `k` lines cost `k + 1` allocations.
     pub fn get_many(&self, indices: &[usize]) -> Result<Vec<Vec<u8>>, ZsmilesError> {
-        let mut dec = self.dict.boxed_decoder();
         let mut out = Vec::with_capacity(indices.len());
         for &i in indices {
-            self.check_line(i)?;
-            let line = self.read_span(self.index.line_range(i))?;
-            let mut smiles = Vec::with_capacity(line.len() * 3);
-            dec.decode_line(&line, &mut smiles)?;
-            out.push(smiles);
+            out.push(self.get(i)?);
         }
         Ok(out)
     }
@@ -260,7 +274,6 @@ impl<S: ArchiveSource> ArchiveReader<S> {
     pub fn lines_batched(&self, batch_bytes: usize) -> LineIter<'_, S> {
         LineIter {
             reader: self,
-            dec: self.dict.boxed_decoder(),
             batch: Vec::new(),
             batch_start: 0,
             batch_end_line: 0,
@@ -342,10 +355,9 @@ impl<S: ArchiveSource> ArchiveReader<S> {
 }
 
 /// Batched in-order iterator over every decoded line of an archive. One
-/// positioned read per batch, one decoder worker for the whole pass.
+/// positioned read per batch.
 pub struct LineIter<'r, S: ArchiveSource> {
     reader: &'r ArchiveReader<S>,
-    dec: Box<dyn LineDecoder + 'r>,
     batch: Vec<u8>,
     /// Payload offset of `batch[0]`.
     batch_start: usize,
@@ -381,8 +393,8 @@ impl<S: ArchiveSource> Iterator for LineIter<'_, S> {
         }
         let r = self.reader.index().line_range(self.next);
         let line = &self.batch[r.start - self.batch_start..r.end - self.batch_start];
-        let mut out = Vec::with_capacity(line.len() * 3);
-        match self.dec.decode_line(line, &mut out) {
+        let mut out = Vec::new();
+        match self.reader.dict.decompress_line(line, &mut out) {
             Ok(_) => {
                 self.next += 1;
                 Some(Ok(out))
@@ -482,7 +494,17 @@ mod tests {
 
     #[test]
     fn get_touches_only_metadata_plus_one_line() {
-        let blob = container(false);
+        // The deck plus one line whose compressed form (every control
+        // byte escaped, two bytes each) outgrows the stack buffer `get`
+        // reads into.
+        let long = b"\x07C".repeat(150);
+        let mut deck = deck_bytes();
+        deck.extend_from_slice(&long);
+        deck.push(b'\n');
+        let mut blob = Vec::new();
+        Archive::pack(dict(false), &deck, 2)
+            .write_to(&mut blob)
+            .unwrap();
         let total = blob.len() as u64;
         let src = CountingSource::new(InMemorySource::new(blob));
         let reader = ArchiveReader::from_source(src).unwrap();
@@ -493,16 +515,19 @@ mod tests {
             "open reads exactly header+footer+dict+index"
         );
         assert!(open_bytes < total, "metadata is a strict subset");
+        assert!(reader.index().line_range(120).len() > LINE_STACK_BYTES);
 
-        reader.source().reset();
-        let line_len = reader.index().line_range(42).len() as u64;
-        reader.get(42).unwrap();
-        assert_eq!(reader.source().reads(), 1, "one positioned read per get");
-        assert_eq!(
-            reader.source().bytes_read(),
-            line_len,
-            "the read is exactly the line's range"
-        );
+        for (i, want) in [(42, deck_lines()[42]), (120, long.as_slice())] {
+            reader.source().reset();
+            let line_len = reader.index().line_range(i).len() as u64;
+            assert_eq!(reader.get(i).unwrap(), want, "line {i}");
+            assert_eq!(reader.source().reads(), 1, "one positioned read per get");
+            assert_eq!(
+                reader.source().bytes_read(),
+                line_len,
+                "the read is exactly the line's range"
+            );
+        }
     }
 
     #[test]

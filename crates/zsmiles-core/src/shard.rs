@@ -48,7 +48,7 @@
 
 use crate::cache::BlockCache;
 use crate::compress::CompressStats;
-use crate::engine::{AnyDictionary, DictFlavor, DynEngine, LineDecoder};
+use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
 use crate::parallel::WorkerPool;
 use crate::reader::{ArchiveReader, LineIter, DEFAULT_BATCH_BYTES};
@@ -1258,21 +1258,13 @@ impl ShardedReader {
         Ok(out)
     }
 
-    /// Decompress an arbitrary set of global ligands in the order given,
-    /// reusing one decoder per shard touched.
+    /// Decompress an arbitrary set of global ligands in the order given —
+    /// one routed [`ShardedReader::get`] per line, so `k` lines cost
+    /// `k + 1` allocations.
     pub fn get_many(&self, indices: &[usize]) -> Result<Vec<Vec<u8>>, ZsmilesError> {
-        let mut decoders: Vec<Option<Box<dyn LineDecoder + '_>>> =
-            (0..self.readers.len()).map(|_| None).collect();
         let mut out = Vec::with_capacity(indices.len());
         for &i in indices {
-            self.check_line(i)?;
-            let (s, local) = self.locate(i);
-            let reader = self.shard_for_line(s, i)?;
-            let line = reader.compressed_line(local)?;
-            let dec = decoders[s].get_or_insert_with(|| reader.dictionary().boxed_decoder());
-            let mut smiles = Vec::with_capacity(line.len() * 3);
-            dec.decode_line(&line, &mut smiles)?;
-            out.push(smiles);
+            out.push(self.get(i)?);
         }
         Ok(out)
     }

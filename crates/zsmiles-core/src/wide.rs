@@ -25,7 +25,7 @@
 
 use crate::codec::{code_space, is_code_byte, Prepopulation, ESCAPE, LINE_SEP};
 use crate::compress::{CompressStats, MatcherKind};
-use crate::decompress::DecompressStats;
+use crate::decompress::{decode_slots, DecodeTable, DecompressStats};
 use crate::dict::builder::DictBuilder;
 use crate::dict::MAX_PATTERN_LEN;
 use crate::engine::{LineDecoder, LineEncoder, PreprocessStage};
@@ -94,12 +94,16 @@ fn emit_bytes(id: CodeId) -> ([u8; 2], usize) {
 /// up to [`MAX_WIDE_ENTRIES`] two-byte codes behind page prefixes.
 #[derive(Debug, Clone)]
 pub struct WideDictionary {
-    /// One-byte code table (page bytes always vacant here).
-    base: Vec<Option<Box<[u8]>>>,
+    /// One-byte codes as a fixed-slot decode table (page bytes always
+    /// vacant here).
+    base: DecodeTable,
     /// Identity provenance for base codes (pre-population entries).
     identity: Vec<bool>,
-    /// `pages[p][sub]` = pattern behind the two-byte code `PAGE_BYTES[p] sub`.
-    pages: Vec<Vec<Option<Box<[u8]>>>>,
+    /// `pages[p]` expands the two-byte codes `PAGE_BYTES[p] sub`, indexed
+    /// by `sub`. With `base`, the tables the wide decoder copies slots
+    /// from, built once here — and the dictionary's only copy of its
+    /// entries.
+    pages: Box<[DecodeTable; PAGE_BYTES.len()]>,
     prepopulation: Prepopulation,
     lmin: usize,
     lmax: usize,
@@ -208,9 +212,11 @@ impl WideDictionary {
             }
         }
         Ok(WideDictionary {
-            base,
+            base: DecodeTable::from_entries(&base),
             identity,
-            pages,
+            pages: Box::new(std::array::from_fn(|p| {
+                DecodeTable::from_entries(&pages[p])
+            })),
             prepopulation,
             lmin,
             lmax,
@@ -224,26 +230,23 @@ impl WideDictionary {
     /// The pattern behind a one-byte code.
     #[inline]
     pub fn base_entry(&self, code: u8) -> Option<&[u8]> {
-        self.base[code as usize].as_deref()
+        self.base.expansion(code)
     }
 
     /// The pattern behind the two-byte code `PAGE_BYTES[page] sub`.
     #[inline]
     pub fn wide_entry(&self, page: usize, sub: u8) -> Option<&[u8]> {
-        self.pages.get(page)?.get(sub as usize)?.as_deref()
+        self.pages.get(page)?.expansion(sub)
     }
 
     /// One-byte entries (identity included).
     pub fn base_len(&self) -> usize {
-        self.base.iter().filter(|e| e.is_some()).count()
+        self.base.len()
     }
 
     /// Two-byte entries.
     pub fn wide_len(&self) -> usize {
-        self.pages
-            .iter()
-            .map(|p| p.iter().filter(|e| e.is_some()).count())
-            .sum()
+        self.pages.iter().map(DecodeTable::len).sum()
     }
 
     /// Total entries across both widths.
@@ -303,13 +306,12 @@ impl WideDictionary {
     /// All entries in code-assignment order: base codes (code-space order),
     /// then wide codes (page-major). Yields `(emitted bytes, pattern)`.
     pub fn all_entries(&self) -> impl Iterator<Item = (Vec<u8>, &[u8])> + '_ {
-        let base = code_space()
-            .filter_map(move |c| self.base[c as usize].as_deref().map(move |p| (vec![c], p)));
-        let wide = (0..self.pages.len()).flat_map(move |pi| {
+        let base = code_space().filter_map(move |c| self.base.expansion(c).map(|p| (vec![c], p)));
+        let wide = (0..PAGE_BYTES.len()).flat_map(move |pi| {
             code_space().filter_map(move |sub| {
-                self.pages[pi][sub as usize]
-                    .as_deref()
-                    .map(move |p| (vec![PAGE_BYTES[pi], sub], p))
+                self.pages[pi]
+                    .expansion(sub)
+                    .map(|p| (vec![PAGE_BYTES[pi], sub], p))
             })
         });
         base.chain(wide)
@@ -323,9 +325,11 @@ impl WideDictionary {
 
     /// Sanity invariants (used by tests and after deserialization).
     pub fn validate(&self) -> Result<(), ZsmilesError> {
-        for (c, e) in self.base.iter().enumerate() {
-            let Some(pat) = e else { continue };
-            if !is_code_byte(c as u8) || page_index(c as u8).is_some() {
+        for c in 0..=u8::MAX {
+            let Some(pat) = self.base.expansion(c) else {
+                continue;
+            };
+            if !is_code_byte(c) || page_index(c).is_some() {
                 return Err(ZsmilesError::DictFormat {
                     line: 0,
                     reason: format!("base code 0x{c:02x} is reserved"),
@@ -333,10 +337,12 @@ impl WideDictionary {
             }
             check_pattern(pat)?;
         }
-        for page in &self.pages {
-            for (s, e) in page.iter().enumerate() {
-                let Some(pat) = e else { continue };
-                if !is_code_byte(s as u8) {
+        for page in self.pages.iter() {
+            for s in 0..=u8::MAX {
+                let Some(pat) = page.expansion(s) else {
+                    continue;
+                };
+                if !is_code_byte(s) {
                     return Err(ZsmilesError::DictFormat {
                         line: 0,
                         reason: format!("wide sub-code 0x{s:02x} is reserved"),
@@ -358,13 +364,9 @@ impl WideDictionary {
     }
 }
 
+/// Patterns must be newline-free; their length is bounded by
+/// construction (every entry fills one decode slot).
 fn check_pattern(pat: &[u8]) -> Result<(), ZsmilesError> {
-    if pat.is_empty() || pat.len() > MAX_PATTERN_LEN {
-        return Err(ZsmilesError::DictFormat {
-            line: 0,
-            reason: format!("pattern length {} out of range", pat.len()),
-        });
-    }
     if pat.contains(&LINE_SEP) {
         return Err(ZsmilesError::DictFormat {
             line: 0,
@@ -679,8 +681,9 @@ impl LineEncoder for WideCompressor<'_> {
 }
 
 /// Decompressor for wide-code streams (mirrors [`crate::Decompressor`]).
-/// Only the per-byte dispatch (page prefixes) is wide-specific; the buffer
-/// loop is the shared [`crate::engine`] machinery.
+/// Only the page-prefix dispatch is wide-specific: the per-line kernel is
+/// the base codec's slot copier and the buffer loop is the shared
+/// [`crate::engine`] machinery.
 pub struct WideDecompressor<'d> {
     dict: &'d WideDictionary,
 }
@@ -691,41 +694,11 @@ impl<'d> WideDecompressor<'d> {
     }
 
     /// Decompress one line, appending to `out`. Returns the number of
-    /// bytes appended.
+    /// bytes appended. Same contract as [`crate::Decompressor`]: the whole
+    /// line is validated first, so a bad line appends nothing.
     pub fn decompress_line(&self, line: &[u8], out: &mut Vec<u8>) -> Result<usize, ZsmilesError> {
-        let start = out.len();
-        let mut i = 0usize;
-        while i < line.len() {
-            let b = line[i];
-            if b == ESCAPE {
-                let lit = *line
-                    .get(i + 1)
-                    .ok_or(ZsmilesError::TruncatedEscape { at: i })?;
-                out.push(lit);
-                i += 2;
-            } else if let Some(page) = page_index(b) {
-                let sub = *line
-                    .get(i + 1)
-                    .ok_or(ZsmilesError::TruncatedWideCode { at: i })?;
-                let pat = self
-                    .dict
-                    .wide_entry(page, sub)
-                    .ok_or(ZsmilesError::UnknownCode {
-                        code: sub,
-                        at: i + 1,
-                    })?;
-                out.extend_from_slice(pat);
-                i += 2;
-            } else {
-                let pat = self
-                    .dict
-                    .base_entry(b)
-                    .ok_or(ZsmilesError::UnknownCode { code: b, at: i })?;
-                out.extend_from_slice(pat);
-                i += 1;
-            }
-        }
-        Ok(out.len() - start)
+        let d = self.dict;
+        decode_slots(&d.base, |b| page_index(b).map(|p| &d.pages[p]), line, out)
     }
 
     /// Decompress a newline-separated buffer.
@@ -1071,6 +1044,40 @@ mod tests {
             dec.decompress_line(&[PAGE_BYTES[7], b'!'], &mut out),
             Err(ZsmilesError::UnknownCode { .. })
         ));
+    }
+
+    #[test]
+    fn bad_line_after_a_valid_prefix_appends_nothing() {
+        // The base decoder's contract: a line is validated whole before
+        // any byte is produced, so an error deep in the line leaves `out`
+        // exactly as it was.
+        let d = trained(16);
+        let mut z = Vec::new();
+        WideCompressor::new(&d)
+            .with_preprocess(false)
+            .compress_line(b"COc1cc(C=O)ccc1O", &mut z);
+        let dec = WideDecompressor::new(&d);
+        let prefix = b"kept\n".to_vec();
+        for (tail, want) in [
+            // Page 7 is empty in a 16-entry dictionary.
+            (
+                vec![PAGE_BYTES[7], b'!'],
+                ZsmilesError::UnknownCode {
+                    code: b'!',
+                    at: z.len() + 1,
+                },
+            ),
+            (
+                vec![PAGE_BYTES[0]],
+                ZsmilesError::TruncatedWideCode { at: z.len() },
+            ),
+            (vec![ESCAPE], ZsmilesError::TruncatedEscape { at: z.len() }),
+        ] {
+            let line = [z.as_slice(), &tail].concat();
+            let mut out = prefix.clone();
+            assert_eq!(dec.decompress_line(&line, &mut out), Err(want));
+            assert_eq!(out, prefix, "no partial output");
+        }
     }
 
     #[test]
