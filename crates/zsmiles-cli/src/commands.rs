@@ -9,9 +9,9 @@ use zsmiles_core::serve::{Executor, QueryClient, ServeOptions, Server};
 use zsmiles_core::shard::{is_manifest, ShardPolicy, ShardedReader, ShardedWriter};
 use zsmiles_core::train::{BaseBuilder, DictBuilder as _, TrainCorpus, WideBuilder};
 use zsmiles_core::{
-    check_deck, quarantine_shards, repair_deck, ArchiveReader, ArchiveWriter, AtomicFileSink,
-    BlockCache, CountingSource, Decompressor, FileSource, LineIndex, Prepopulation, RankStrategy,
-    Selection, TrainOptions, WriterOptions,
+    check_deck, quarantine_shards, repair_deck, ArchiveReader, ArchiveSource, ArchiveWriter,
+    AtomicFileSink, BlockCache, CountingSource, Decompressor, FileSource, LineIndex, Prepopulation,
+    RankStrategy, Selection, TrainOptions, WriterOptions,
 };
 
 const USAGE: &str =
@@ -89,6 +89,8 @@ const USAGE: &str =
               histogram and — with -i — per-symbol hit coverage measured
               over the sample deck, for either flavour)
   inspect    --archive in.zsa|in.zsm [--verbose] [--verify]
+             (reports the line index's wire version and its bytes per
+              line — per shard too under --verbose)
 Archive commands stream through the out-of-core reader and writer: a
 multi-GB deck is never loaded into memory, packing or reading; pass
 --verify to force a full CRC pass first. Wherever an archive path is
@@ -340,18 +342,31 @@ fn open_input(input: &str) -> Result<Box<dyn std::io::Read>, String> {
 }
 
 /// Pump an opened input into `write` in bounded chunks — pack never holds
-/// the deck.
+/// the deck. Returns the raw input bytes pumped.
 fn stream_input(
     mut reader: Box<dyn std::io::Read>,
     mut write: impl FnMut(&[u8]) -> Result<(), String>,
-) -> Result<(), String> {
+) -> Result<u64, String> {
     let mut buf = vec![0u8; 1 << 20];
+    let mut total = 0u64;
     loop {
         let n = reader.read(&mut buf).map_err(|e| e.to_string())?;
         if n == 0 {
-            return Ok(());
+            return Ok(total);
         }
         write(&buf[..n])?;
+        total += n as u64;
+    }
+}
+
+/// Bytes stored per byte of raw input — the cold-storage footprint the
+/// payload ratio leaves out (index, dictionary, header and footer count
+/// here).
+fn stored_ratio(on_disk: u64, raw: u64) -> f64 {
+    if raw == 0 {
+        1.0
+    } else {
+        on_disk as f64 / raw as f64
     }
 }
 
@@ -434,19 +449,23 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
         let mut w = ShardedWriter::create(Path::new(output), dict, policy, opts)
             .map_err(|e| e.to_string())?;
         w.set_generation(generation);
-        stream_input(reader, |chunk| w.write(chunk).map_err(|e| e.to_string()))?;
+        let raw = stream_input(reader, |chunk| w.write(chunk).map_err(|e| e.to_string()))?;
         let info = w.finish().map_err(|e| e.to_string())?;
         if !args.get_bool("--quiet") {
-            let on_disk: u64 = info.shards.iter().map(|s| s.file_bytes).sum();
+            let manifest = std::fs::metadata(output).map_err(|e| e.to_string())?.len();
+            let on_disk = manifest + info.shards.iter().map(|s| s.file_bytes).sum::<u64>();
             println!(
                 "packed {} lines, {} -> {} payload bytes (ratio {:.3}) into {} shard(s), \
-                 {} bytes on disk ({} dictionary) in {:.2?}",
+                 {} bytes on disk with the manifest (stored ratio {:.3} of {} input bytes), \
+                 {} dictionary, in {:.2?}",
                 info.stats.lines,
                 info.stats.in_bytes,
                 info.stats.out_bytes,
                 info.stats.ratio(),
                 info.shards.len(),
                 on_disk,
+                stored_ratio(on_disk, raw),
+                raw,
                 flavor.name(),
                 t0.elapsed(),
             );
@@ -460,18 +479,20 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
     // previous output (or nothing), never a half-written container.
     let sink = AtomicFileSink::create(Path::new(output)).map_err(|e| e.to_string())?;
     let mut w = ArchiveWriter::with_options(sink, dict, opts).map_err(|e| e.to_string())?;
-    stream_input(reader, |chunk| w.write(chunk).map_err(|e| e.to_string()))?;
+    let raw = stream_input(reader, |chunk| w.write(chunk).map_err(|e| e.to_string()))?;
     let (sink, info) = w.finish().map_err(|e| e.to_string())?;
     sink.commit().map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
         println!(
             "packed {} lines, {} -> {} payload bytes (ratio {:.3}), {} bytes on disk \
-             ({} dictionary) in {:.2?}",
+             (stored ratio {:.3} of {} input bytes), {} dictionary, in {:.2?}",
             info.stats.lines,
             info.stats.in_bytes,
             info.stats.out_bytes,
             info.stats.ratio(),
             info.container_bytes,
+            stored_ratio(info.container_bytes, raw),
+            raw,
             flavor.name(),
             t0.elapsed(),
         );
@@ -658,11 +679,26 @@ fn cmd_get(args: &Args) -> Result<(), String> {
 
     let input = args.require("--input")?;
     let dict = load_dict(args)?;
+    let smiles = get_loose_line(Path::new(input), &dict, line_no)?;
+    println!("{}", String::from_utf8_lossy(&smiles));
+    Ok(())
+}
+
+/// The loose-file `get -i deck.zsmi -d dict.dct --line K`: decode line
+/// `line_no` of a compressed deck through the `<deck>.zsx` sidecar index
+/// beside it (any wire version), or through an index built on the fly
+/// when there is none.
+pub fn get_loose_line(
+    input: &Path,
+    dict: &AnyDictionary,
+    line_no: usize,
+) -> Result<Vec<u8>, String> {
     let data = std::fs::read(input).map_err(|e| e.to_string())?;
-    // Use the sidecar if present, else index on the fly.
-    let sidecar = format!("{input}.zsx");
-    let idx = if Path::new(&sidecar).exists() {
-        LineIndex::load(Path::new(&sidecar)).map_err(|e| e.to_string())?
+    let mut sidecar = input.as_os_str().to_owned();
+    sidecar.push(".zsx");
+    let sidecar = Path::new(&sidecar);
+    let idx = if sidecar.exists() {
+        LineIndex::load(sidecar).map_err(|e| e.to_string())?
     } else {
         LineIndex::build(&data)
     };
@@ -672,11 +708,41 @@ fn cmd_get(args: &Args) -> Result<(), String> {
             idx.len()
         ));
     }
+    // A sidecar describing some other file would slice out of bounds.
+    if idx.total_bytes() != data.len() as u64 {
+        return Err(format!(
+            "{} indexes {} bytes but {} holds {}",
+            sidecar.display(),
+            idx.total_bytes(),
+            input.display(),
+            data.len()
+        ));
+    }
     let mut smiles = Vec::new();
     dict.decompress_line(idx.line(&data, line_no), &mut smiles)
         .map_err(|e| e.to_string())?;
-    println!("{}", String::from_utf8_lossy(&smiles));
-    Ok(())
+    Ok(smiles)
+}
+
+/// `index v4, 80316 bytes, 1.00 B/line`: the wire version(s) of the
+/// stored line indexes of `readers` and what they cost per line.
+fn index_footprint<'a, S: ArchiveSource + 'a>(
+    readers: impl IntoIterator<Item = &'a ArchiveReader<S>>,
+) -> String {
+    let (mut versions, mut bytes, mut lines) = (Vec::new(), 0, 0);
+    for r in readers {
+        versions.extend(r.index().wire_version());
+        bytes += r.index_bytes();
+        lines += r.len();
+    }
+    versions.sort_unstable();
+    versions.dedup();
+    let versions: Vec<String> = versions.iter().map(|v| format!("v{v}")).collect();
+    format!(
+        "index {}, {bytes} bytes, {:.2} B/line",
+        versions.join("+"),
+        bytes as f64 / lines.max(1) as f64
+    )
 }
 
 fn cmd_inspect(args: &Args) -> Result<(), String> {
@@ -695,18 +761,26 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
                 reader.flavor().name(),
                 reader.dictionary().preprocessed(),
             );
+            println!(
+                "{}",
+                index_footprint((0..reader.shard_count()).filter_map(|s| reader.shard_reader(s)))
+            );
             if args.get_bool("--verbose") {
                 println!(
-                    "  {:<24} {:>10} {:>12} {:>9}",
+                    "  {:<24} {:>10} {:>12} {:>9}  index",
                     "shard", "lines", "bytes", "crc32"
                 );
-                for s in reader.manifest().shards() {
+                for (i, s) in reader.manifest().shards().iter().enumerate() {
+                    let index = reader
+                        .shard_reader(i)
+                        .map_or("quarantined".into(), |r| index_footprint([r]));
                     println!(
-                        "  {:<24} {:>10} {:>12} {:>9}",
+                        "  {:<24} {:>10} {:>12} {:>9}  {}",
                         s.file,
                         s.lines,
                         s.file_bytes,
                         format!("{:08x}", s.crc32),
+                        index,
                     );
                 }
                 println!(
@@ -732,6 +806,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
             reader.flavor().name(),
             reader.dictionary().preprocessed(),
         );
+        println!("{}", index_footprint([&reader]));
         if args.get_bool("--verbose") {
             println!(
                 "reads: {} bytes of {} transferred in {} read(s) ({} bytes of metadata)",

@@ -15,7 +15,11 @@
 //!        24        payload_len: u64 LE
 //!        32        dictionary bytes               readable .dct text, either flavour
 //!        ...       payload bytes                  newline-separated compressed lines
-//!        ...       line index                     LineIndex wire format
+//!        ...       line index                     LineIndex wire format, v4:
+//!                    "ZSXIDX04", count: u64 LE,     ~1 byte per line
+//!                    total: u64 LE, one varint per
+//!                    line (+ a gap varint after
+//!                    blank bytes), crc32: u32 LE
 //!        ...       index_len: u64 LE
 //!        ...       crc32: u32 LE                  over every preceding byte
 //!        end-8     "ZSAREND1"                     trailer magic
@@ -34,7 +38,12 @@
 //! The CRC32 (reused from [`textcomp::crc32`], the same routine the
 //! bzip-like baseline uses per block) covers header, dictionary, payload
 //! and index, so truncation and bit rot are detected before any decode is
-//! attempted.
+//! attempted. The index also ends with a CRC32 of its own (see
+//! [`crate::index`]), which the out-of-core reader checks at open: it
+//! never reads the payload there, so the container CRC waits for an
+//! explicit verify, but a damaged index is refused before any `get`.
+//! Indexes in versions 1–3 of the [`LineIndex`] wire format, written by
+//! earlier releases, still read.
 
 use crate::compress::CompressStats;
 use crate::decompress::DecompressStats;
@@ -527,6 +536,10 @@ mod tests {
         let total_at = index_start + 16;
         let total = u64::from_le_bytes(blob[total_at..total_at + 8].try_into().unwrap());
         blob[total_at..total_at + 8].copy_from_slice(&(total + 50).to_le_bytes());
+        // The index carries its own CRC in its last four bytes; an honest
+        // writer signs the index it meant to write.
+        let index_crc = crc32(&blob[index_start..footer - 4]);
+        blob[footer - 4..footer].copy_from_slice(&index_crc.to_le_bytes());
         // Recompute the CRC the way a buggy-but-honest writer would.
         let crc_at = blob.len() - 12;
         let crc = crc32(&blob[..crc_at]);

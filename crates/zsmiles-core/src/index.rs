@@ -2,24 +2,49 @@
 //! buffers — the use case the whole design serves: domain experts sample a
 //! small subset of a huge archive without decompressing it.
 //!
-//! The index is a sidecar (`.zsx`): a small binary table of per-line
-//! `(start, end)` byte ranges. The archive itself stays readable text;
-//! only the *optional* accelerator is binary (rebuilding it is a single
-//! scan, so it can always be regenerated from the archive).
+//! The index is a sidecar (`.zsx`), or the index section of a `.zsa`: a
+//! small binary table of per-line `(start, end)` byte ranges. The archive
+//! itself stays readable text; only the *optional* accelerator is binary
+//! (rebuilding it is a single scan, so it can always be regenerated from
+//! the archive).
 //!
-//! Range ends are stored **exactly** (newline excluded), so
+//! Range ends are **exact** (newline excluded), so
 //! [`LineIndex::line_range`] is authoritative on its own: a reader that
 //! has only the index — the out-of-core [`crate::reader::ArchiveReader`]
 //! path — can issue a byte-range read for precisely one line without ever
-//! scanning the buffer for the newline. Earlier wire versions derived
-//! interior ends from the next line's start, which overshot across blank
-//! lines and forced a defensive re-trim in `line()`.
+//! scanning the buffer for the newline.
+//!
+//! # Wire format (version 4)
+//!
+//! ```text
+//! offset 0    "ZSXIDX04"                     magic
+//!        8    count: u64 LE                  number of lines
+//!        16   total: u64 LE                  bytes in the indexed buffer
+//!        24   per line:
+//!               varint (len - 1) << 1 | has_gap
+//!               varint gap                   only when has_gap is set
+//!        ...  crc32: u32 LE                  over every earlier index byte
+//! ```
+//!
+//! Varints are unsigned LEB128, minimal length. A line is expected to
+//! start one byte after the previous line's end (at 0 for the first
+//! line); `gap` is how many bytes later it actually starts, and is only
+//! stored when it is non-zero — for blank-line runs, which compressed
+//! payloads never contain. A compressed SMILES line is tens of bytes, so
+//! a line costs one index byte where version 3 spent sixteen.
+//!
+//! Versions 1–3 are still read, so every deck packed before stays
+//! readable; only version 4 is written. Version 3 stored each range as
+//! two `u64`s. Versions 1 and 2 stored starts only and *derived* ends
+//! from them, which overshoots across blank lines and so forces a
+//! defensive re-trim in [`LineIndex::line`].
 
 use crate::decompress::Decompressor;
 use crate::dict::Dictionary;
 use crate::error::ZsmilesError;
 use std::io::{Read, Write};
 use std::path::Path;
+use textcomp::crc32::Crc32;
 
 /// Version 1 wire format: starts only, no trailing-newline flag (readers
 /// must assume the buffer ended with a newline). Still accepted on read.
@@ -27,10 +52,69 @@ const MAGIC_V1: &[u8; 8] = b"ZSXIDX01";
 /// Version 2 wire format: starts plus one flag byte recording whether the
 /// indexed buffer ended with a newline. Still accepted on read.
 const MAGIC_V2: &[u8; 8] = b"ZSXIDX02";
-/// Version 3 wire format: exact `(start, end)` pairs per line, so every
-/// line's range — interior or final, blank neighbours or not — is stored
-/// rather than derived.
+/// Version 3 wire format: exact `(start, end)` pairs per line as two
+/// `u64`s. Still accepted on read.
 const MAGIC_V3: &[u8; 8] = b"ZSXIDX03";
+/// Version 4 wire format: exact ranges as varint lengths and gaps, closed
+/// by a CRC32. The only version written.
+const MAGIC_V4: &[u8; 8] = b"ZSXIDX04";
+
+/// Magic, count and total: the head every wire version shares.
+const HEAD_LEN: usize = 24;
+
+/// The most lines a parser reserves room for before reading them. The
+/// stored count is untrusted input, and reserving it verbatim would let a
+/// corrupted count abort the process before a read could fail; past the
+/// cap the vectors grow as lines actually arrive.
+pub const MAX_PREALLOC_LINES: usize = 1 << 20;
+
+/// Encoded index bytes [`LineIndex::write_to`] gathers before each write.
+const WRITE_CHUNK: usize = 64 << 10;
+
+/// Bytes in the longest LEB128 varint of a `u64`.
+const MAX_VARINT_LEN: usize = 10;
+
+fn corrupt(reason: impl std::fmt::Display) -> ZsmilesError {
+    ZsmilesError::DictFormat {
+        line: 0,
+        reason: format!("corrupt index: {reason}"),
+    }
+}
+
+/// Append `v` as a minimal unsigned LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Read one minimal unsigned LEB128 varint, hashing every byte it takes.
+/// Overlong encodings and values past 64 bits are rejected, so each index
+/// has exactly one encoding.
+fn read_varint<R: Read>(r: &mut R, crc: &mut Crc32) -> Result<u64, ZsmilesError> {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        let mut b = [0u8; 1];
+        r.read_exact(&mut b)?;
+        crc.update(&b);
+        let byte = b[0];
+        // The tenth byte holds bit 63 alone and must end the varint.
+        if shift == 63 && byte > 1 {
+            return Err(corrupt("varint overflows 64 bits"));
+        }
+        v |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(corrupt("overlong varint"));
+            }
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
 
 /// Exact byte ranges of non-empty lines in a newline-separated buffer.
 #[derive(Debug, Clone, Default)]
@@ -40,12 +124,13 @@ pub struct LineIndex {
     ends: Vec<u64>,
     /// Total buffer length the index describes.
     total: u64,
-    /// Whether `ends` are exact (built by scan or read from a v3 file) or
-    /// derived from starts by a legacy v1/v2 reader. Derived ends can be
-    /// wrong for buffers with interior blank lines or a missing trailing
-    /// newline, so [`LineIndex::line`] keeps the old defensive re-trim
-    /// for them — and only for them.
-    exact_ends: bool,
+    /// The wire version this index was parsed from; `None` when it was
+    /// built or extended by scanning. Versions 1 and 2 carry ends
+    /// *derived* from starts, which can be wrong for buffers with
+    /// interior blank lines or a missing trailing newline, so
+    /// [`LineIndex::line`] keeps the old defensive re-trim for them — and
+    /// only for them.
+    wire_version: Option<u8>,
 }
 
 /// Equality is over the described ranges, not over how they were learned:
@@ -83,7 +168,7 @@ impl LineIndex {
             starts,
             ends,
             total: buf.len() as u64,
-            exact_ends: true,
+            wire_version: None,
         }
     }
 
@@ -100,10 +185,10 @@ impl LineIndex {
     /// (the encoder terminates every line it emits).
     pub fn append_scan(&mut self, chunk: &[u8]) {
         debug_assert!(
-            self.exact_ends || self.is_empty(),
+            self.exact_ends() || self.is_empty(),
             "cannot append to an index with derived (legacy v1/v2) ends"
         );
-        self.exact_ends = true;
+        self.wire_version = None;
         let base = self.total;
         let mut in_line = false;
         let mut start = 0u64;
@@ -140,20 +225,30 @@ impl LineIndex {
         self.total
     }
 
+    /// The wire version this index was read from (1–4), or `None` for an
+    /// index built by scanning. Every writer emits version 4.
+    pub fn wire_version(&self) -> Option<u8> {
+        self.wire_version
+    }
+
+    fn exact_ends(&self) -> bool {
+        !matches!(self.wire_version, Some(1 | 2))
+    }
+
     /// Exact byte range of line `i` (newline excluded).
     pub fn line_range(&self, i: usize) -> std::ops::Range<usize> {
         self.starts[i] as usize..self.ends[i] as usize
     }
 
     /// Slice line `i` out of the buffer the index was built from. With
-    /// exact ends (built, or read from a v3 file) this is a plain slice —
-    /// no newline scan. Indexes loaded from legacy v1/v2 sidecars carry
-    /// *derived* ends, which can disagree with the buffer (interior blank
-    /// lines, missing trailing newline), so they keep the historical
-    /// defensive re-trim.
+    /// exact ends (built, or read from a v3 or v4 file) this is a plain
+    /// slice — no newline scan. Indexes loaded from legacy v1/v2 sidecars
+    /// carry *derived* ends, which can disagree with the buffer (interior
+    /// blank lines, missing trailing newline), so they keep the
+    /// historical defensive re-trim.
     pub fn line<'a>(&self, buf: &'a [u8], i: usize) -> &'a [u8] {
         let r = self.line_range(i);
-        if self.exact_ends {
+        if self.exact_ends() {
             return &buf[r];
         }
         let s = &buf[r.start..];
@@ -175,29 +270,54 @@ impl LineIndex {
         Ok(out)
     }
 
-    /// Serialize as a `.zsx` sidecar (version 3 format: exact ranges).
+    /// Serialize in the version 4 wire format (see the module docs),
+    /// gathering the encoding in bounded chunks so a large index costs a
+    /// few writes, not one per line.
     pub fn write_to<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(MAGIC_V3)?;
-        w.write_all(&(self.starts.len() as u64).to_le_bytes())?;
-        w.write_all(&self.total.to_le_bytes())?;
+        let mut crc = Crc32::new();
+        // Most lines take one byte; a line overruns the chunk by at most
+        // its two varints.
+        let estimate = HEAD_LEN + self.len() + 4;
+        let mut buf = Vec::with_capacity(estimate.min(WRITE_CHUNK) + 2 * MAX_VARINT_LEN);
+        buf.extend_from_slice(MAGIC_V4);
+        buf.extend_from_slice(&(self.starts.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&self.total.to_le_bytes());
+        // Where the next line starts when no blank bytes precede it.
+        let mut expected = 0u64;
         for (&s, &e) in self.starts.iter().zip(&self.ends) {
-            w.write_all(&s.to_le_bytes())?;
-            w.write_all(&e.to_le_bytes())?;
+            let gap = s - expected;
+            put_varint(&mut buf, (e - s - 1) << 1 | u64::from(gap != 0));
+            if gap != 0 {
+                put_varint(&mut buf, gap);
+            }
+            expected = e + 1;
+            if buf.len() >= WRITE_CHUNK {
+                crc.update(&buf);
+                w.write_all(&buf)?;
+                buf.clear();
+            }
         }
-        Ok(())
+        crc.update(&buf);
+        buf.extend_from_slice(&crc.finish().to_le_bytes());
+        w.write_all(&buf)
     }
 
     /// Parse a `.zsx` sidecar, any version.
     ///
-    /// v1/v2 files carry only line starts; their ends are reconstructed
-    /// the way those formats were always interpreted (interior end = next
-    /// start minus one separator, final end from the trailing-newline
-    /// flag). That reconstruction is exact for buffers without interior
-    /// blank lines — the invariant every compressed payload satisfies.
+    /// Every version is held to the same rules: each range is non-empty,
+    /// ends within `total`, and starts at least one byte past the
+    /// previous range's end. Version 4 must also match its CRC and end
+    /// exactly after it. v1/v2 files carry only line starts; their ends
+    /// are reconstructed the way those formats were always interpreted
+    /// (interior end = next start minus one separator, final end from the
+    /// trailing-newline flag), which is exact for buffers without
+    /// interior blank lines — the invariant every compressed payload
+    /// satisfies.
     pub fn read_from<R: Read>(mut r: R) -> Result<LineIndex, ZsmilesError> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        let version = match &magic {
+        let mut head = [0u8; HEAD_LEN];
+        r.read_exact(&mut head[..8])?;
+        let version = match &head[..8] {
+            m if m == MAGIC_V4 => 4,
             m if m == MAGIC_V3 => 3,
             m if m == MAGIC_V2 => 2,
             m if m == MAGIC_V1 => 1,
@@ -208,82 +328,22 @@ impl LineIndex {
                 })
             }
         };
-        let mut n8 = [0u8; 8];
-        r.read_exact(&mut n8)?;
-        let n = u64::from_le_bytes(n8) as usize;
-        r.read_exact(&mut n8)?;
-        let total = u64::from_le_bytes(n8);
-
-        // `n` is untrusted input: pre-allocating it verbatim lets a
-        // corrupted count abort the process before read_exact can fail.
-        // Cap the hint — the vectors grow normally past it.
-        let cap = n.min(1 << 20);
-
-        if version == 3 {
-            let mut starts = Vec::with_capacity(cap);
-            let mut ends = Vec::with_capacity(cap);
-            let mut prev_end = 0u64;
-            for i in 0..n {
-                r.read_exact(&mut n8)?;
-                let s = u64::from_le_bytes(n8);
-                r.read_exact(&mut n8)?;
-                let e = u64::from_le_bytes(n8);
-                // Ranges are non-empty, in-bounds, and strictly ordered
-                // with at least one separator byte between lines; anything
-                // else would arm a reversed or out-of-bounds slice.
-                if s >= e || e > total || (i > 0 && s <= prev_end) {
-                    return Err(ZsmilesError::DictFormat {
-                        line: 0,
-                        reason: "corrupt index: offsets not monotonic".into(),
-                    });
-                }
-                starts.push(s);
-                ends.push(e);
-                prev_end = e;
-            }
-            return Ok(LineIndex {
-                starts,
-                ends,
-                total,
-                exact_ends: true,
-            });
-        }
-
-        let trailing_newline = if version == 2 {
-            let mut flag = [0u8; 1];
-            r.read_exact(&mut flag)?;
-            flag[0] != 0
-        } else {
-            true
-        };
+        r.read_exact(&mut head[8..])?;
+        let field = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+        let (n, total) = (field(8), field(16));
+        let cap = n.min(MAX_PREALLOC_LINES as u64) as usize;
         let mut starts = Vec::with_capacity(cap);
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            r.read_exact(&mut n8)?;
-            let v = u64::from_le_bytes(n8);
-            // Strictly increasing: equal consecutive starts would yield a
-            // reversed (or underflowing) line_range downstream.
-            if prev.is_some_and(|p| v <= p) || v >= total.max(1) {
-                return Err(ZsmilesError::DictFormat {
-                    line: 0,
-                    reason: "corrupt index: offsets not monotonic".into(),
-                });
-            }
-            starts.push(v);
-            prev = Some(v);
-        }
         let mut ends = Vec::with_capacity(cap);
-        for i in 0..n {
-            ends.push(match starts.get(i + 1) {
-                Some(&next) => next - 1,
-                None => total - trailing_newline as u64,
-            });
+        match version {
+            4 => read_v4(&mut r, &head, n, total, &mut starts, &mut ends)?,
+            3 => read_v3(&mut r, n, total, &mut starts, &mut ends)?,
+            _ => read_legacy(&mut r, version, n, total, &mut starts, &mut ends)?,
         }
         Ok(LineIndex {
             starts,
             ends,
             total,
-            exact_ends: false,
+            wire_version: Some(version),
         })
     }
 
@@ -297,6 +357,126 @@ impl LineIndex {
         let f = std::fs::File::open(path)?;
         Self::read_from(std::io::BufReader::new(f))
     }
+}
+
+/// Version 4 body: varint lengths and gaps, then the CRC over `head` and
+/// every body byte, then end of input.
+fn read_v4<R: Read>(
+    r: &mut R,
+    head: &[u8; HEAD_LEN],
+    n: u64,
+    total: u64,
+    starts: &mut Vec<u64>,
+    ends: &mut Vec<u64>,
+) -> Result<(), ZsmilesError> {
+    let mut crc = Crc32::new();
+    crc.update(head);
+    // Where the next line starts when no gap is stored: one separator
+    // past the previous end.
+    let mut expected = 0u64;
+    for _ in 0..n {
+        let word = read_varint(r, &mut crc)?;
+        let gap = match word & 1 {
+            0 => 0,
+            _ => match read_varint(r, &mut crc)? {
+                0 => return Err(corrupt("zero gap stored")),
+                g => g,
+            },
+        };
+        let start = expected.checked_add(gap);
+        let end = start.and_then(|s| s.checked_add((word >> 1) + 1));
+        match (start, end) {
+            (Some(s), Some(e)) if e <= total => {
+                starts.push(s);
+                ends.push(e);
+                // Saturating is safe: a line that would start at
+                // `u64::MAX` can have no in-bounds end.
+                expected = e.saturating_add(1);
+            }
+            _ => return Err(corrupt("line range past the indexed bytes")),
+        }
+    }
+    let mut stored = [0u8; 4];
+    r.read_exact(&mut stored)?;
+    let stored = u32::from_le_bytes(stored);
+    let computed = crc.finish();
+    if stored != computed {
+        return Err(corrupt(format!(
+            "CRC mismatch: stored {stored:08x}, computed {computed:08x}"
+        )));
+    }
+    if r.read(&mut [0u8; 1])? != 0 {
+        return Err(corrupt("trailing bytes after the CRC"));
+    }
+    Ok(())
+}
+
+/// Version 3 body: one `(start, end)` pair of `u64`s per line.
+fn read_v3<R: Read>(
+    r: &mut R,
+    n: u64,
+    total: u64,
+    starts: &mut Vec<u64>,
+    ends: &mut Vec<u64>,
+) -> Result<(), ZsmilesError> {
+    let (mut s8, mut e8) = ([0u8; 8], [0u8; 8]);
+    for _ in 0..n {
+        r.read_exact(&mut s8)?;
+        r.read_exact(&mut e8)?;
+        let (s, e) = (u64::from_le_bytes(s8), u64::from_le_bytes(e8));
+        // Ranges are non-empty, in-bounds, and strictly ordered with at
+        // least one separator byte between lines; anything else would arm
+        // a reversed or out-of-bounds slice.
+        if s >= e || e > total || ends.last().is_some_and(|&p| s <= p) {
+            return Err(corrupt("offsets not monotonic"));
+        }
+        starts.push(s);
+        ends.push(e);
+    }
+    Ok(())
+}
+
+/// Version 1 and 2 bodies: starts only (v2 after a trailing-newline
+/// flag byte); ends are derived and held to the same rules as stored
+/// ones.
+fn read_legacy<R: Read>(
+    r: &mut R,
+    version: u8,
+    n: u64,
+    total: u64,
+    starts: &mut Vec<u64>,
+    ends: &mut Vec<u64>,
+) -> Result<(), ZsmilesError> {
+    let trailing_newline = if version == 2 {
+        let mut flag = [0u8; 1];
+        r.read_exact(&mut flag)?;
+        flag[0] != 0
+    } else {
+        true
+    };
+    let mut n8 = [0u8; 8];
+    for _ in 0..n {
+        r.read_exact(&mut n8)?;
+        let v = u64::from_le_bytes(n8);
+        // Strictly increasing and inside the buffer: equal consecutive
+        // starts would yield a reversed (or underflowing) line_range.
+        if starts.last().is_some_and(|&p| v <= p) || v >= total {
+            return Err(corrupt("offsets not monotonic"));
+        }
+        starts.push(v);
+    }
+    let last_end = total.checked_sub(u64::from(trailing_newline));
+    for (i, &s) in starts.iter().enumerate() {
+        let end = match starts.get(i + 1) {
+            Some(&next) => next.checked_sub(1),
+            None => last_end,
+        };
+        match end {
+            Some(e) if s < e && e <= total => ends.push(e),
+            _ => return Err(corrupt("derived line range is empty")),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -397,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn v3_sidecar_round_trips_trailing_newline_or_not() {
+    fn sidecar_round_trips_trailing_newline_or_not() {
         for buf in [b"CCO\nCC".as_slice(), b"CCO\nCC\n"] {
             let idx = LineIndex::build(buf);
             let mut raw = Vec::new();
@@ -441,6 +621,128 @@ mod tests {
         raw.extend_from_slice(&5u64.to_le_bytes());
         raw.extend_from_slice(&10u64.to_le_bytes());
         assert_eq!(LineIndex::read_from(raw.as_slice()).unwrap().len(), 2);
+    }
+
+    /// A v4 blob for `head` fields plus a raw body, signed with a
+    /// correct CRC.
+    fn v4_blob(n: u64, total: u64, body: &[u8]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        raw.extend_from_slice(MAGIC_V4);
+        raw.extend_from_slice(&n.to_le_bytes());
+        raw.extend_from_slice(&total.to_le_bytes());
+        raw.extend_from_slice(body);
+        let crc = textcomp::crc32::crc32(&raw);
+        raw.extend_from_slice(&crc.to_le_bytes());
+        raw
+    }
+
+    #[test]
+    fn v4_spends_one_byte_per_short_line() {
+        let buf = b"CCO\nCC\n";
+        let mut raw = Vec::new();
+        LineIndex::build(buf).write_to(&mut raw).unwrap();
+        // (len - 1) << 1 with no gap flag: 3 -> 4, 2 -> 2.
+        assert_eq!(raw, v4_blob(2, 7, &[4, 2]));
+        let back = LineIndex::read_from(raw.as_slice()).unwrap();
+        assert_eq!(back, LineIndex::build(buf));
+        assert_eq!(back.wire_version(), Some(4));
+        assert_eq!(LineIndex::build(buf).wire_version(), None);
+    }
+
+    #[test]
+    fn v4_stores_gaps_and_long_lines_in_multibyte_varints() {
+        // Leading blanks, a 200-byte gap, a 300-byte line, trailing blanks.
+        let mut buf = b"\n\nCCO".to_vec();
+        buf.extend([b'\n'; 201]);
+        buf.extend([b'C'; 300]);
+        buf.extend_from_slice(b"\nN\n\n\n");
+        let idx = LineIndex::build(&buf);
+        assert_eq!(idx.len(), 3);
+        let mut raw = Vec::new();
+        idx.write_to(&mut raw).unwrap();
+        // Line 0: len 3 at 2 -> word 5, gap 2. Line 1: len 300 at gap 200
+        // -> word 599 (two bytes), gap 200 (two bytes). Line 2: word 0.
+        let body = [5, 2, 0xD7, 0x04, 0xC8, 0x01, 0];
+        assert_eq!(raw, v4_blob(3, buf.len() as u64, &body));
+        let back = LineIndex::read_from(raw.as_slice()).unwrap();
+        assert_eq!(back, idx);
+        for i in 0..3 {
+            assert_eq!(back.line(&buf, i), idx.line(&buf, i));
+        }
+    }
+
+    #[test]
+    fn v4_rejects_bad_crc_trailing_bytes_and_truncation() {
+        let good = v4_blob(2, 7, &[4, 2]);
+        assert_eq!(LineIndex::read_from(good.as_slice()).unwrap().len(), 2);
+        let mut bad_crc = good.clone();
+        *bad_crc.last_mut().unwrap() ^= 1;
+        let err = LineIndex::read_from(bad_crc.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("CRC mismatch"), "{err}");
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(LineIndex::read_from(trailing.as_slice()).is_err());
+        for cut in 0..good.len() {
+            assert!(LineIndex::read_from(&good[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn v4_rejects_malformed_ranges_and_varints() {
+        let rejected = |n: u64, total: u64, body: &[u8]| {
+            LineIndex::read_from(v4_blob(n, total, body).as_slice()).is_err()
+        };
+        assert!(rejected(1, 3, &[6]), "len 4 ends past total 3");
+        assert!(rejected(1, 10, &[1, 0]), "a flagged gap of zero");
+        assert!(rejected(1, 10, &[0x84, 0x00]), "overlong varint");
+        assert!(rejected(1, u64::MAX, &[0xFF; 10]), "varint past 64 bits");
+        // An end and a start past u64::MAX: checked adds, not wrapped
+        // ranges. `max` is the varint of u64::MAX; `half` that of a
+        // 2^63-byte line without a gap.
+        let max = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        let half = [0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        let body = [&[1][..], &max].concat();
+        assert!(rejected(1, u64::MAX, &body), "gap u64::MAX, then a byte");
+        let body = [&half[..], &[1], &max].concat();
+        assert!(rejected(2, u64::MAX, &body), "second start past u64::MAX");
+        let body = [&half[..], &[1, 5]].concat();
+        assert!(!rejected(2, u64::MAX, &body), "both lines fit");
+        // A count larger than the lines present is a truncation.
+        assert!(rejected(3, 7, &[4, 2]));
+        assert!(!rejected(2, 7, &[4, 2]));
+    }
+
+    #[test]
+    fn legacy_derived_ranges_must_be_non_empty_and_in_bounds() {
+        // Regression: a v1/v2 index with count 1, total 0 and start 0
+        // derived its end as `0 - 1` — a subtraction overflow in debug
+        // builds and `0..usize::MAX` in release.
+        let legacy = |magic: &[u8; 8], total: u64, flag: Option<u8>, starts: &[u64]| {
+            let mut raw = magic.to_vec();
+            raw.extend_from_slice(&(starts.len() as u64).to_le_bytes());
+            raw.extend_from_slice(&total.to_le_bytes());
+            raw.extend(flag);
+            for s in starts {
+                raw.extend_from_slice(&s.to_le_bytes());
+            }
+            LineIndex::read_from(raw.as_slice())
+        };
+        assert!(legacy(MAGIC_V1, 0, None, &[0]).is_err());
+        assert!(legacy(MAGIC_V2, 0, Some(1), &[0]).is_err());
+        // Consecutive starts one byte apart derive an empty first line.
+        assert!(legacy(MAGIC_V2, 10, Some(1), &[3, 4]).is_err());
+        assert!(legacy(MAGIC_V1, 10, None, &[3, 4]).is_err());
+        // A final start on the trailing newline derives an empty last line.
+        assert!(legacy(MAGIC_V2, 5, Some(1), &[0, 4]).is_err());
+        // The same shapes one byte wider are fine.
+        assert_eq!(
+            legacy(MAGIC_V2, 1, Some(0), &[0]).unwrap().line_range(0),
+            0..1
+        );
+        assert_eq!(
+            legacy(MAGIC_V1, 10, None, &[3, 5]).unwrap().line_range(0),
+            3..4
+        );
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! out-of-core redesign of the read path:
 //!
 //! 1. **Open** reads the fixed-size footer and header, then the embedded
-//!    dictionary and the line index — a few hundred kilobytes for a
-//!    multi-gigabyte archive. The payload is *never* loaded wholesale.
+//!    dictionary and the line index. On disk the index costs about one
+//!    byte per line (wire version 4), so opening a 100M-line archive
+//!    reads ~100 MB of metadata; held in memory it is two `u64`s per line,
+//!    16 bytes, so that same archive needs 1.6 GB of RAM before the first
+//!    `get`. The payload is *never* loaded wholesale.
 //! 2. **`get(line)`** issues one positioned read for that line's exact
 //!    byte range (the [`crate::index::LineIndex`] stores exact ends) into
 //!    a stack buffer and decodes it into an exactly sized result — one
@@ -60,6 +63,7 @@ pub struct ArchiveReader<S: ArchiveSource> {
     index: LineIndex,
     payload_start: u64,
     payload_len: u64,
+    index_len: u64,
     metadata_bytes: u64,
     stored_crc: u32,
 }
@@ -126,6 +130,7 @@ impl<S: ArchiveSource> ArchiveReader<S> {
             index,
             payload_start: layout.payload_start,
             payload_len: layout.payload_len,
+            index_len: layout.index_len,
             metadata_bytes: (HEADER_LEN + FOOTER_LEN) as u64 + layout.dict_len + layout.index_len,
             stored_crc: layout.stored_crc,
         })
@@ -159,6 +164,12 @@ impl<S: ArchiveSource> ArchiveReader<S> {
     /// source).
     pub fn payload_bytes(&self) -> u64 {
         self.payload_len
+    }
+
+    /// Size in bytes of the stored line index section (its wire version
+    /// is [`LineIndex::wire_version`] on [`ArchiveReader::index`]).
+    pub fn index_bytes(&self) -> u64 {
+        self.index_len
     }
 
     /// Bytes of metadata (header, footer, dictionary, index) a reader
@@ -629,6 +640,10 @@ mod tests {
         let total_at = index_start + 16;
         let total = u64::from_le_bytes(blob[total_at..total_at + 8].try_into().unwrap());
         blob[total_at..total_at + 8].copy_from_slice(&(total + 50).to_le_bytes());
+        // The index carries its own CRC in its last four bytes; an honest
+        // writer signs the index it meant to write.
+        let index_crc = textcomp::crc32::crc32(&blob[index_start..footer - 4]);
+        blob[footer - 4..footer].copy_from_slice(&index_crc.to_le_bytes());
         let crc_at = blob.len() - 12;
         let crc = textcomp::crc32::crc32(&blob[..crc_at]);
         blob[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
