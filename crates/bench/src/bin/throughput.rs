@@ -1,9 +1,9 @@
 //! Throughput harness: the recorded trajectory every perf PR appends to.
 //!
 //! Times the paper's Fig. 3 fast path end to end on a seeded molgen deck —
-//! serial encode through *all three* matchers (the byte-class
-//! `CompactAutomaton` hot path — per-line and through the fused batched
-//! DP — the flat `DenseAutomaton`, and the node-`Trie` reference,
+//! serial encode through *all three* matchers (the right-to-left
+//! `ReverseAutomaton` kernel — per line and through the buffer loop —
+//! the flat `DenseAutomaton`, and the node-`Trie` reference,
 //! measured in the same run so every speedup is an observation, not a
 //! claim — on the base *and* wide flavours), worker-pool parallel encode
 //! and decode, serial decode,
@@ -156,21 +156,21 @@ fn main() {
     .expect("training the wide dictionary");
 
     // ---- identity assertions the measurements rely on --------------------
-    // The default encoder is the compact automaton through the fused
-    // batched DP; pin its bytes against the dense automaton and the node
-    // trie in this run, so the speedup rows below compare identical work.
+    // The default encoder is the reverse automaton; pin its bytes against
+    // the dense automaton and the node trie in this run, so the speedup
+    // rows below compare identical work.
     let mut z_enc = Vec::new();
     let stats = Compressor::new(&dict).compress_buffer(&input, &mut z_enc);
     let mut z_dense = Vec::new();
     Compressor::new(&dict)
         .with_matcher(MatcherKind::DenseAutomaton)
         .compress_buffer(&input, &mut z_dense);
-    assert_eq!(z_enc, z_dense, "compact automaton ≠ dense automaton output");
+    assert_eq!(z_enc, z_dense, "reverse automaton ≠ dense automaton output");
     let mut z_node = Vec::new();
     Compressor::new(&dict)
         .with_matcher(MatcherKind::NodeTrie)
         .compress_buffer(&input, &mut z_node);
-    assert_eq!(z_enc, z_node, "compact automaton ≠ node trie output");
+    assert_eq!(z_enc, z_node, "reverse automaton ≠ node trie output");
 
     let any = AnyDictionary::Base(Box::new(dict.clone()));
     let (z_par, _) = compress_parallel_dyn(&any, &input, o.threads);
@@ -188,7 +188,7 @@ fn main() {
     let (zw_par, _) = compress_parallel_dyn(&any_wide, &input, o.threads);
     assert_eq!(zw_par, zw_serial, "parallel ≠ serial (wide)");
 
-    // The wide flavour walks its own compact automaton now; the dense
+    // The wide flavour runs its own reverse automaton; the dense
     // automaton and the node trie stay the references it is pinned
     // against.
     for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
@@ -199,7 +199,7 @@ fn main() {
         WideCompressor::new(w)
             .with_matcher(kind)
             .compress_buffer(&input, &mut zw_other);
-        assert_eq!(zw_other, zw_serial, "wide compact automaton ≠ {kind:?}");
+        assert_eq!(zw_other, zw_serial, "wide reverse automaton ≠ {kind:?}");
     }
 
     let mut back = Vec::new();
@@ -222,10 +222,9 @@ fn main() {
             .with_matcher(MatcherKind::DenseAutomaton)
             .compress_buffer(&input, &mut out_buf);
     });
-    // The compact matcher through the one-line entry point — same table,
-    // fusion off — so the batched DP's own contribution is a measured
-    // delta, not folded into the layout's.
-    let enc_compact_lines = time_best(o.reps, || {
+    // The reverse automaton through the one-line entry point, beside the
+    // buffer loop below, so the loop's own cost is a measured delta.
+    let enc_reverse_lines = time_best(o.reps, || {
         out_buf.clear();
         let mut c = Compressor::new(&dict);
         for line in input.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
@@ -233,7 +232,8 @@ fn main() {
             out_buf.push(b'\n');
         }
     });
-    // The production default: compact matcher + fused batched DP.
+    // The production default: the reverse automaton through the buffer
+    // loop.
     let enc_batched = time_best(o.reps, || {
         out_buf.clear();
         Compressor::new(&dict).compress_buffer(&input, &mut out_buf);
@@ -675,7 +675,7 @@ fn main() {
 
     let r_node = rate(payload, o.lines, enc_node);
     let r_dense = rate(payload, o.lines, enc_dense);
-    let r_compact = rate(payload, o.lines, enc_compact_lines);
+    let r_reverse = rate(payload, o.lines, enc_reverse_lines);
     let r_batched = rate(payload, o.lines, enc_batched);
     let r_par = rate(payload, o.lines, enc_par);
     let r_wide_node = rate(payload, o.lines, wide_enc_node);
@@ -690,12 +690,12 @@ fn main() {
     let mmap_get_ns = mmap_get_secs * 1e9 / o.gets.max(1) as f64;
     let cached_get_ns = cached_get_secs * 1e9 / o.gets.max(1) as f64;
     let speedup = enc_node / enc_batched;
-    let compact_vs_dense = enc_dense / enc_batched;
+    let reverse_vs_dense = enc_dense / enc_batched;
     let wide_speedup = wide_enc_node / wide_enc_batched;
 
     let json = format!
     (
-        "{{\n  \"bench\": \"throughput\",\n  \"pr\": 10,\n  \"deck\": \"mixed\",\n  \"lines\": {},\n  \"seed\": {},\n  \"payload_bytes\": {},\n  \"compressed_bytes\": {},\n  \"ratio\": {:.4},\n  \"threads\": {},\n  \"reps\": {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n  \"parallel_pack_threads\": {},\n  \"shard_lines\": {},\n  \"random_access_get\": {{ \"ns_per_op\": {:.1}, \"ops\": {} }},\n  \"mmap_random_get\": {{ \"ns_per_op\": {:.1}, \"ops\": {}, \"bytes_mapped\": {} }},\n  \"cached_random_get\": {{ \"ns_per_op\": {:.1}, \"ops\": {}, \"hits\": {}, \"misses\": {}, \"pool_hit_rate\": {:.4} }},\n  \"concurrent_serve\": [\n{}\n  ],\n  \"served_degraded\": {{ \"healthy_ops_per_s\": {:.0}, \"degraded_ops_per_s\": {:.0}, \"overhead\": {:.3}, \"survivor_ops\": {} }},\n  \"encode_speedup_compact_vs_node_trie\": {:.3},\n  \"encode_speedup_compact_vs_dense\": {:.3},\n  \"wide_encode_speedup_compact_vs_node_trie\": {:.3},\n  \"dict_fitting\": {{ \"ratio_default_dict\": {:.4}, \"ratio_trained_dict\": {:.4}, \"train_sample_lines\": {}, \"train_secs\": {:.3} }}\n}}\n",
+        "{{\n  \"bench\": \"throughput\",\n  \"pr\": 10,\n  \"deck\": \"mixed\",\n  \"lines\": {},\n  \"seed\": {},\n  \"payload_bytes\": {},\n  \"compressed_bytes\": {},\n  \"ratio\": {:.4},\n  \"threads\": {},\n  \"reps\": {},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n  \"parallel_pack_threads\": {},\n  \"shard_lines\": {},\n  \"random_access_get\": {{ \"ns_per_op\": {:.1}, \"ops\": {} }},\n  \"mmap_random_get\": {{ \"ns_per_op\": {:.1}, \"ops\": {}, \"bytes_mapped\": {} }},\n  \"cached_random_get\": {{ \"ns_per_op\": {:.1}, \"ops\": {}, \"hits\": {}, \"misses\": {}, \"pool_hit_rate\": {:.4} }},\n  \"concurrent_serve\": [\n{}\n  ],\n  \"served_degraded\": {{ \"healthy_ops_per_s\": {:.0}, \"degraded_ops_per_s\": {:.0}, \"overhead\": {:.3}, \"survivor_ops\": {} }},\n  \"encode_speedup_reverse_vs_node_trie\": {:.3},\n  \"encode_speedup_reverse_vs_dense\": {:.3},\n  \"wide_encode_speedup_reverse_vs_node_trie\": {:.3},\n  \"dict_fitting\": {{ \"ratio_default_dict\": {:.4}, \"ratio_trained_dict\": {:.4}, \"train_sample_lines\": {}, \"train_secs\": {:.3} }}\n}}\n",
         o.lines,
         o.seed,
         payload,
@@ -705,13 +705,13 @@ fn main() {
         o.reps,
         json_rate("serial_encode_node_trie", &r_node),
         json_rate("serial_encode_dense", &r_dense),
-        json_rate("serial_encode_compact", &r_compact),
+        json_rate("serial_encode_reverse", &r_reverse),
         json_rate("batched_encode", &r_batched),
         json_rate("serial_encode", &r_batched),
         json_rate("parallel_encode", &r_par),
         json_rate("wide_serial_encode_node_trie", &r_wide_node),
         json_rate("wide_serial_encode_dense", &r_wide_dense),
-        json_rate("wide_serial_encode_compact", &r_wide_batched),
+        json_rate("wide_serial_encode_reverse", &r_wide_batched),
         json_rate("wide_serial_encode", &r_wide_batched),
         json_rate("serial_decode", &r_dec),
         json_rate("parallel_decode", &r_dec_par),
@@ -737,7 +737,7 @@ fn main() {
         degraded_overhead,
         survivors.len(),
         speedup,
-        compact_vs_dense,
+        reverse_vs_dense,
         wide_speedup,
         default_stats.ratio(),
         trained_stats.ratio(),
@@ -747,9 +747,9 @@ fn main() {
     std::fs::write(&o.out, &json).expect("writing the result file");
     print!("{json}");
     eprintln!(
-        "encode {:.1} MB/s batched-compact (per-line compact {:.1}, dense {:.1}, node trie {:.1}; {:.2}x vs node, {:.2}x vs dense), wide {:.1} MB/s ({:.2}x), parallel {:.1} MB/s; decode {:.1} MB/s; pack {:.1} MB/s single / {:.1} MB/s sharded / {:.1} MB/s sharded-parallel; get {:.0} ns/op file, {:.0} ns/op mmap, {:.0} ns/op cached ({:.1}% pool hits); ratio default {:.4} vs trained {:.4} -> {}",
-        r_batched.mb_per_s, r_compact.mb_per_s, r_dense.mb_per_s, r_node.mb_per_s, speedup,
-        compact_vs_dense, r_wide_batched.mb_per_s, wide_speedup,
+        "encode {:.1} MB/s reverse buffer loop (per-line reverse {:.1}, dense {:.1}, node trie {:.1}; {:.2}x vs node, {:.2}x vs dense), wide {:.1} MB/s ({:.2}x), parallel {:.1} MB/s; decode {:.1} MB/s; pack {:.1} MB/s single / {:.1} MB/s sharded / {:.1} MB/s sharded-parallel; get {:.0} ns/op file, {:.0} ns/op mmap, {:.0} ns/op cached ({:.1}% pool hits); ratio default {:.4} vs trained {:.4} -> {}",
+        r_batched.mb_per_s, r_reverse.mb_per_s, r_dense.mb_per_s, r_node.mb_per_s, speedup,
+        reverse_vs_dense, r_wide_batched.mb_per_s, wide_speedup,
         r_par.mb_per_s, r_dec.mb_per_s, r_pack_single.mb_per_s, r_pack_sharded.mb_per_s,
         r_pack_sharded_par.mb_per_s, get_ns, mmap_get_ns, cached_get_ns, cache_hit_rate * 100.0,
         default_stats.ratio(), trained_stats.ratio(), o.out
@@ -767,9 +767,9 @@ fn main() {
         survivors.len()
     );
     if speedup < 1.5 {
-        eprintln!("WARNING: compact-automaton speedup vs node trie below the 1.5x floor");
+        eprintln!("WARNING: reverse-automaton speedup vs node trie below the 1.5x floor");
     }
-    if compact_vs_dense < 1.0 {
-        eprintln!("WARNING: batched compact encode slower than the dense automaton");
+    if reverse_vs_dense < 1.0 {
+        eprintln!("WARNING: reverse-automaton encode slower than the dense automaton");
     }
 }

@@ -1,14 +1,22 @@
-//! CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+//! CRC-32 (IEEE 802.3 polynomial, reflected), table-driven,
+//! slicing-by-8.
 //!
 //! Used by the bzip-like container to detect corrupted blocks, the same job
-//! bzip2's per-block CRC does.
+//! bzip2's per-block CRC does, and by the zsmiles containers and index.
+//!
+//! The bytewise loop folds one byte per table lookup, and each lookup
+//! waits on the one before. Slicing-by-8 folds eight bytes per step:
+//! table `k` advances a byte's contribution past `k` further zero bytes,
+//! so the eight lookups of a step are independent and only their XOR
+//! feeds the next step. The tail of fewer than eight bytes takes the
+//! bytewise loop.
 
 const POLY: u32 = 0xEDB8_8320;
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -17,10 +25,47 @@ const fn build_table() -> [u32; 256] {
             c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Fold `data` into the register one byte per lookup.
+fn update_bytewise(mut c: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Fold `data` into the register eight bytes per step.
+fn update_sliced(mut c: u32, data: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    update_bytewise(c, chunks.remainder())
 }
 
 /// Streaming CRC-32.
@@ -41,11 +86,7 @@ impl Crc32 {
     }
 
     pub fn update(&mut self, data: &[u8]) {
-        let mut c = self.state;
-        for &b in data {
-            c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state = update_sliced(self.state, data);
     }
 
     pub fn finish(self) -> u32 {
@@ -179,6 +220,73 @@ mod tests {
             crc32_combine(crc32(a), crc32(&zeros), zeros.len() as u64),
             crc32(&with_zeros)
         );
+    }
+
+    /// A deterministic xorshift byte stream.
+    fn noise(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    fn bytewise(data: &[u8]) -> u32 {
+        update_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_equals_bytewise_at_every_short_length() {
+        let data = noise(7, 64);
+        for len in 0..=64 {
+            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn sliced_equals_bytewise_on_random_buffers_at_random_alignments() {
+        let data = noise(11, 1 << 14);
+        let picks = noise(13, 400);
+        for p in picks.chunks_exact(4) {
+            let start = (p[0] as usize) % 64;
+            let len = (u16::from_le_bytes([p[1], p[2]]) as usize) % (data.len() - start);
+            let buf = &data[start..start + len];
+            assert_eq!(crc32(buf), bytewise(buf), "start {start} len {len}");
+        }
+    }
+
+    #[test]
+    fn streaming_at_random_split_points_equals_oneshot() {
+        let data = noise(17, 5000);
+        let splits = noise(19, 300);
+        for round in splits.chunks_exact(3) {
+            let mut c = Crc32::new();
+            let mut at = 0;
+            for &step in round {
+                let to = (at + step as usize * 7).min(data.len());
+                c.update(&data[at..to]);
+                at = to;
+            }
+            c.update(&data[at..]);
+            assert_eq!(c.finish(), bytewise(&data), "splits {round:?}");
+        }
+    }
+
+    #[test]
+    fn combine_agrees_with_bytewise_at_random_cuts() {
+        let data = noise(23, 3000);
+        for cut in noise(29, 50).iter().map(|&b| b as usize * 11) {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                bytewise(&data),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

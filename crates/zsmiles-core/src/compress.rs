@@ -4,20 +4,19 @@
 use crate::dict::Dictionary;
 use crate::engine::{LineEncoder, PreprocessStage};
 use crate::sp::{self, encode_line, SpAlgorithm, SpScratch};
-use crate::trie::CompactLayout;
 
 /// Which pattern-matching structure the encoder walks. All three produce
-/// byte-identical output; the byte-class compressed automaton is the
-/// default hot path, and the dense automaton and node trie remain
-/// selectable so the throughput harness can measure all of them in one
-/// run.
+/// byte-identical output; the reverse automaton is the production kernel,
+/// and the dense automaton and node trie remain selectable as the
+/// reference engines the throughput harness measures it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MatcherKind {
-    /// Byte-class compressed interleaved rows
-    /// ([`crate::trie::CompactAutomaton`]) — also unlocks the fused
-    /// batched DP ([`crate::sp::encode_lines_batched`]).
+    /// The right-to-left Aho–Corasick kernel
+    /// ([`crate::trie::ReverseAutomaton`]): one transition and one
+    /// 16-lane minimum per byte. With [`SpAlgorithm::Dijkstra`] the
+    /// reference Dijkstra runs over the dense automaton instead.
     #[default]
-    Compact,
+    ReverseAutomaton,
     /// Flat `state × 256` tables ([`crate::trie::DenseAutomaton`]).
     DenseAutomaton,
     /// The pointer-linked build-time [`crate::trie::Trie`].
@@ -66,9 +65,6 @@ pub struct Compressor<'d> {
     /// ratio but is never incorrect, so it is a tunable, not an invariant.
     preprocess: PreprocessStage,
     scratch: SpScratch,
-    /// Arena one batched group is preprocessed into
-    /// ([`PreprocessStage::apply_batch`]).
-    batch_buf: Vec<u8>,
 }
 
 impl<'d> Compressor<'d> {
@@ -79,7 +75,6 @@ impl<'d> Compressor<'d> {
             matcher: MatcherKind::default(),
             preprocess: PreprocessStage::new(dict.preprocessed()),
             scratch: SpScratch::new(),
-            batch_buf: Vec::new(),
         }
     }
 
@@ -106,20 +101,16 @@ impl<'d> Compressor<'d> {
     /// Returns `(bytes_written, preprocess_failed)`.
     pub fn compress_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
         let (src, failed) = self.preprocess.apply(line);
-        let n = match self.matcher {
-            MatcherKind::Compact => match self.dict.compact().view() {
-                CompactLayout::Narrow(v) => encode_line(&v, src, self.algo, &mut self.scratch, out),
-                CompactLayout::Wide(v) => encode_line(&v, src, self.algo, &mut self.scratch, out),
-            },
-            MatcherKind::DenseAutomaton => encode_line(
-                self.dict.automaton(),
-                src,
-                self.algo,
-                &mut self.scratch,
-                out,
-            ),
-            MatcherKind::NodeTrie => {
-                encode_line(self.dict.trie(), src, self.algo, &mut self.scratch, out)
+        let n = match (self.matcher, self.algo) {
+            (MatcherKind::ReverseAutomaton, SpAlgorithm::BackwardDp) => {
+                sp::reverse_dp(self.dict.reverse_automaton(), src, &mut self.scratch);
+                sp::emit(src, &self.scratch, out, |code, out| out.push(code as u8))
+            }
+            (MatcherKind::ReverseAutomaton | MatcherKind::DenseAutomaton, algo) => {
+                encode_line(self.dict.automaton(), src, algo, &mut self.scratch, out)
+            }
+            (MatcherKind::NodeTrie, algo) => {
+                encode_line(self.dict.trie(), src, algo, &mut self.scratch, out)
             }
         };
         (n, failed)
@@ -136,33 +127,6 @@ impl<'d> Compressor<'d> {
 impl LineEncoder for Compressor<'_> {
     fn encode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
         self.compress_line(line, out)
-    }
-
-    /// The fused batched path: compact matcher + backward DP run the whole
-    /// group through [`sp::encode_lines_batched`]; other configurations
-    /// fall back to the per-line loop. Both are byte-identical.
-    fn encode_lines(&mut self, lines: &[&[u8]], out: &mut Vec<u8>) -> CompressStats {
-        if self.matcher != MatcherKind::Compact || self.algo != SpAlgorithm::BackwardDp {
-            return crate::engine::encode_lines_serial(self, lines, out);
-        }
-        let mut stats = CompressStats::default();
-        for chunk in lines.chunks(sp::BATCH_LINES) {
-            let mut srcs: [&[u8]; sp::BATCH_LINES] = [b""; sp::BATCH_LINES];
-            stats.preprocess_failures +=
-                self.preprocess
-                    .apply_batch(chunk, &mut self.batch_buf, &mut srcs);
-            stats.lines += chunk.len();
-            stats.in_bytes += chunk.iter().map(|l| l.len()).sum::<usize>();
-            stats.out_bytes += match self.dict.compact().view() {
-                CompactLayout::Narrow(v) => {
-                    sp::encode_lines_batched(&v, &srcs[..chunk.len()], &mut self.scratch, out)
-                }
-                CompactLayout::Wide(v) => {
-                    sp::encode_lines_batched(&v, &srcs[..chunk.len()], &mut self.scratch, out)
-                }
-            };
-        }
-        stats
     }
 }
 

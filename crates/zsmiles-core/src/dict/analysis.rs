@@ -217,9 +217,10 @@ pub fn dict_stats(dict: &AnyDictionary) -> DictStats {
 /// --dict-stats` layout comparison.
 #[derive(Debug, Clone)]
 pub struct MatcherLayoutStats {
-    /// Layout name: `"dense"` or `"compact(u16)"` / `"compact(u32)"`.
+    /// Layout name: `"dense"` (the reference) or `"reverse"` (the
+    /// encoder's kernel).
     pub name: &'static str,
-    /// Compiled automaton states (including the dead and root states).
+    /// Compiled automaton states (the dense layout counts its dead state).
     pub states: usize,
     /// Transition-row width in byte classes (256 for the dense layout).
     pub classes: usize,
@@ -228,8 +229,7 @@ pub struct MatcherLayoutStats {
 }
 
 impl MatcherLayoutStats {
-    /// Average footprint per state — the number the byte-class layout
-    /// exists to shrink.
+    /// Average footprint per state.
     pub fn bytes_per_state(&self) -> f64 {
         if self.states == 0 {
             0.0
@@ -239,46 +239,39 @@ impl MatcherLayoutStats {
     }
 }
 
-/// Compile-and-measure both matcher layouts (dense vs byte-class
-/// compact) for either dictionary flavour.
+/// Compile-and-measure both matcher layouts (the dense reference and the
+/// reverse automaton the encoder runs) for either dictionary flavour.
 pub fn matcher_layouts(dict: &AnyDictionary) -> Vec<MatcherLayoutStats> {
-    fn rows<BC>(
-        dense_states: usize,
-        dense_bytes: usize,
-        compact: &crate::trie::CompactAutomaton<BC>,
-    ) -> Vec<MatcherLayoutStats>
-    where
-        BC: crate::trie::CodePayload,
-    {
-        vec![
-            MatcherLayoutStats {
-                name: "dense",
-                states: dense_states,
-                classes: 256,
-                memory_bytes: dense_bytes,
-            },
-            MatcherLayoutStats {
-                name: if compact.is_narrow() {
-                    "compact(u16)"
-                } else {
-                    "compact(u32)"
-                },
-                states: compact.states(),
-                classes: compact.class_count(),
-                memory_bytes: compact.memory_bytes(),
-            },
-        ]
-    }
-    match dict {
+    let ((ds, db), (rs, rc, rb)) = match dict {
         AnyDictionary::Base(d) => {
-            let a = d.automaton();
-            rows(a.states(), a.memory_bytes(), d.compact())
+            let (a, r) = (d.automaton(), d.reverse_automaton());
+            (
+                (a.states(), a.memory_bytes()),
+                (r.states(), r.class_count(), r.memory_bytes()),
+            )
         }
         AnyDictionary::Wide(d) => {
-            let a = d.automaton();
-            rows(a.states(), a.memory_bytes(), d.compact())
+            let (a, r) = (d.automaton(), d.reverse_automaton());
+            (
+                (a.states(), a.memory_bytes()),
+                (r.states(), r.class_count(), r.memory_bytes()),
+            )
         }
-    }
+    };
+    vec![
+        MatcherLayoutStats {
+            name: "dense",
+            states: ds,
+            classes: 256,
+            memory_bytes: db,
+        },
+        MatcherLayoutStats {
+            name: "reverse",
+            states: rs,
+            classes: rc,
+            memory_bytes: rb,
+        },
+    ]
 }
 
 /// Per-symbol hit coverage of either dictionary flavour over a sample

@@ -14,7 +14,7 @@ pub mod format;
 use crate::codec::{code_space, is_code_byte, Prepopulation};
 use crate::decompress::DecodeTable;
 use crate::error::ZsmilesError;
-use crate::trie::{CompactAutomaton, DenseAutomaton, Trie};
+use crate::trie::{DenseAutomaton, ReverseAutomaton, Trie};
 
 /// Longest pattern length the format supports. Bounded so the trie and the
 /// GPU kernels can use fixed-size scratch; the paper's sweeps stop at 16.
@@ -34,15 +34,15 @@ pub struct Dictionary {
     /// compressed with this dictionary should do the same.
     preprocessed: bool,
     trie: Trie,
-    /// The flat table-driven matcher the encode hot path walks, compiled
-    /// from `trie` on first use. Lazy (and shared across clones) because
-    /// its tables run to a few MiB and decode-only paths — `unpack`, the
-    /// out-of-core reader — never walk it.
+    /// The flat reference matcher, compiled from `trie` on first use.
+    /// Lazy (and shared across clones) because its tables run to a few
+    /// MiB and decode-only paths — `unpack`, the out-of-core reader —
+    /// never walk it.
     automaton: std::sync::Arc<std::sync::OnceLock<DenseAutomaton>>,
-    /// The byte-class compressed matcher the encode hot path walks by
-    /// default ([`crate::MatcherKind::Compact`]); lazy and shared across
+    /// The matcher the encoder runs
+    /// ([`crate::MatcherKind::ReverseAutomaton`]); lazy and shared across
     /// clones like `automaton`.
-    compact: std::sync::Arc<std::sync::OnceLock<CompactAutomaton>>,
+    reverse: std::sync::Arc<std::sync::OnceLock<ReverseAutomaton>>,
     /// `decode.expansion(code)` = the pattern this code expands to: the
     /// fixed-slot table the decode hot path reads (4.25 KiB; built
     /// eagerly) is also the dictionary's only copy of its entries.
@@ -127,7 +127,7 @@ impl Dictionary {
             preprocessed,
             trie,
             automaton: std::sync::Arc::new(std::sync::OnceLock::new()),
-            compact: std::sync::Arc::new(std::sync::OnceLock::new()),
+            reverse: std::sync::Arc::new(std::sync::OnceLock::new()),
             decode,
         })
     }
@@ -167,22 +167,20 @@ impl Dictionary {
         &self.trie
     }
 
-    /// The flat table-driven matcher the encode hot path walks — compiled
-    /// from [`Dictionary::trie`] on first call (then cached, shared by
-    /// clones), byte-identical matches, branch-light loads (see
-    /// [`DenseAutomaton`] for the layout trade-off).
+    /// The flat reference matcher — compiled from [`Dictionary::trie`] on
+    /// first call (then cached, shared by clones), byte-identical matches
+    /// (see [`DenseAutomaton`] for the layout trade-off).
     pub fn automaton(&self) -> &DenseAutomaton {
         self.automaton
             .get_or_init(|| DenseAutomaton::compile(&self.trie))
     }
 
-    /// The byte-class compressed matcher the encode hot path walks by
-    /// default — compiled from [`Dictionary::trie`] on first call (then
-    /// cached, shared by clones). Byte-identical matches to the trie and
-    /// [`Dictionary::automaton`]; see [`CompactAutomaton`] for the layout.
-    pub fn compact(&self) -> &CompactAutomaton {
-        self.compact
-            .get_or_init(|| CompactAutomaton::compile(&self.trie))
+    /// The matcher the encoder runs — compiled from [`Dictionary::trie`]
+    /// on first call (then cached, shared by clones); see
+    /// [`ReverseAutomaton`].
+    pub fn reverse_automaton(&self) -> &ReverseAutomaton {
+        self.reverse
+            .get_or_init(|| ReverseAutomaton::compile(&self.trie))
     }
 
     /// The fixed-slot expansion table shared by every

@@ -51,36 +51,6 @@ pub trait LineEncoder {
     /// Compress one line (no newline), appending code bytes to `out`.
     /// Returns `(bytes_written, preprocess_failed)`.
     fn encode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool);
-
-    /// Compress a batch of lines (no newlines; callers filter blanks),
-    /// appending each line's code bytes followed by a [`LINE_SEP`] —
-    /// byte-identical to the per-line loop. The default delegates to
-    /// [`LineEncoder::encode_line`]; compressors with a fused batched DP
-    /// ([`crate::sp::encode_lines_batched`]) override it, which is how the
-    /// batching reaches every buffer path — serial, parallel span loops,
-    /// archive and sharded writers — through one object-safe method.
-    fn encode_lines(&mut self, lines: &[&[u8]], out: &mut Vec<u8>) -> CompressStats {
-        encode_lines_serial(self, lines, out)
-    }
-}
-
-/// The per-line fallback body of [`LineEncoder::encode_lines`], callable
-/// from overrides that only batch some configurations.
-pub fn encode_lines_serial<E: LineEncoder + ?Sized>(
-    enc: &mut E,
-    lines: &[&[u8]],
-    out: &mut Vec<u8>,
-) -> CompressStats {
-    let mut stats = CompressStats::default();
-    for &line in lines {
-        let (n, failed) = enc.encode_line(line, out);
-        out.push(LINE_SEP);
-        stats.lines += 1;
-        stats.in_bytes += line.len();
-        stats.out_bytes += n;
-        stats.preprocess_failures += failed as usize;
-    }
-    stats
 }
 
 /// A stateful per-line decompressor.
@@ -210,40 +180,6 @@ impl PreprocessStage {
             Err(_) => (line, true),
         }
     }
-
-    /// Stage one batched group (at most [`crate::sp::BATCH_LINES`] lines)
-    /// for encoding: fills `srcs[..lines.len()]` with the bytes to encode
-    /// per line and returns how many lines failed preprocessing. With the
-    /// stage on, every line is preprocessed straight into `arena` (the
-    /// raw line where that fails); with it off, `srcs` borrows `lines`.
-    pub fn apply_batch<'a>(
-        &mut self,
-        lines: &[&'a [u8]],
-        arena: &'a mut Vec<u8>,
-        srcs: &mut [&'a [u8]],
-    ) -> usize {
-        if !self.on {
-            srcs[..lines.len()].copy_from_slice(lines);
-            return 0;
-        }
-        arena.clear();
-        let ends = &mut [0usize; crate::sp::BATCH_LINES][..lines.len()];
-        let mut failures = 0;
-        for (end, &line) in ends.iter_mut().zip(lines) {
-            if self.pp.preprocess_into(line, arena).is_err() {
-                arena.extend_from_slice(line);
-                failures += 1;
-            }
-            *end = arena.len();
-        }
-        let arena: &'a [u8] = arena;
-        let mut start = 0;
-        for (src, &end) in srcs.iter_mut().zip(ends.iter()) {
-            *src = &arena[start..end];
-            start = end;
-        }
-        failures
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,30 +188,23 @@ impl PreprocessStage {
 
 /// Compress a newline-separated buffer line by line, preserving line count
 /// and order — the random-access property. Shared by both code widths.
-/// Non-empty lines are handed to the encoder in groups of
-/// [`crate::sp::BATCH_LINES`] so batching encoders interleave their DPs;
-/// the output is byte-identical to the per-line loop either way.
+/// Blank lines are skipped.
 pub fn encode_buffer<E: LineEncoder + ?Sized>(
     enc: &mut E,
     input: &[u8],
     out: &mut Vec<u8>,
 ) -> CompressStats {
     let mut stats = CompressStats::default();
-    let mut batch: [&[u8]; crate::sp::BATCH_LINES] = [b""; crate::sp::BATCH_LINES];
-    let mut filled = 0;
     for line in input.split(|&b| b == LINE_SEP) {
         if line.is_empty() {
             continue;
         }
-        batch[filled] = line;
-        filled += 1;
-        if filled == batch.len() {
-            stats.merge(&enc.encode_lines(&batch, out));
-            filled = 0;
-        }
-    }
-    if filled > 0 {
-        stats.merge(&enc.encode_lines(&batch[..filled], out));
+        let (n, failed) = enc.encode_line(line, out);
+        out.push(LINE_SEP);
+        stats.lines += 1;
+        stats.in_bytes += line.len();
+        stats.out_bytes += n;
+        stats.preprocess_failures += failed as usize;
     }
     stats
 }

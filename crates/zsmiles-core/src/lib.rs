@@ -187,9 +187,6 @@ pub use train::{
     BaseBuilder, FsstBuilder, Selection, SmazBuilder, TrainCorpus, TrainOptions, TrainedModel,
     WideBuilder,
 };
-pub use trie::{
-    CellWord, CodePayload, CompactAutomaton, CompactLayout, CompactView, DenseAutomaton, Matcher,
-    Trie,
-};
+pub use trie::{CodePayload, DenseAutomaton, Matcher, ReverseAutomaton, Trie};
 pub use wide::{WideCompressor, WideDecompressor, WideDictBuilder, WideDictionary};
 pub use writer::{ArchiveWriter, PackInfo, WriterOptions};

@@ -732,6 +732,14 @@ mod imp {
                         + 1
                 }
             };
+            // SAFETY: `fds` is a live, exclusively borrowed Vec of
+            // `#[repr(C)]` `PollFd`s laid out like `struct pollfd`; the
+            // pointer and `fds.len()` describe exactly its initialised
+            // elements, and `poll` writes only their `revents` fields
+            // before returning. Every fd in it stays open for the call
+            // (the listener, the wake pipe and live connections are owned
+            // by this loop), and a stale fd would only come back as
+            // POLLNVAL, not as memory unsafety.
             let rc = unsafe {
                 poll_sys::poll(fds.as_mut_ptr(), fds.len() as poll_sys::NFds, timeout_ms)
             };

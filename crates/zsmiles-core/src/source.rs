@@ -33,7 +33,6 @@
 use crate::cache::BlockCache;
 use crate::error::ZsmilesError;
 use std::fs::File;
-use std::mem::ManuallyDrop;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -243,6 +242,8 @@ pub struct MmapSource {
 // immutable mapped bytes.
 #[cfg(all(unix, target_pointer_width = "64"))]
 unsafe impl Send for MmapSource {}
+// SAFETY: as for `Send`: shared access only ever reads the immutable
+// mapping.
 #[cfg(all(unix, target_pointer_width = "64"))]
 unsafe impl Sync for MmapSource {}
 
@@ -404,11 +405,26 @@ pub const DEFAULT_CACHE_BLOCK: usize = 256 << 10;
 /// forgets its blocks, so short-lived sources do not pin budget.
 #[derive(Debug)]
 pub struct CachedSource<S> {
-    inner: ManuallyDrop<S>,
-    cache: Arc<BlockCache>,
-    archive_id: u64,
+    /// Declared first so it drops first: the blocks leave the pool before
+    /// the inner source closes.
+    slot: CacheSlot,
+    inner: S,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// A source's registration in a [`BlockCache`]; dropping it forgets the
+/// source's blocks and releases its hold on the cache.
+#[derive(Debug)]
+struct CacheSlot {
+    cache: Arc<BlockCache>,
+    archive_id: u64,
+}
+
+impl Drop for CacheSlot {
+    fn drop(&mut self) {
+        self.cache.forget_archive(self.archive_id);
+    }
 }
 
 impl<S: ArchiveSource> CachedSource<S> {
@@ -421,9 +437,8 @@ impl<S: ArchiveSource> CachedSource<S> {
     pub fn with_cache(inner: S, cache: Arc<BlockCache>) -> Self {
         let archive_id = cache.register_archive();
         CachedSource {
-            inner: ManuallyDrop::new(inner),
-            cache,
-            archive_id,
+            slot: CacheSlot { cache, archive_id },
+            inner,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -456,7 +471,7 @@ impl<S: ArchiveSource> CachedSource<S> {
 
     /// The cache this source populates.
     pub fn cache(&self) -> &Arc<BlockCache> {
-        &self.cache
+        &self.slot.cache
     }
 
     /// Retire this source's blocks from the pool *now*, without waiting
@@ -466,29 +481,16 @@ impl<S: ArchiveSource> CachedSource<S> {
     /// eventual drop re-forgets harmlessly (0). The source stays usable:
     /// later reads simply reload.
     pub fn retire(&self) -> u64 {
-        self.cache.forget_archive(self.archive_id)
+        self.slot.cache.forget_archive(self.slot.archive_id)
     }
 
     pub fn inner(&self) -> &S {
         &self.inner
     }
 
-    pub fn into_inner(mut self) -> S {
-        self.cache.forget_archive(self.archive_id);
-        // SAFETY: `inner` is taken exactly once; `self` is forgotten
-        // immediately after so `Drop` never sees the hollowed-out value.
-        let inner = unsafe { ManuallyDrop::take(&mut self.inner) };
-        std::mem::forget(self);
-        inner
-    }
-}
-
-impl<S> Drop for CachedSource<S> {
-    fn drop(&mut self) {
-        self.cache.forget_archive(self.archive_id);
-        // SAFETY: `Drop` runs at most once, and `into_inner` forgets
-        // `self` before this could run a second time on a taken value.
-        unsafe { ManuallyDrop::drop(&mut self.inner) }
+    /// Unwrap the inner source; this source's blocks leave the pool.
+    pub fn into_inner(self) -> S {
+        self.inner
     }
 }
 
@@ -503,7 +505,7 @@ impl<S: ArchiveSource> ArchiveSource for CachedSource<S> {
         if buf.is_empty() {
             return Ok(());
         }
-        let bs = self.cache.block_size() as u64;
+        let bs = self.slot.cache.block_size() as u64;
         if buf.len() as u64 >= bs {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return self.inner.read_at(offset, buf);
@@ -514,9 +516,12 @@ impl<S: ArchiveSource> ArchiveSource for CachedSource<S> {
         for block in first..=last {
             let block_start = block * bs;
             let block_len = bs.min(available - block_start) as usize;
-            let (bytes, hit) = self.cache.get_or_load(self.archive_id, block, || {
-                self.inner.read_range(block_start, block_len)
-            })?;
+            let (bytes, hit) = self
+                .slot
+                .cache
+                .get_or_load(self.slot.archive_id, block, || {
+                    self.inner.read_range(block_start, block_len)
+                })?;
             if hit {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             } else {
@@ -832,6 +837,25 @@ mod tests {
         let inner = b.into_inner();
         assert_eq!(cache.stats().resident_blocks, 0);
         assert_eq!(inner.bytes().len(), 256);
+    }
+
+    #[test]
+    fn into_inner_and_drop_release_the_cache() {
+        let cache = Arc::new(BlockCache::new(32, 1 << 16));
+        let before = Arc::strong_count(&cache);
+        for unwrap in [true, false] {
+            let src =
+                CachedSource::with_cache(InMemorySource::new(vec![7; 64]), Arc::clone(&cache));
+            src.read_range(0, 8).unwrap();
+            assert_eq!(Arc::strong_count(&cache), before + 1);
+            if unwrap {
+                assert_eq!(src.into_inner().bytes().len(), 64);
+            } else {
+                drop(src);
+            }
+            assert_eq!(Arc::strong_count(&cache), before, "unwrap={unwrap}");
+            assert_eq!(cache.stats().resident_blocks, 0, "unwrap={unwrap}");
+        }
     }
 
     #[test]

@@ -2,25 +2,55 @@
 //!
 //! Each character position of the input line is a node; a dictionary
 //! pattern matching at position `i` with length `ℓ` is an edge `i → i+ℓ`
-//! of cost 1 (one output code); the escape fallback is an edge `i → i+1` of
-//! cost 2 (escape marker + literal). The cheapest path from 0 to `n` is the
-//! smallest possible compressed size for this dictionary.
+//! costing its code's output width (one byte; two for a wide code); the
+//! escape fallback is an edge `i → i+1` of cost 2 (escape marker +
+//! literal). The cheapest path from 0 to `n` is the smallest possible
+//! compressed size for this dictionary.
 //!
 //! The paper runs Dijkstra. Because every edge points forward, the graph is
-//! a DAG over positions, so a backward DP computes the same optimum in one
-//! linear sweep without a priority queue. Both are implemented — Dijkstra
-//! for paper fidelity, DP as the default engine — and property tests pin
-//! them to identical costs (see `ablation_sp` for the speed difference).
+//! a DAG over positions, so a backward sweep computes the same optimum in
+//! one pass without a priority queue.
 //!
-//! Both engines resolve cost ties identically (prefer a dictionary code
-//! over an escape, then the longest pattern, then the smallest code), so
-//! they emit byte-identical streams. The GPU kernels reuse the same rule,
-//! which is what makes CPU/GPU outputs comparable bit-for-bit.
+//! # The tie rule
+//!
+//! Every engine here picks, at each position, the cheapest way out; among
+//! equally cheap ones the longest pattern; and a code over the escape. At
+//! one start position there is at most one pattern per length, so that
+//! rule is total, and every engine emits the same bytes. The GPU kernels
+//! reuse it, which is what makes CPU/GPU outputs comparable bit-for-bit.
+//!
+//! # The production kernel
+//!
+//! The encoders run [`ReverseAutomaton`]: fed the line right to left, its
+//! state after byte `i` carries a row of 16 lanes, lane `k` the output
+//! width of the pattern of length `16 − k` that starts at `i` (or
+//! `u16::MAX`), the length-1 lane holding the escape when no one-byte
+//! pattern matches. The sweep keeps the next 16 suffix costs
+//! `cost[i+16] … cost[i+1]` in the same lane order, so relaxing position
+//! `i` is a lane-wise saturating add and a minimum:
+//!
+//! * on x86_64 with SSE4.1 (detected once per scratch), the window lives
+//!   in two registers and each half goes through `_mm_minpos_epu16`,
+//!   which returns the lowest lane among equal minima: the longest
+//!   pattern in that half. The longer half wins ties between the halves.
+//!   The costs are `u16`, so this path takes lines of at most
+//!   32 767 bytes, whose costs stay below `u16::MAX`;
+//! * elsewhere, and for longer lines, a scalar loop folds the row's live
+//!   lanes (the state's lane mask) into a `cost << 4 | lane` minimum,
+//!   which breaks ties the same way, over a 16-slot ring of `u64` costs.
+//!
+//! # The oracles
+//!
+//! [`encode_line`] and [`encode_cost`] run the reference DP over any
+//! [`Matcher`] (the node [`crate::trie::Trie`] or the flat
+//! [`crate::trie::DenseAutomaton`]), visiting each position's matches
+//! shortest first; `SpAlgorithm::Dijkstra` settles the same DAG in the
+//! paper's order. Property tests pin the kernel to both.
 
-use crate::codec::{ESCAPE, LINE_SEP};
-use crate::trie::{Matcher, RelaxKey};
+use crate::codec::ESCAPE;
+use crate::trie::{CodePayload, Matcher, ReverseAutomaton, ESCAPE_PICK, LANES, PICKS};
 
-/// Which shortest-path engine to use.
+/// Which shortest-path engine the reference encoder runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpAlgorithm {
     /// Backward dynamic program over the position DAG (default).
@@ -31,31 +61,42 @@ pub enum SpAlgorithm {
     Dijkstra,
 }
 
-/// One DP cell, packed so the relax tie-break is a single integer
-/// compare: `cost << 16 | (0xFF - len) << 8 | code`. Minimizing the key
-/// lexicographically is exactly the decision rule — smallest cost first,
-/// then (via the complemented length) a dictionary code over an escape
-/// and a longer pattern over a shorter one, then the smallest code.
-/// `len == 0` (stored as `0xFF`) means escape.
-type Cell = u64;
+/// Longest line the 16-bit relax takes: every suffix cost is at most
+/// `2n ≤ u16::MAX − 1`, so no real candidate ties a missing lane.
+pub(crate) const U16_COST_LIMIT: usize = (u16::MAX as usize - 1) / 2;
 
-const CELL_COST_SHIFT: u32 = 16;
-/// Escape tag: complemented length 0 in the length field, code 0.
-const CELL_ESCAPE_TAG: Cell = 0xFF00;
-
-#[inline]
-fn cell_cost(cell: Cell) -> u64 {
-    cell >> CELL_COST_SHIFT
+/// How the kernel relaxes a position: chosen once per scratch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Relax {
+    /// The portable fold over the row's live lanes.
+    Scalar,
+    /// Two `_mm_minpos_epu16` over a register-resident cost window.
+    #[cfg(target_arch = "x86_64")]
+    Sse41(cpu::Sse41),
 }
 
-#[inline]
-fn cell_len(cell: Cell) -> usize {
-    0xFF - ((cell >> 8) & 0xFF) as usize
+#[cfg(target_arch = "x86_64")]
+mod cpu {
+    /// Proof that this CPU runs SSE4.1: its field is private to this
+    /// module, so only [`Sse41::detect`] can make one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct Sse41(());
+
+    impl Sse41 {
+        pub(crate) fn detect() -> Option<Sse41> {
+            std::arch::is_x86_feature_detected!("sse4.1").then_some(Sse41(()))
+        }
+    }
 }
 
-#[inline]
-fn cell_code(cell: Cell) -> u8 {
-    (cell & 0xFF) as u8
+impl Relax {
+    fn detect() -> Relax {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(proof) = cpu::Sse41::detect() {
+            return Relax::Sse41(proof);
+        }
+        Relax::Scalar
+    }
 }
 
 /// Retired scratch allocations parked per thread, so re-minting an
@@ -69,45 +110,64 @@ fn cell_code(cell: Cell) -> u8 {
 /// capacity at the cost of a thread-local pop.
 const SCRATCH_STASH_CAP: usize = 8;
 
+type Buffers = (Vec<u32>, Vec<u64>);
+
 thread_local! {
-    static SCRATCH_STASH: std::cell::RefCell<Vec<Vec<Cell>>> =
+    static SCRATCH_STASH: std::cell::RefCell<Vec<Buffers>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Reusable scratch buffer; compressing a deck allocates once, and the
-/// allocation is recycled through a capped thread-local stash when the
-/// compressor is dropped.
-#[derive(Debug, Default)]
+/// Reusable scratch for either codec width; compressing a deck allocates
+/// once, and the allocation is recycled through a capped thread-local
+/// stash when the compressor is dropped.
+#[derive(Debug)]
 pub struct SpScratch {
-    cells: Vec<Cell>,
+    /// Per position, the pick word of the edge leaving it
+    /// (`code << 8 | length`, or the escape pick).
+    picks: Vec<u32>,
+    /// Suffix costs, for the oracles (the kernel keeps its 16 in a
+    /// window).
+    costs: Vec<u64>,
+    relax: Relax,
+}
+
+impl Default for SpScratch {
+    fn default() -> Self {
+        SpScratch::new()
+    }
 }
 
 impl SpScratch {
     pub fn new() -> Self {
-        SCRATCH_STASH
+        let (picks, costs) = SCRATCH_STASH
             .with(|s| s.borrow_mut().pop())
-            .map(|cells| SpScratch { cells })
-            .unwrap_or_default()
+            .unwrap_or_default();
+        SpScratch {
+            picks,
+            costs,
+            relax: Relax::detect(),
+        }
     }
 
-    /// Ensure `n + 1` cells and zero the sink cell `n` (cost 0). The
-    /// other cells are *not* cleared: the backward sweep writes cell `i`
-    /// before anything reads it, so stale values from a previous line are
-    /// never observed and the per-line memset is skipped.
+    /// Ensure room for the picks of a line of `n` bytes. Nothing is
+    /// cleared: the backward sweep writes position `i` before anything
+    /// reads it.
     fn reset(&mut self, n: usize) {
-        if self.cells.len() < n + 1 {
-            self.cells.resize(n + 1, 0);
+        if self.picks.len() < n {
+            self.picks.resize(n, 0);
         }
-        self.cells[n] = 0;
     }
 }
 
 impl Drop for SpScratch {
     fn drop(&mut self) {
-        if self.cells.capacity() == 0 {
+        if self.picks.capacity() == 0 {
             return;
         }
-        let entry = std::mem::take(&mut self.cells);
+        let entry = (
+            std::mem::take(&mut self.picks),
+            std::mem::take(&mut self.costs),
+        );
         // The cap keeps pathological mint/drop churn from hoarding memory.
         SCRATCH_STASH.with(|s| {
             let mut stash = s.borrow_mut();
@@ -118,10 +178,9 @@ impl Drop for SpScratch {
     }
 }
 
-/// Encode `line` against `matcher` (the dictionary's [`Matcher`] — the
-/// flat [`crate::trie::DenseAutomaton`] on the hot path, or the node
-/// [`crate::trie::Trie`] as the reference), appending code bytes to
-/// `out`. Returns the path cost (= number of appended bytes).
+/// Encode `line` against `matcher` with the reference engine `algo`,
+/// appending code bytes to `out`. Returns the path cost (= number of
+/// appended bytes).
 pub fn encode_line<M: Matcher<Code = u8>>(
     matcher: &M,
     line: &[u8],
@@ -129,131 +188,195 @@ pub fn encode_line<M: Matcher<Code = u8>>(
     scratch: &mut SpScratch,
     out: &mut Vec<u8>,
 ) -> usize {
-    if line.is_empty() {
-        return 0;
-    }
-    match algo {
-        SpAlgorithm::BackwardDp => backward_dp(matcher, line, scratch),
-        SpAlgorithm::Dijkstra => dijkstra(matcher, line, scratch),
-    }
-    emit(line, scratch, out)
+    oracle_dp(matcher, line, algo, scratch);
+    emit(line, scratch, out, |code, out| out.push(code as u8))
 }
 
-/// Cost of the optimal encoding without emitting it.
+/// Cost of the optimal encoding without emitting it (reference engine).
 pub fn encode_cost<M: Matcher<Code = u8>>(
     matcher: &M,
     line: &[u8],
     algo: SpAlgorithm,
     scratch: &mut SpScratch,
 ) -> usize {
-    if line.is_empty() {
-        return 0;
-    }
-    match algo {
-        SpAlgorithm::BackwardDp => backward_dp(matcher, line, scratch),
-        SpAlgorithm::Dijkstra => dijkstra(matcher, line, scratch),
-    }
-    cell_cost(scratch.cells[0]) as usize
+    oracle_dp(matcher, line, algo, scratch) as usize
 }
 
-/// Lines per group of the fused encode path (see [`encode_lines_batched`]).
-/// Callers stage a group's preprocessed sources at a time, so the group
-/// size bounds staging-buffer growth; eight keeps that footprint small
-/// while amortizing the per-call dispatch.
-pub const BATCH_LINES: usize = 8;
-
-/// Encode a batch of lines through the fused backward DP: each line's
-/// match harvest and DP relaxation run in one walk (the matcher's
-/// transition table stays cache-resident across the whole group).
-/// The per-line decisions are exactly [`encode_line`]'s — same positions,
-/// same tie-breaking — so the output is byte-identical to the serial
-/// loop. (An interleaved round-robin variant that walks K DPs in lockstep
-/// was measured and retired: with the compact table L1-resident there is
-/// no load latency to hide, and mixing K match walks through one branch
-/// predictor cost 2× on a single-core box.)
-///
-/// Appends each line's code bytes followed by a [`LINE_SEP`] (an empty
-/// line still yields its separator — callers filter blanks, as
-/// [`crate::engine::encode_buffer`] does). Returns the total payload bytes
-/// appended, separators excluded. Backward-DP only: callers wanting
-/// Dijkstra fall back to the per-line loop.
-pub fn encode_lines_batched<M: Matcher<Code = u8>>(
+/// The reference sweep: fill the picks for `line` from `matcher`'s match
+/// stream and return the line's cost.
+pub(crate) fn oracle_dp<M: Matcher>(
     matcher: &M,
-    lines: &[&[u8]],
-    scratch: &mut SpScratch,
-    out: &mut Vec<u8>,
-) -> usize {
-    let mut payload = 0;
-    for line in lines {
-        if !line.is_empty() {
-            backward_dp(matcher, line, scratch);
-            payload += emit(line, scratch, out);
+    line: &[u8],
+    algo: SpAlgorithm,
+    s: &mut SpScratch,
+) -> u64 {
+    s.reset(line.len());
+    s.costs.resize(line.len() + 1, 0);
+    s.costs[line.len()] = 0;
+    match algo {
+        SpAlgorithm::BackwardDp => {
+            for i in (0..line.len()).rev() {
+                relax_matches(matcher, line, i, s);
+            }
         }
-        out.push(LINE_SEP);
+        // Dijkstra runs *backward* for identical tie-breaking with the DP:
+        // settle nodes from n toward 0, relaxing reverse edges. The paper
+        // describes a binary-heap Dijkstra, but every edge points forward
+        // (i → j, j > i), so the settle order is simply n, n-1, …, 0 —
+        // each node's distance-to-sink depends only on settled
+        // successors, and a heap would pop nodes in exactly that order at
+        // O(n log n). What remains is the settle-and-relax structure.
+        SpAlgorithm::Dijkstra => {
+            let mut settle = line.len();
+            while settle > 0 {
+                settle -= 1;
+                relax_matches(matcher, line, settle, s);
+            }
+        }
     }
-    payload
+    s.costs[0]
 }
 
-/// The base codec's relax-key shape: a code edge costs one output byte, so
-/// the candidate is `(suffix_cost + 1) << 16 | accept_word` — comparable
-/// against the escape key by plain `<` (see the `Cell` ordering).
-struct BaseKey;
-
-impl RelaxKey for BaseKey {
-    #[inline]
-    fn key(cell: u64, acc: u32) -> u64 {
-        ((1 + cell_cost(cell)) << CELL_COST_SHIFT) | acc as u64
-    }
+/// Settle position `i` from its successors: the escape first, then each
+/// match. Matches arrive shortest first, so `<=` lets a longer pattern
+/// take a tie, and any code beats the escape.
+fn relax_matches<M: Matcher>(matcher: &M, line: &[u8], i: usize, s: &mut SpScratch) {
+    let costs = &s.costs;
+    let mut best = costs[i + 1] + 2;
+    let mut pick = ESCAPE_PICK;
+    matcher.matches_at(line, i, |code, len| {
+        let cost = costs[i + len] + u64::from(code.width());
+        if cost <= best {
+            best = cost;
+            pick = u32::from(code.id()) << 8 | len as u32;
+        }
+    });
+    s.costs[i] = best;
+    s.picks[i] = pick;
 }
 
-fn backward_dp<M: Matcher<Code = u8>>(matcher: &M, line: &[u8], s: &mut SpScratch) {
+/// The production sweep: fill the picks for `line` with one automaton
+/// transition per byte and return the line's cost.
+pub(crate) fn reverse_dp<C: CodePayload>(
+    auto: &ReverseAutomaton<C>,
+    line: &[u8],
+    s: &mut SpScratch,
+) -> u64 {
+    reverse_dp_with(auto, line, s, s.relax)
+}
+
+/// [`reverse_dp`] through a chosen relax path (tests force each one).
+pub(crate) fn reverse_dp_with<C: CodePayload>(
+    auto: &ReverseAutomaton<C>,
+    line: &[u8],
+    s: &mut SpScratch,
+    relax: Relax,
+) -> u64 {
     let n = line.len();
     s.reset(n);
-    for i in (0..n).rev() {
-        // Escape fallback is always available. Any dictionary match packs
-        // a smaller key at equal cost (see the `Cell` ordering), so the
-        // relax is a plain min, folded inside the matcher's fused walk.
-        let escape = ((2 + cell_cost(s.cells[i + 1])) << CELL_COST_SHIFT) | CELL_ESCAPE_TAG;
-        s.cells[i] = matcher.best_relax::<BaseKey>(line, i, &s.cells[..n + 1], escape);
+    match relax {
+        #[cfg(target_arch = "x86_64")]
+        Relax::Sse41(_) if n <= U16_COST_LIMIT => {
+            // SAFETY: a `cpu::Sse41` exists only once
+            // `is_x86_feature_detected!("sse4.1")` returned true, so the
+            // CPU has the feature the function enables.
+            unsafe { relax_sse41(auto, line, &mut s.picks) }
+        }
+        _ => relax_scalar(auto, line, &mut s.picks),
     }
 }
 
-fn dijkstra<M: Matcher<Code = u8>>(matcher: &M, line: &[u8], s: &mut SpScratch) {
-    let n = line.len();
-    s.reset(n);
-    // For identical tie-breaking with the DP we run Dijkstra *backward*:
-    // settle nodes from n toward 0, relaxing reverse edges, which makes the
-    // per-node decision identical to the DP's.
-    //
-    // The paper describes a binary-heap Dijkstra, but on this graph the
-    // heap is unnecessary: every edge points forward (i → j, j > i), so
-    // the graph is a DAG over positions and the settle order is simply
-    // n, n-1, …, 0 — each node's distance-to-sink depends only on
-    // already-settled successors. A heap would pop nodes in exactly that
-    // order while costing O(n log n) pushes, so no heap is kept; what
-    // remains of "Dijkstra" is the settle-and-relax structure.
-    for i in (0..n).rev() {
-        // The escape edge is the first relax; the matcher folds the rest.
-        let escape = ((2 + cell_cost(s.cells[i + 1])) << CELL_COST_SHIFT) | CELL_ESCAPE_TAG;
-        s.cells[i] = matcher.best_relax::<BaseKey>(line, i, &s.cells[..n + 1], escape);
+/// The portable relax: per position, fold the row's live lanes (the
+/// state's lane mask, a few per position) into a `cost << 4 | lane`
+/// minimum — the lowest lane, i.e. the longest pattern, wins a tie. The
+/// suffix costs live in a 16-slot ring, `cost[j]` at slot `j % 16`.
+/// Exact for any line length.
+fn relax_scalar<C: CodePayload>(auto: &ReverseAutomaton<C>, line: &[u8], picks: &mut [u32]) -> u64 {
+    let mut ring = [0u64; LANES];
+    let mut row = 0;
+    for (i, &b) in line.iter().enumerate().rev() {
+        row = auto.table()[row + auto.column(b)] as usize;
+        let mut live = auto.lane_mask(row);
+        let mut best = u64::MAX;
+        while live != 0 {
+            let lane = live.trailing_zeros() as usize;
+            live &= live - 1;
+            let cost = ring[(i + LANES - lane) % LANES] + u64::from(auto.lane_cost(row, lane));
+            best = best.min(cost << 4 | lane as u64);
+        }
+        ring[i % LANES] = best >> 4;
+        picks[i] = auto.pick(row, (best & 15) as usize);
     }
+    ring[0]
 }
 
-/// Walk the line's choice chain out of the packed DP cells.
-fn emit(line: &[u8], s: &SpScratch, out: &mut Vec<u8>) -> usize {
+/// The SSE4.1 relax. The window holds `cost[i+16] … cost[i+1]` as two
+/// 8-lane halves in the row's lane order (`hi` lengths 16..9, `lo`
+/// lengths 8..1); after position `i` is settled, both halves shift one
+/// lane toward the long end and `cost[i]` enters as the new length-1
+/// lane. Lanes past the line's end hold `u16::MAX`, as do missing
+/// patterns, and saturate. Exact for lines of at most
+/// [`U16_COST_LIMIT`] bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.1")]
+fn relax_sse41<C: CodePayload>(auto: &ReverseAutomaton<C>, line: &[u8], picks: &mut [u32]) -> u64 {
+    use std::arch::x86_64::*;
+    let picks = &mut picks[..line.len()];
+    let table = auto.table();
+    let mut hi = _mm_set1_epi16(-1);
+    // cost[n] = 0 is the length-1 lane of position n − 1.
+    let mut lo = _mm_insert_epi16::<7>(_mm_set1_epi16(-1), 0);
+    let mut row = 0usize;
+    for (i, &b) in line.iter().enumerate().rev() {
+        row = table[row + auto.column(b)] as usize;
+        let block = &table[row..row + PICKS + LANES];
+        // SAFETY: `block` holds the row's 8 lane-cost words and 16 pick
+        // words, so both 16-byte loads (words 0..4 and 4..8) are inside it.
+        let (add_hi, add_lo) = unsafe {
+            (
+                _mm_loadu_si128(block.as_ptr().cast()),
+                _mm_loadu_si128(block.as_ptr().add(4).cast()),
+            )
+        };
+        let min_hi = _mm_minpos_epu16(_mm_adds_epu16(hi, add_hi));
+        let min_lo = _mm_minpos_epu16(_mm_adds_epu16(lo, add_lo));
+        let (h, l) = (
+            _mm_cvtsi128_si32(min_hi) as u32,
+            _mm_cvtsi128_si32(min_lo) as u32,
+        );
+        // `minpos` puts the winning lane (0..8) in bits 16..19.
+        let lane = if h & 0xFFFF <= l & 0xFFFF {
+            h >> 16
+        } else {
+            8 + (l >> 16)
+        };
+        picks[i] = block[PICKS + lane as usize];
+        hi = _mm_alignr_epi8::<2>(lo, hi);
+        lo = _mm_alignr_epi8::<2>(_mm_min_epu16(min_hi, min_lo), lo);
+    }
+    u64::from(_mm_extract_epi16::<7>(lo) as u16)
+}
+
+/// Walk the line's picks forward, appending each chosen edge: the escape
+/// as marker + literal, a code through `code` (one byte, or a wide code's
+/// two). Returns the number of appended bytes.
+pub(crate) fn emit(
+    line: &[u8],
+    s: &SpScratch,
+    out: &mut Vec<u8>,
+    mut code: impl FnMut(u16, &mut Vec<u8>),
+) -> usize {
     let before = out.len();
     let mut i = 0;
     while i < line.len() {
-        let cell = s.cells[i];
-        let len = cell_len(cell);
-        if len == 0 {
+        let pick = s.picks[i];
+        if pick == ESCAPE_PICK {
             out.push(ESCAPE);
             out.push(line[i]);
-            i += 1;
         } else {
-            out.push(cell_code(cell));
-            i += len;
+            code((pick >> 8) as u16, out);
         }
+        i += (pick & 0xFF) as usize;
     }
     out.len() - before
 }
@@ -262,6 +385,7 @@ fn emit(line: &[u8], s: &SpScratch, out: &mut Vec<u8>) -> usize {
 mod tests {
     use super::*;
     use crate::trie::{DenseAutomaton, Trie};
+    use proptest::prelude::*;
 
     fn trie(patterns: &[(&[u8], u8)]) -> Trie {
         let mut t = Trie::new();
@@ -294,14 +418,19 @@ mod tests {
         // scratch must inherit the warmed capacity without allocating.
         std::thread::spawn(|| {
             let mut s = SpScratch::new();
-            s.reset(5_000);
-            let warmed = s.cells.capacity();
-            assert!(warmed >= 5_001);
+            oracle_dp(
+                &Trie::<u8>::new(),
+                &[b'C'; 5_000],
+                SpAlgorithm::BackwardDp,
+                &mut s,
+            );
+            let warmed = (s.picks.capacity(), s.costs.capacity());
+            assert!(warmed.0 >= 5_000 && warmed.1 >= 5_001);
             drop(s);
             let s2 = SpScratch::new();
             assert!(
-                s2.cells.capacity() >= warmed,
-                "re-mint reuses the retired buffer"
+                s2.picks.capacity() >= warmed.0 && s2.costs.capacity() >= warmed.1,
+                "re-mint reuses the retired buffers"
             );
             // The stash caps out instead of hoarding.
             let many: Vec<SpScratch> = (0..2 * SCRATCH_STASH_CAP)
@@ -456,45 +585,155 @@ mod tests {
         }
     }
 
+    /// Every relax path this host can run, the scalar one always.
+    fn relax_paths() -> Vec<Relax> {
+        let mut paths = vec![Relax::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        paths.extend(cpu::Sse41::detect().map(Relax::Sse41));
+        paths
+    }
+
+    /// The kernel's picks and cost through `relax`, beside the reference
+    /// DP's and Dijkstra's over the node trie and the dense automaton.
+    fn assert_kernel_matches_oracles<C: CodePayload>(t: &Trie<C>, line: &[u8]) {
+        let reverse = ReverseAutomaton::compile(t);
+        let dense = DenseAutomaton::compile(t);
+        let mut s = SpScratch::new();
+        let want = oracle_dp(t, line, SpAlgorithm::BackwardDp, &mut s);
+        let want_picks = s.picks[..line.len()].to_vec();
+        for algo in [SpAlgorithm::BackwardDp, SpAlgorithm::Dijkstra] {
+            assert_eq!(oracle_dp(&dense, line, algo, &mut s), want, "{algo:?}");
+            assert_eq!(s.picks[..line.len()], want_picks[..], "{algo:?}");
+        }
+        for relax in relax_paths() {
+            let cost = reverse_dp_with(&reverse, line, &mut s, relax);
+            assert_eq!(cost, want, "{relax:?} cost");
+            assert_eq!(s.picks[..line.len()], want_picks[..], "{relax:?} picks");
+        }
+    }
+
     #[test]
-    fn batched_encode_matches_serial_at_every_group_size() {
+    fn reverse_kernel_matches_oracles_on_fixtures() {
         let t = trie(&[
             (b"C", b'C'),
             (b"c", b'c'),
             (b"1", b'1'),
+            (b"(", b'('),
+            (b")", b')'),
+            (b"=", b'='),
             (b"O", b'O'),
             (b"CC", 0x80),
             (b"c1ccccc1", 0x81),
             (b"C(=O)", 0x82),
             (b"cc", 0x83),
+            (b"C(", 0x84),
+            (b"CCCCCCCCCCCCCCCC", 0x85),
+            (b"CCCCCCCCC", 0x86),
         ]);
-        let auto = crate::trie::CompactAutomaton::compile(&t);
-        let lines: Vec<&[u8]> = vec![
+        for line in [
             b"COc1cc(C=O)ccc1O".as_slice(),
             b"c1ccccc1",
-            b"",
-            b"CCCCCCCC",
+            b"CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC",
+            b"C(=O)C(=O)",
             b"XYZ",
             b"C",
-            b"CCXc1ccccc1(=O)ZZ",
-            b"c1ccccc1c1ccccc1",
-            b"OC",
+            b"",
+            b"CCXc1ccccc1(=O)ZZ\xff\x00",
+        ] {
+            assert_kernel_matches_oracles(&t, line);
+        }
+        // The empty trie escapes every byte.
+        assert_kernel_matches_oracles(&Trie::<u8>::new(), b"CCO");
+    }
+
+    #[test]
+    fn lines_past_the_u16_limit_take_the_scalar_relax_exactly() {
+        let t = trie(&[(b"C", b'C'), (b"CC", 1), (b"CCO", 2), (b"O", b'O')]);
+        // All escapes: the cost reaches 2n, past what a u16 lane holds.
+        let escapes = vec![b'X'; U16_COST_LIMIT + 7];
+        let mixed: Vec<u8> = b"CCOX"
+            .iter()
+            .copied()
+            .cycle()
+            .take(U16_COST_LIMIT + 5)
+            .collect();
+        for line in [&escapes, &mixed] {
+            assert_kernel_matches_oracles(&t, line);
+            let reverse = ReverseAutomaton::compile(&t);
+            let mut s = SpScratch::new();
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            reverse_dp(&reverse, line, &mut s);
+            let n = emit(line, &s, &mut a, |code, out| out.push(code as u8));
+            assert_eq!(
+                n,
+                encode_line(&t, line, SpAlgorithm::BackwardDp, &mut s, &mut b)
+            );
+            assert_eq!(a, b);
+        }
+    }
+
+    /// A random trie of either payload width: patterns of 1..=16 bytes
+    /// over a small alphabet (so they overlap), codes spanning both wide
+    /// widths.
+    fn arb_dictionary() -> impl Strategy<Value = Vec<(Vec<u8>, u16)>> {
+        let byte = prop_oneof![Just(b'C'), Just(b'c'), Just(b'('), Just(b'1'), Just(b'O')];
+        proptest::collection::vec((proptest::collection::vec(byte, 1..17), 0u16..2304), 0..40)
+    }
+
+    fn arb_line() -> impl Strategy<Value = Vec<u8>> {
+        // Alphabet bytes, bytes no pattern holds (escapes), and high bytes.
+        let byte = prop_oneof![
+            Just(b'C'),
+            Just(b'c'),
+            Just(b'('),
+            Just(b'1'),
+            Just(b'O'),
+            Just(b'N'),
+            any::<u8>()
         ];
-        let mut s = SpScratch::new();
-        for k in [1, 3, 8, lines.len()] {
-            for group in lines.chunks(k) {
-                let mut serial = Vec::new();
-                let mut serial_payload = 0;
-                for line in group {
-                    serial_payload +=
-                        encode_line(&auto, line, SpAlgorithm::BackwardDp, &mut s, &mut serial);
-                    serial.push(LINE_SEP);
-                }
-                let mut batched = Vec::new();
-                let n = encode_lines_batched(&auto, group, &mut s, &mut batched);
-                assert_eq!(batched, serial, "K={k}");
-                assert_eq!(n, serial_payload, "K={k}");
+        proptest::collection::vec(byte, 0..90)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both relax paths pick exactly what the node-trie DP, and the
+        /// DP and Dijkstra over the dense automaton, pick — at both
+        /// payload widths.
+        #[test]
+        fn reverse_kernel_identical_to_oracles(
+            entries in arb_dictionary(),
+            line in arb_line(),
+        ) {
+            let mut base: Trie<u8> = Trie::new();
+            let mut wide: Trie<u16> = Trie::new();
+            for (p, id) in &entries {
+                base.insert(p, *id as u8);
+                wide.insert(p, *id);
             }
+            assert_kernel_matches_oracles(&base, &line);
+            assert_kernel_matches_oracles(&wide, &line);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Lines past the 16-bit cost limit: the dispatcher's scalar
+        /// fallback (and the forced paths, the SSE one falling back too)
+        /// still pick what the oracles pick.
+        #[test]
+        fn long_lines_identical_to_oracles(
+            entries in arb_dictionary(),
+            unit in arb_line(),
+        ) {
+            let mut base: Trie<u8> = Trie::new();
+            for (p, id) in &entries {
+                base.insert(p, *id as u8);
+            }
+            let mut line: Vec<u8> = unit.iter().copied().chain(*b"X").cycle().take(U16_COST_LIMIT + 300).collect();
+            line.extend_from_slice(b"CcO(1");
+            assert_kernel_matches_oracles(&base, &line);
         }
     }
 

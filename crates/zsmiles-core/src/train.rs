@@ -54,7 +54,7 @@ use crate::dict::Dictionary;
 use crate::engine::{AnyDictionary, DictFlavor, DynCodec};
 use crate::error::ZsmilesError;
 use crate::sp::{encode_cost, SpAlgorithm, SpScratch};
-use crate::trie::{CompactAutomaton, CompactLayout, Trie};
+use crate::trie::{ReverseAutomaton, Trie};
 use crate::wide::{WideDictionary, MAX_WIDE_ENTRIES, PAGE_BYTES};
 use std::io::BufRead;
 
@@ -333,18 +333,23 @@ struct Cand {
     hits: Option<Vec<u32>>,
 }
 
-/// Below this many cached hit lines, compiling a [`CompactAutomaton`]
+/// Below this many cached hit lines, compiling a [`ReverseAutomaton`]
 /// for a probe trie costs more than the node-trie walk it would save;
 /// above it, the CELF re-scoring loop is encoder-bound and the compiled
-/// walk wins.
-const COMPACT_EVAL_THRESHOLD: usize = 64;
+/// kernel wins.
+const COMPILED_EVAL_THRESHOLD: usize = 64;
 
-/// [`encode_cost`] against a compiled compact automaton, with the layout
-/// branch hoisted out of the per-line call.
-fn compact_cost(ca: &CompactAutomaton, line: &[u8], scratch: &mut SpScratch) -> usize {
-    match ca.view() {
-        CompactLayout::Narrow(v) => encode_cost(&v, line, SpAlgorithm::BackwardDp, scratch),
-        CompactLayout::Wide(v) => encode_cost(&v, line, SpAlgorithm::BackwardDp, scratch),
+/// The encoder's cost for `line`: through the compiled kernel when there
+/// is one, else the reference DP over the node trie.
+fn line_cost(
+    compiled: Option<&ReverseAutomaton>,
+    trie: &Trie,
+    line: &[u8],
+    scratch: &mut SpScratch,
+) -> u64 {
+    match compiled {
+        Some(ra) => crate::sp::reverse_dp(ra, line, scratch),
+        None => encode_cost(trie, line, SpAlgorithm::BackwardDp, scratch) as u64,
     }
 }
 
@@ -372,14 +377,11 @@ fn eval_gain(
     }
     let mut probe = trie.clone();
     probe.insert(&cand.pat, 0);
-    let compact = (hits.len() >= COMPACT_EVAL_THRESHOLD).then(|| CompactAutomaton::compile(&probe));
+    let compiled =
+        (hits.len() >= COMPILED_EVAL_THRESHOLD).then(|| ReverseAutomaton::compile(&probe));
     let mut gain = 0u64;
     for &i in hits.iter() {
-        let line = lines[i as usize];
-        let with = match &compact {
-            Some(ca) => compact_cost(ca, line, scratch),
-            None => encode_cost(&probe, line, SpAlgorithm::BackwardDp, scratch),
-        } as u64;
+        let with = line_cost(compiled.as_ref(), &probe, lines[i as usize], scratch);
         gain += baseline[i as usize].saturating_sub(with);
     }
     gain
@@ -413,10 +415,10 @@ fn cost_guided_select(
     }
     let mut scratch = SpScratch::new();
     // The full-corpus sweep always amortizes a compile.
-    let initial = CompactAutomaton::compile(&trie);
+    let initial = ReverseAutomaton::compile(&trie);
     let mut baseline: Vec<u64> = lines
         .iter()
-        .map(|l| compact_cost(&initial, l, &mut scratch) as u64)
+        .map(|l| line_cost(Some(&initial), &trie, l, &mut scratch))
         .collect();
     drop(initial);
 
@@ -481,14 +483,11 @@ fn cost_guided_select(
         trie.insert(&chosen.pat, 0);
         // A picked candidate is always fresh, so its hit set is cached.
         let hits = chosen.hits.as_deref().unwrap_or(&[]);
-        let compact =
-            (hits.len() >= COMPACT_EVAL_THRESHOLD).then(|| CompactAutomaton::compile(&trie));
+        let compiled =
+            (hits.len() >= COMPILED_EVAL_THRESHOLD).then(|| ReverseAutomaton::compile(&trie));
         for &li in hits {
-            let line = lines[li as usize];
-            baseline[li as usize] = match &compact {
-                Some(ca) => compact_cost(ca, line, &mut scratch),
-                None => encode_cost(&trie, line, SpAlgorithm::BackwardDp, &mut scratch),
-            } as u64;
+            baseline[li as usize] =
+                line_cost(compiled.as_ref(), &trie, lines[li as usize], &mut scratch);
         }
         selected.push(chosen.pat);
         // Every remaining score is now a stale (upper) estimate.

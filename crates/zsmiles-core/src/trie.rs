@@ -5,96 +5,76 @@
 //!
 //! * [`Trie`] — the pointer-linked build-time structure. Cheap to mutate
 //!   (dictionary training inserts and re-inserts patterns), compact, but
-//!   every step of a match walk scans a sorted child list.
-//! * [`DenseAutomaton`] — the flat run-time structure compiled from a
-//!   finished [`Trie`]. One `state × 256` transition table plus a packed
-//!   per-state `(code, depth)` accept word turn each step of
-//!   [`DenseAutomaton::matches_at`] into two array loads and a compare —
-//!   no child-list scan, no `Option` unwrapping.
-//! * [`CompactAutomaton`] — the cache-conscious sibling the encode hot
-//!   path walks by default. Same states, same BFS numbering, same match
-//!   stream as the dense layout, but each state row is `classes` cells
-//!   wide instead of 256 and carries its accept word inline, so one DP
-//!   step touches one cache line instead of two far-apart ones.
+//!   every step of a match walk scans a sorted child list. It is the
+//!   reference the others are pinned against.
+//! * [`DenseAutomaton`] — the same trie flattened into one `state × 256`
+//!   transition table plus a packed per-state accept word. It answers the
+//!   [`Matcher`] question "which patterns start at `i`?" with two loads per
+//!   consumed byte, and stays as the oracle the reference DP and the
+//!   paper's Dijkstra ([`crate::sp`]) run over.
+//! * [`ReverseAutomaton`] — the matcher both encoders run. An Aho–Corasick
+//!   automaton over the *reversed* patterns: fed a line right to left, its
+//!   state after byte `i` names exactly the patterns that start at `i`, so
+//!   the backward shortest-path sweep takes one transition per byte
+//!   instead of a fresh match walk per position.
 //!
-//! # Byte-class compression
+//! # The reverse automaton's state block
 //!
-//! SMILES decks use a few dozen distinct bytes (the element symbols, ring
-//! digits, bond and branch punctuation), so a dense 256-wide transition
-//! row is ~90% dead columns. The compact layout harvests the dictionary's
-//! actual alphabet at compile time — every byte that appears in any
-//! pattern — and maps input bytes through a 256-entry `byte → offset`
-//! table. Mapped bytes get classes `1, 2, …` in ascending byte order;
-//! every unmapped byte shares class 0, whose column is all-dead (no
-//! pattern can advance on a byte no pattern contains). A state row is
-//! `class_count` cells padded to a power-of-two stride, all rows in one
-//! allocation.
+//! Every state owns one block of `u32` words:
 //!
-//! # Per-edge accepts and pre-shifted next cells
+//! * **lane costs** — 16 `u16` lanes, one per pattern length, longest
+//!   first (lane `k` is length `16 − k`): the output width of the code
+//!   whose pattern of that length starts here (1 byte, or 2 for a wide
+//!   code), or `u16::MAX` when there is none. A state's string has at most
+//!   one suffix of each length, so one lane per length is enough. The
+//!   length-1 lane holds the escape (2 bytes) when no one-byte pattern
+//!   matches, which folds the always-available escape edge into the row.
+//! * **picks** — per lane, the word the encoder records when that lane
+//!   wins: `code << 8 | length`, or the escape marker.
+//! * **lane mask** — one bit per lane that holds a pattern or the escape,
+//!   for the portable relax, which visits only those.
+//! * **transitions** — one column per byte class, holding the target
+//!   block's first word index, so a step is `row = table[row + column]`.
 //!
-//! A trie automaton has exactly one incoming edge per state, so a state's
-//! accept word has a unique home on *the edge that enters it*. The table
-//! is one allocation split in two same-shape segments — next cells first,
-//! the matching per-edge accept words behind them — indexed by the same
-//! `(state << shift) + class` edge index. The accept load is therefore
-//! indexed by the edge the walk just resolved and sits off the
-//! loop-carried chain; only the next-state load chains. Next cells store
-//! the target's row base pre-shifted (`child << shift`) whenever it fits
-//! the cell word, so the chain is load–add–load — shorter than the dense
-//! layout's shift–or–load — while a row costs `stride` cells instead of
-//! 256. Narrow cells are `u16` (chosen for every dictionary below 65 536
-//! states) with a compile-time fallback to `u32` (see
-//! [`CodePayload::NarrowCell`] / [`CodePayload::WideCell`]).
-//! States are numbered breadth-first from the trie, so the shallow states
-//! every match walk touches first are packed together at the front of the
-//! table.
+//! Byte classes: SMILES decks use a few dozen distinct bytes, so columns
+//! exist only for bytes some pattern contains, in ascending byte order,
+//! plus one shared column for every other byte (which always leads back
+//! to the root: no pattern can continue through a byte none contains).
+//! States are numbered breadth-first, so the shallow states every line
+//! visits sit together at the front of the table.
+//!
+//! The lane order is what makes the encoder's tie rule a plain minimum:
+//! see [`crate::sp`] for how the two 8-lane halves resolve ties toward
+//! the longer pattern.
 //!
 //! All three structures are generic over the [`CodePayload`] a match
 //! reports: the one-byte codec stores `u8` code bytes, the wide extension
-//! stores its dense `u16` code ids ([`crate::wide`]) — same structures,
-//! same walk, one implementation. All implement [`Matcher`], the interface
-//! the shortest-path encoders ([`crate::sp`], the wide DP) walk, and are
-//! pinned byte-identical by property tests.
+//! stores its dense `u16` code ids ([`crate::wide`]).
+
+use crate::dict::MAX_PATTERN_LEN;
 
 /// Node index sentinel.
 const NONE: u32 = u32::MAX;
 
-/// A payload a pattern match reports, packable into a dense per-state
-/// accept word together with the match depth. The base codec's payload is
-/// the code byte itself (`u8`); the wide extension's is its dense 16-bit
-/// code id.
+/// A payload a pattern match reports. The base codec's payload is the
+/// code byte itself (`u8`); the wide extension's is its dense 16-bit code
+/// id ([`crate::wide::CodeId`]).
 pub trait CodePayload: Copy + Eq + Ord + std::fmt::Debug {
     /// Pack `(self, depth)` into one accept word. `depth` is a pattern
-    /// length, bounded by [`crate::dict::MAX_PATTERN_LEN`], so both
-    /// implementations fit a `u32` with room to spare (and stay clear of
-    /// the `u32::MAX` no-accept sentinel).
-    ///
-    /// The depth is stored *complemented* (`0xFF - depth` above the
-    /// payload bits), which makes the raw word the low bits of a
-    /// shortest-path relax key: ordering words ascending prefers longer
-    /// patterns, then smaller payloads — exactly the DP tie-break — so
-    /// the fused encode loops OR the word into their cost key without
-    /// unpacking (see [`Matcher::matches_at_raw`]).
+    /// length, bounded by [`MAX_PATTERN_LEN`], so both implementations fit
+    /// a `u32` with room to spare (and stay clear of the `u32::MAX`
+    /// no-accept sentinel).
     fn pack_accept(self, depth: u32) -> u32;
     /// Inverse of [`CodePayload::pack_accept`]: `(payload, depth)`.
     fn unpack_accept(word: u32) -> (Self, usize);
-    /// Width of the packed accept word (complemented depth byte above the
-    /// payload bits). The all-ones value of this width is the compact
-    /// layout's no-accept sentinel — unreachable for real accept words
-    /// because depth ≥ 1 keeps the complemented byte below `0xFF`.
-    const ACCEPT_BITS: u32;
-    /// Cell word of the narrow compact layout (16-bit state ids): the
-    /// accept word and state id merged must fit.
-    type NarrowCell: CellWord;
-    /// Cell word of the wide fallback layout (32-bit state ids).
-    type WideCell: CellWord;
+    /// The payload as a 16-bit id, losslessly.
+    fn id(self) -> u16;
+    /// Output bytes the code costs: 1 for a base code byte; for a wide
+    /// code id, 1 below 256 (a base code) and 2 above (page + sub byte).
+    fn width(self) -> u16;
 }
 
 impl CodePayload for u8 {
-    const ACCEPT_BITS: u32 = 16;
-    type NarrowCell = u16;
-    type WideCell = u32;
-
     #[inline]
     fn pack_accept(self, depth: u32) -> u32 {
         ((0xFF - depth) << 8) | self as u32
@@ -103,13 +83,17 @@ impl CodePayload for u8 {
     fn unpack_accept(word: u32) -> (Self, usize) {
         ((word & 0xFF) as u8, 0xFF - ((word >> 8) & 0xFF) as usize)
     }
+    #[inline]
+    fn id(self) -> u16 {
+        self as u16
+    }
+    #[inline]
+    fn width(self) -> u16 {
+        1
+    }
 }
 
 impl CodePayload for u16 {
-    const ACCEPT_BITS: u32 = 24;
-    type NarrowCell = u32;
-    type WideCell = u32;
-
     #[inline]
     fn pack_accept(self, depth: u32) -> u32 {
         ((0xFF - depth) << 16) | self as u32
@@ -121,25 +105,21 @@ impl CodePayload for u16 {
             0xFF - ((word >> 16) & 0xFF) as usize,
         )
     }
+    #[inline]
+    fn id(self) -> u16 {
+        self
+    }
+    #[inline]
+    fn width(self) -> u16 {
+        1 + u16::from(self >= 256)
+    }
 }
 
-/// The shape of one DP relax key: how the fused walk combines the suffix
-/// DP cell a match lands on with the match's raw accept word into a single
-/// comparable `u64` (smaller = better, see `crate::sp`). The base codec
-/// and the wide extension each supply one implementation; keeping the key
-/// construction here-generic lets [`Matcher::best_relax`] fuse the table
-/// walk and the relax without the matcher knowing DP cost semantics.
-pub trait RelaxKey {
-    /// Build the candidate key for a match whose suffix DP cell is `cell`
-    /// and whose raw accept word is `acc`.
-    fn key(cell: u64, acc: u32) -> u64;
-}
-
-/// The interface the shortest-path encoders walk: report every dictionary
-/// pattern matching at `input[start..]`, shortest first. Implemented by
-/// the build-time [`Trie`] and the flat [`DenseAutomaton`] at either
-/// payload width; generic (not dyn) so the per-position call inlines into
-/// the DP loop.
+/// The interface the reference shortest-path encoders walk: report every
+/// dictionary pattern matching at `input[start..]`, shortest first.
+/// Implemented by the build-time [`Trie`] and the flat [`DenseAutomaton`]
+/// at either payload width; generic (not dyn) so the per-position call
+/// inlines into the DP loop.
 pub trait Matcher {
     /// What a match reports: the base codec's `u8` code byte, or the wide
     /// extension's dense `u16` code id.
@@ -148,41 +128,6 @@ pub trait Matcher {
     /// Visit every pattern match starting at `input[start]`, shortest
     /// first: `visit(code, length)`.
     fn matches_at<F: FnMut(Self::Code, usize)>(&self, input: &[u8], start: usize, visit: F);
-
-    /// Visit every match as `visit(raw_accept_word, length)` — the word is
-    /// [`CodePayload::pack_accept`]'s complemented-depth form, i.e. the
-    /// exact low bits of a DP relax key (see [`crate::sp`]), so the fused
-    /// encode loops fold the harvest into the relax with no unpacking.
-    /// Table-backed matchers override this to hand over the stored word
-    /// directly; the default repacks.
-    #[inline]
-    fn matches_at_raw<F: FnMut(u32, usize)>(&self, input: &[u8], start: usize, mut visit: F) {
-        self.matches_at(input, start, |code, len| {
-            visit(code.pack_accept(len as u32), len)
-        });
-    }
-
-    /// Fold the whole match harvest at `start` into the best (minimum)
-    /// relax key: for each match of length `len`, the candidate is
-    /// `K::key(cells[start + len], acc)`; `init` seeds the fold (the
-    /// caller's escape edge). `cells` is the DP array, one entry longer
-    /// than `input`. This is the innermost operation of the shortest-path
-    /// encoders; the compact layout overrides it with a branch-predictable
-    /// fixed-trip walk.
-    #[inline]
-    fn best_relax<K: RelaxKey>(&self, input: &[u8], start: usize, cells: &[u64], init: u64) -> u64 {
-        let mut best = init;
-        let last = cells.len() - 1;
-        self.matches_at_raw(input, start, |acc, len| {
-            // The clamp never binds for an in-contract matcher (a match
-            // cannot outrun the line); it keeps the indexing panic-free.
-            let key = K::key(cells[(start + len).min(last)], acc);
-            if key < best {
-                best = key;
-            }
-        });
-        best
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -360,6 +305,31 @@ impl<C: CodePayload> Trie<C> {
                 .iter()
                 .map(|n| n.children.capacity() * std::mem::size_of::<(u8, u32)>())
                 .sum::<usize>()
+    }
+
+    /// Visit every `(pattern, code)` depth-first; `path` is scratch.
+    fn for_each_pattern(&self, path: &mut Vec<u8>, visit: &mut impl FnMut(&[u8], C)) {
+        for b in 0..=255u8 {
+            path.push(b);
+            if let Some(code) = self.root_code[b as usize] {
+                visit(path, code);
+            }
+            if self.root[b as usize] != NONE {
+                self.visit_node(self.root[b as usize], path, visit);
+            }
+            path.pop();
+        }
+    }
+
+    fn visit_node(&self, node: u32, path: &mut Vec<u8>, visit: &mut impl FnMut(&[u8], C)) {
+        for &(b, child) in &self.nodes[node as usize].children {
+            path.push(b);
+            if let Some(code) = self.nodes[child as usize].code {
+                visit(path, code);
+            }
+            self.visit_node(child, path, visit);
+            path.pop();
+        }
     }
 }
 
@@ -556,388 +526,163 @@ impl<C: CodePayload> Matcher for DenseAutomaton<C> {
     fn matches_at<F: FnMut(C, usize)>(&self, input: &[u8], start: usize, visit: F) {
         DenseAutomaton::matches_at(self, input, start, visit)
     }
-
-    #[inline]
-    fn matches_at_raw<F: FnMut(u32, usize)>(&self, input: &[u8], start: usize, mut visit: F) {
-        let mut state = ROOT as usize;
-        let mut len = 0;
-        for &b in &input[start..] {
-            state = self.next[state << 8 | b as usize] as usize;
-            if state == DEAD as usize {
-                return;
-            }
-            len += 1;
-            let acc = self.accept[state];
-            if acc != NO_ACCEPT {
-                visit(acc, len);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// CompactAutomaton
+// ReverseAutomaton
 // ---------------------------------------------------------------------------
 
-/// The machine word one compact cell occupies: `u16` for the narrow
-/// layout (16-bit state ids — every dictionary below 65 536 states with a
-/// one-byte payload), `u32` otherwise. Chosen per payload via
-/// [`CodePayload::NarrowCell`] / [`CodePayload::WideCell`].
-pub trait CellWord: Copy + Eq + std::fmt::Debug + 'static {
-    const ZERO: Self;
-    /// Largest value the word holds — the pre-shift feasibility bound.
-    const MAX_VALUE: u64;
-    fn pack(word: u64) -> Self;
-    fn get(self) -> u64;
-}
+/// Lanes of a [`ReverseAutomaton`] row: one per pattern length
+/// `1..=MAX_PATTERN_LEN`, longest first.
+pub(crate) const LANES: usize = MAX_PATTERN_LEN;
+/// Word offset of a state block's pick row (after the 16 `u16` lane costs).
+pub(crate) const PICKS: usize = LANES / 2;
+/// Word offset of a state block's lane mask: bit `k` set when lane `k`
+/// holds a pattern or the escape.
+const MASK: usize = PICKS + LANES;
+/// Word offset of a state block's transition columns.
+const COLUMNS: usize = MASK + 1;
+/// Lane cost of a length no pattern has at a state: it saturates any sum,
+/// so the lane never wins a minimum.
+pub(crate) const NO_LANE: u16 = u16::MAX;
+/// Output bytes of an escape (marker + literal).
+const ESCAPE_COST: u16 = 2;
+/// Pick word of the escape edge: length 1, flagged above the 16-bit code
+/// field so no code id can collide with it.
+pub(crate) const ESCAPE_PICK: u32 = 1 << 24 | 1;
 
-impl CellWord for u16 {
-    const ZERO: u16 = 0;
-    const MAX_VALUE: u64 = u16::MAX as u64;
-    #[inline]
-    fn pack(word: u64) -> u16 {
-        debug_assert!(word <= u16::MAX as u64);
-        word as u16
-    }
-    #[inline]
-    fn get(self) -> u64 {
-        self as u64
-    }
-}
-
-impl CellWord for u32 {
-    const ZERO: u32 = 0;
-    const MAX_VALUE: u64 = u32::MAX as u64;
-    #[inline]
-    fn pack(word: u64) -> u32 {
-        debug_assert!(word <= u32::MAX as u64);
-        word as u32
-    }
-    #[inline]
-    fn get(self) -> u64 {
-        self as u64
-    }
-}
-
-/// One compact state table: transitions and accept words interleaved in a
-/// single allocation of [`CellWord`]s — the next-state segment in
-/// `[0, half)`, the per-edge accept segment in `[half, 2·half)`, both
-/// indexed by the same `(state << shift) + class` edge index. A trie
-/// automaton has exactly one incoming edge per state, so the edge's
-/// accept slot *is* the target state's accept word — no separate
-/// per-state accept row, and the accept load is indexed by the edge the
-/// walk just resolved, off the loop-carried chain (the next-state load is
-/// the only chained operation).
+/// The Aho–Corasick automaton over the *reversed* dictionary patterns
+/// that both encoders run (see the module docs for the state block).
 ///
-/// When every row base fits the cell word, next cells store the target's
-/// row base *pre-shifted* (`child << shift`, see
-/// `CompactTable::pre_shifted`), which drops the shift from the walk's
-/// load-to-load chain: `row = cells[row + class[b]]` — load, add, load.
+/// Fed a line from its last byte to its first, the state after byte `i`
+/// is the longest string `line[i..i + d]` that ends some pattern; its
+/// output row lists every pattern that starts at `i`, at most one per
+/// length. Compiled once per dictionary from the finished [`Trie`].
 #[derive(Debug, Clone)]
-pub struct CompactTable<W: CellWord, C: CodePayload> {
-    cells: Box<[W]>,
-    /// `log2(stride)` — rows are addressed as `state << shift`.
-    shift: u32,
-    /// Whether next cells hold pre-shifted row bases (`child << shift`)
-    /// rather than raw state ids. True whenever the largest row base fits
-    /// the cell word — every realistic dictionary; a dense synthetic trie
-    /// near the 65 535-state ceiling falls back to raw ids + shift.
-    pre_shifted: bool,
+pub struct ReverseAutomaton<C: CodePayload = u8> {
+    /// `byte → word offset of its class column` inside a state block.
+    columns: Box<[u16; 256]>,
+    /// State blocks, `block` words each, root first.
+    table: Box<[u32]>,
+    block: usize,
+    class_count: usize,
+    max_depth: usize,
+    pattern_count: usize,
     _payload: std::marker::PhantomData<C>,
 }
 
-impl<W: CellWord, C: CodePayload> CompactTable<W, C> {
-    #[inline]
-    fn half(&self) -> usize {
-        self.cells.len() / 2
-    }
-
-    fn states(&self) -> usize {
-        self.half() >> self.shift
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.cells)
-    }
-
-    /// The hot walk, monomorphized over the pre-shift flag so the
-    /// non-pre-shifted fallback's extra shift instruction never appears
-    /// in the common path. The loads are unchecked; safety rests on two
-    /// construction invariants of [`compile_table`]: every next cell
-    /// holds `DEAD` (zero under either encoding) or a valid state id /
-    /// row base (ids are handed out sequentially, `half == states <<
-    /// shift`), and every `classes` entry is `< stride`. So `row + off <
-    /// half` and `half + row + off < cells.len()` hold on every step.
-    #[inline]
-    fn walk_raw<const PRE: bool, F: FnMut(u32, usize)>(
-        &self,
-        classes: &[u16; 256],
-        input: &[u8],
-        start: usize,
-        mut visit: F,
-    ) {
-        let shift = self.shift;
-        let no_accept = ((1u64 << C::ACCEPT_BITS) - 1) as u32;
-        let cells = &*self.cells;
-        let half = cells.len() / 2;
-        let mut row = (ROOT as usize) << shift;
-        let mut len = 0;
-        for &b in &input[start..] {
-            let idx = row + classes[b as usize] as usize;
-            // SAFETY: see the invariants above.
-            let next = unsafe { *cells.get_unchecked(idx) }.get();
-            if next == DEAD as u64 {
-                return;
-            }
-            let acc = unsafe { *cells.get_unchecked(half + idx) }.get() as u32;
-            row = if PRE {
-                next as usize
-            } else {
-                (next as usize) << shift
-            };
-            len += 1;
-            if acc != no_accept {
-                visit(acc, len);
-            }
-        }
-    }
-
-    #[inline]
-    fn matches_at_raw<F: FnMut(u32, usize)>(
-        &self,
-        classes: &[u16; 256],
-        input: &[u8],
-        start: usize,
-        visit: F,
-    ) {
-        if self.pre_shifted {
-            self.walk_raw::<true, F>(classes, input, start, visit)
-        } else {
-            self.walk_raw::<false, F>(classes, input, start, visit)
-        }
-    }
-
-    #[inline]
-    fn matches_at<F: FnMut(C, usize)>(
-        &self,
-        classes: &[u16; 256],
-        input: &[u8],
-        start: usize,
-        mut visit: F,
-    ) {
-        self.matches_at_raw(classes, input, start, |acc, _| {
-            let (code, depth) = C::unpack_accept(acc);
-            visit(code, depth);
+impl<C: CodePayload> ReverseAutomaton<C> {
+    /// Compile `trie` into the reverse automaton. The trie is not
+    /// consumed; it stays the build-time structure.
+    ///
+    /// # Panics
+    /// If a pattern is longer than [`MAX_PATTERN_LEN`] (the row has one
+    /// lane per length), or if the table outgrows 32-bit word indexes.
+    pub fn compile(trie: &Trie<C>) -> ReverseAutomaton<C> {
+        assert!(
+            trie.max_depth() <= LANES,
+            "patterns longer than {LANES} bytes have no lane"
+        );
+        let mut patterns = Vec::with_capacity(trie.len());
+        trie.for_each_pattern(&mut Vec::new(), &mut |p, code| {
+            patterns.push((p.to_vec(), code))
         });
-    }
-}
-
-/// A borrowed view binding one [`CompactTable`] to its class table — the
-/// monomorphized [`Matcher`] the DP loops walk, so the narrow/wide layout
-/// branch is hoisted out of the per-position loop entirely (see
-/// [`CompactAutomaton::view`]).
-#[derive(Clone, Copy)]
-pub struct CompactView<'a, W: CellWord, C: CodePayload> {
-    classes: &'a [u16; 256],
-    table: &'a CompactTable<W, C>,
-}
-
-impl<W: CellWord, C: CodePayload> Matcher for CompactView<'_, W, C> {
-    type Code = C;
-
-    #[inline]
-    fn matches_at<F: FnMut(C, usize)>(&self, input: &[u8], start: usize, visit: F) {
-        self.table.matches_at(self.classes, input, start, visit)
-    }
-
-    #[inline]
-    fn matches_at_raw<F: FnMut(u32, usize)>(&self, input: &[u8], start: usize, visit: F) {
-        self.table.matches_at_raw(self.classes, input, start, visit)
-    }
-
-    /// The fused match+DP walk: the relax fold runs inside the table walk
-    /// with `best` in a register, monomorphized over the pre-shift flag
-    /// like `CompactTable::walk_raw`.
-    #[inline]
-    fn best_relax<K: RelaxKey>(&self, input: &[u8], start: usize, cells: &[u64], init: u64) -> u64 {
-        if self.table.pre_shifted {
-            self.relax_walk::<true, K>(input, start, cells, init)
-        } else {
-            self.relax_walk::<false, K>(input, start, cells, init)
+        // Classes 1.. for the bytes patterns contain, in byte order; class
+        // 0 is every other byte.
+        let mut class = [0usize; 256];
+        for (p, _) in &patterns {
+            for &b in p {
+                class[b as usize] = 1;
+            }
         }
-    }
-}
-
-impl<W: CellWord, C: CodePayload> CompactView<'_, W, C> {
-    /// Steps of the branchless head of [`CompactView::relax_walk`]. On
-    /// mixed SMILES decks ~96% of walks die within 6 steps, so nearly all
-    /// positions run zero data-dependent branches: the head never tests
-    /// for death (a dead walk self-loops through vacant cells in row 0,
-    /// whose sentinel accepts the conditional move excludes), and the
-    /// single alive-check after the head is taken ~4% of the time —
-    /// against ~one hard-to-predict dead-exit branch per position in a
-    /// test-every-step walk, worth ~20% encode throughput here. Walk
-    /// lengths shift with the dictionary, but the exit distribution's
-    /// shape (death concentrated in the first handful of steps with a
-    /// thin tail) comes from pattern-length limits, not the corpus.
-    const RELAX_HEAD: usize = 6;
-
-    #[inline]
-    fn relax_walk<const PRE: bool, K: RelaxKey>(
-        &self,
-        input: &[u8],
-        start: usize,
-        cells: &[u64],
-        init: u64,
-    ) -> u64 {
-        let table = self.table;
-        let shift = table.shift;
-        let no_accept = ((1u64 << C::ACCEPT_BITS) - 1) as u32;
-        let tcells = &*table.cells;
-        let half = tcells.len() / 2;
-        let last = cells.len() - 1;
-        let mut row = (ROOT as usize) << shift;
-        let mut best = init;
-        let mut pos = start;
-        if input.len() - start >= Self::RELAX_HEAD {
-            for d in 0..Self::RELAX_HEAD {
-                let idx = row + self.classes[input[start + d] as usize] as usize;
-                // SAFETY: the `CompactTable::walk_raw` invariants; a dead
-                // walk stays in row 0, whose cells are vacant.
-                let next = unsafe { *tcells.get_unchecked(idx) }.get();
-                let acc = unsafe { *tcells.get_unchecked(half + idx) }.get() as u32;
-                row = if PRE {
-                    next as usize
+        let mut class_count = 1;
+        for c in class.iter_mut().filter(|c| **c != 0) {
+            *c = class_count;
+            class_count += 1;
+        }
+        // The goto trie of the reversed patterns, one row per state.
+        let mut delta = vec![NONE; class_count];
+        let mut depth = vec![0usize];
+        let mut own: Vec<Option<C>> = vec![None];
+        for (p, code) in &patterns {
+            let mut s = 0;
+            for &b in p.iter().rev() {
+                let at = s * class_count + class[b as usize];
+                if delta[at] == NONE {
+                    delta[at] = depth.len() as u32;
+                    depth.push(depth[s] + 1);
+                    own.push(None);
+                    delta.extend(std::iter::repeat_n(NONE, class_count));
+                }
+                s = delta[at] as usize;
+            }
+            own[s] = Some(*code);
+        }
+        // Breadth-first: a missing edge takes its failure state's edge,
+        // and a state's output row is its failure state's row plus its own
+        // pattern. Both come from shallower states, already final.
+        let mut rows: Vec<[Option<C>; LANES]> = vec![[None; LANES]; depth.len()];
+        let mut fail = vec![0usize; depth.len()];
+        let mut order = vec![0usize];
+        let mut head = 0;
+        while let Some(&s) = order.get(head) {
+            head += 1;
+            for c in 0..class_count {
+                let fallback = if s == 0 {
+                    0
                 } else {
-                    (next as usize) << shift
+                    delta[fail[s] * class_count + c] as usize
                 };
-                // `start + d + 1 <= start + RELAX_HEAD <= input.len()`,
-                // and `cells` has one entry past the end of the line.
-                let key = K::key(cells[start + d + 1], acc);
-                let key = if acc == no_accept { u64::MAX } else { key };
-                best = best.min(key);
-            }
-            if row == 0 {
-                return best;
-            }
-            pos = start + Self::RELAX_HEAD;
-        }
-        for &b in &input[pos..] {
-            let idx = row + self.classes[b as usize] as usize;
-            // SAFETY: the `CompactTable::walk_raw` invariants.
-            let next = unsafe { *tcells.get_unchecked(idx) }.get();
-            if next == DEAD as u64 {
-                break;
-            }
-            let acc = unsafe { *tcells.get_unchecked(half + idx) }.get() as u32;
-            row = if PRE {
-                next as usize
-            } else {
-                (next as usize) << shift
-            };
-            pos += 1;
-            // The clamp never binds (a walk cannot outrun the line); it
-            // keeps the indexing panic-free.
-            let key = K::key(cells[pos.min(last)], acc);
-            let key = if acc == no_accept { u64::MAX } else { key };
-            best = best.min(key);
-        }
-        best
-    }
-}
-
-/// The two state-id widths a [`CompactAutomaton`] compiles to, as borrowed
-/// matcher views. Callers match once and run the whole encode loop against
-/// the monomorphized view.
-pub enum CompactLayout<'a, C: CodePayload> {
-    /// 16-bit state ids — every dictionary below 65 536 states.
-    Narrow(CompactView<'a, C::NarrowCell, C>),
-    /// 32-bit state ids — the overflow fallback.
-    Wide(CompactView<'a, C::WideCell, C>),
-}
-
-/// The cache-conscious matcher layout compiled from a finished [`Trie`] —
-/// same states, same BFS numbering, same match stream as
-/// [`DenseAutomaton`] (property tests pin all three structures
-/// byte-identical), but with byte-class-compressed rows, per-edge accept
-/// words riding in the same allocation, and pre-shifted next cells that
-/// cut the walk's loop-carried chain to load–add–load. See the module
-/// docs for the class-table construction.
-#[derive(Debug, Clone)]
-pub struct CompactAutomaton<C: CodePayload = u8> {
-    /// `byte → class`. Class 0 is the shared always-dead class for bytes
-    /// outside the dictionary alphabet (unless all 256 bytes are mapped,
-    /// in which case every class is real).
-    classes: Box<[u16; 256]>,
-    class_count: usize,
-    repr: CompactRepr<C>,
-    max_depth: usize,
-    pattern_count: usize,
-}
-
-#[derive(Debug, Clone)]
-enum CompactRepr<C: CodePayload> {
-    Narrow(CompactTable<C::NarrowCell, C>),
-    Wide(CompactTable<C::WideCell, C>),
-}
-
-impl<C: CodePayload> CompactAutomaton<C> {
-    /// Compile `trie` into the byte-class compressed layout. The trie is
-    /// not consumed; it stays the build-time structure.
-    pub fn compile(trie: &Trie<C>) -> CompactAutomaton<C> {
-        // Harvest the alphabet: every byte any pattern contains.
-        let mut present = [false; 256];
-        for (b, p) in present.iter_mut().enumerate() {
-            *p = trie.root[b] != NONE || trie.root_code[b].is_some();
-        }
-        for node in &trie.nodes {
-            for &(b, _) in &node.children {
-                present[b as usize] = true;
+                let t = delta[s * class_count + c];
+                if t == NONE {
+                    delta[s * class_count + c] = fallback as u32;
+                    continue;
+                }
+                let t = t as usize;
+                fail[t] = fallback;
+                rows[t] = rows[fallback];
+                rows[t][depth[t] - 1] = own[t];
+                order.push(t);
             }
         }
-        let distinct = present.iter().filter(|&&p| p).count();
-        // Class 0 is the dead class for unmapped bytes; mapped bytes get
-        // 1, 2, … in ascending byte order. If (pathologically) all 256
-        // bytes appear in patterns there is no unmapped byte to route to
-        // a dead class, so classes start at 0.
-        let first_class = usize::from(distinct < 256);
-        let class_count = distinct + first_class;
-        let mut classes = Box::new([0u16; 256]);
-        let mut next_class = first_class;
-        for b in 0..256usize {
-            if present[b] {
-                classes[b] = next_class as u16;
-                next_class += 1;
+        let block = (COLUMNS + class_count).next_multiple_of(8);
+        assert!(
+            order.len() * block <= u32::MAX as usize,
+            "reverse automaton table outgrows 32-bit rows"
+        );
+        let mut rank = vec![0u32; order.len()];
+        for (r, &s) in order.iter().enumerate() {
+            rank[s] = (r * block) as u32;
+        }
+        let mut table = vec![0u32; order.len() * block];
+        for (blk, &s) in table.chunks_exact_mut(block).zip(&order) {
+            for lane in 0..LANES {
+                let len = LANES - lane;
+                let (cost, pick) = match rows[s][len - 1] {
+                    Some(code) => (code.width(), u32::from(code.id()) << 8 | len as u32),
+                    None if len == 1 => (ESCAPE_COST, ESCAPE_PICK),
+                    None => (NO_LANE, 0),
+                };
+                blk[lane / 2] |= u32::from(cost) << (16 * (lane % 2));
+                blk[PICKS + lane] = pick;
+                blk[MASK] |= u32::from(cost != NO_LANE) << lane;
+            }
+            for (c, col) in blk[COLUMNS..COLUMNS + class_count].iter_mut().enumerate() {
+                *col = rank[delta[s * class_count + c] as usize];
             }
         }
-        // One state per distinct pattern prefix, plus dead and root — the
-        // same count the dense BFS allocates.
-        let states = 2
-            + (0..256)
-                .filter(|&b| trie.root[b] != NONE || trie.root_code[b].is_some())
-                .count()
-            + trie.nodes.iter().map(|n| n.children.len()).sum::<usize>();
-        let repr = if states <= u16::MAX as usize + 1 {
-            CompactRepr::Narrow(compile_table::<C::NarrowCell, C>(
-                trie,
-                &classes,
-                class_count,
-                states,
-            ))
-        } else {
-            CompactRepr::Wide(compile_table::<C::WideCell, C>(
-                trie,
-                &classes,
-                class_count,
-                states,
-            ))
-        };
-        CompactAutomaton {
-            classes,
+        let mut columns = Box::new([0u16; 256]);
+        for (col, &c) in columns.iter_mut().zip(&class) {
+            *col = (COLUMNS + c) as u16;
+        }
+        ReverseAutomaton {
+            columns,
+            table: table.into_boxed_slice(),
+            block,
             class_count,
-            repr,
             max_depth: trie.max_depth(),
             pattern_count: trie.len(),
+            _payload: std::marker::PhantomData,
         }
     }
 
@@ -955,174 +700,52 @@ impl<C: CodePayload> CompactAutomaton<C> {
         self.max_depth
     }
 
-    /// Number of automaton states, dead and root included.
+    /// Number of automaton states, root included.
     pub fn states(&self) -> usize {
-        match &self.repr {
-            CompactRepr::Narrow(t) => t.states(),
-            CompactRepr::Wide(t) => t.states(),
-        }
+        self.table.len() / self.block
     }
 
-    /// Number of byte classes, the shared dead class included.
+    /// Number of byte classes, the shared class of pattern-free bytes
+    /// included.
     pub fn class_count(&self) -> usize {
         self.class_count
     }
 
-    /// Whether the 16-bit narrow state layout was selected (false = u32
-    /// fallback).
-    pub fn is_narrow(&self) -> bool {
-        matches!(self.repr, CompactRepr::Narrow(_))
-    }
-
-    /// Borrow the layout for monomorphized dispatch: match once, run the
-    /// whole DP loop against the returned [`CompactView`].
-    #[inline]
-    pub fn view(&self) -> CompactLayout<'_, C> {
-        match &self.repr {
-            CompactRepr::Narrow(t) => CompactLayout::Narrow(CompactView {
-                classes: &self.classes,
-                table: t,
-            }),
-            CompactRepr::Wide(t) => CompactLayout::Wide(CompactView {
-                classes: &self.classes,
-                table: t,
-            }),
-        }
-    }
-
-    /// Visit every pattern match starting at `input[start]`, shortest
-    /// first: `visit(code, length)`. Convenience dispatch; hot loops use
-    /// [`CompactAutomaton::view`] to hoist the layout branch.
-    #[inline]
-    pub fn matches_at<F: FnMut(C, usize)>(&self, input: &[u8], start: usize, visit: F) {
-        match &self.repr {
-            CompactRepr::Narrow(t) => t.matches_at(&self.classes, input, start, visit),
-            CompactRepr::Wide(t) => t.matches_at(&self.classes, input, start, visit),
-        }
-    }
-
-    /// The longest match at `input[start]`, if any: `(code, length)`.
-    pub fn longest_match_at(&self, input: &[u8], start: usize) -> Option<(C, usize)> {
-        let mut best = None;
-        self.matches_at(input, start, |code, len| best = Some((code, len)));
-        best
-    }
-
-    /// Exact lookup of one pattern.
-    pub fn get(&self, pattern: &[u8]) -> Option<C> {
-        if pattern.is_empty() {
-            return None;
-        }
-        let mut result = None;
-        self.matches_at(pattern, 0, |code, len| {
-            if len == pattern.len() {
-                result = Some(code);
-            }
-        });
-        result
-    }
-
     /// Approximate heap usage in bytes (for capacity planning in docs).
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + std::mem::size_of::<[u16; 256]>()
-            + match &self.repr {
-                CompactRepr::Narrow(t) => t.memory_bytes(),
-                CompactRepr::Wide(t) => t.memory_bytes(),
-            }
+        std::mem::size_of::<Self>() + std::mem::size_of::<[u16; 256]>() + self.table.len() * 4
     }
-}
 
-/// The BFS compile at one cell width — the exact allocation order of
-/// [`DenseAutomaton::compile`] (root children in byte order, then queue
-/// order), so state numbering and therefore the match stream agree. Each
-/// allocated state writes its unique incoming edge into the parent's row:
-/// the next cell gets the child's pre-shifted row base (or raw id, see
-/// `CompactTable::pre_shifted`), the matching accept cell gets the
-/// child's accept word or stays at the all-ones no-accept sentinel.
-fn compile_table<W: CellWord, C: CodePayload>(
-    trie: &Trie<C>,
-    classes: &[u16; 256],
-    class_count: usize,
-    states: usize,
-) -> CompactTable<W, C> {
-    let stride = class_count.next_power_of_two();
-    let shift = stride.trailing_zeros();
-    let half = states << shift;
-    let pre_shifted = (((states - 1) << shift) as u64) <= W::MAX_VALUE;
-    let no_accept = (1u64 << C::ACCEPT_BITS) - 1;
-    let mut cells: Vec<W> = vec![W::ZERO; 2 * half];
-    cells[half..].fill(W::pack(no_accept));
-    let encode = |s: u32| -> W {
-        if pre_shifted {
-            W::pack((s as u64) << shift)
-        } else {
-            W::pack(s as u64)
-        }
-    };
-    // States 0 (dead) and 1 (root) carry no incoming edge; their rows are
-    // already vacant. BFS numbering starts at 2.
-    let mut next_id: u32 = 2;
-    let mut queue: std::collections::VecDeque<(u32, u32, u32)> = std::collections::VecDeque::new();
-    for (b, &class) in classes.iter().enumerate() {
-        let node = trie.root[b];
-        if node == NONE && trie.root_code[b].is_none() {
-            continue;
-        }
-        let s = next_id;
-        next_id += 1;
-        let idx = (ROOT as usize) << shift | class as usize;
-        cells[idx] = encode(s);
-        if let Some(code) = trie.root_code[b] {
-            cells[half + idx] = W::pack(code.pack_accept(1) as u64);
-        }
-        if node != NONE {
-            queue.push_back((s, node, 1));
-        }
-    }
-    while let Some((s, node, depth)) = queue.pop_front() {
-        for &(b, child) in &trie.nodes[node as usize].children {
-            let cs = next_id;
-            next_id += 1;
-            let idx = (s as usize) << shift | classes[b as usize] as usize;
-            cells[idx] = encode(cs);
-            if let Some(code) = trie.nodes[child as usize].code {
-                cells[half + idx] = W::pack(code.pack_accept(depth + 1) as u64);
-            }
-            queue.push_back((cs, child, depth + 1));
-        }
-    }
-    debug_assert_eq!(next_id as usize, states);
-    CompactTable {
-        cells: cells.into_boxed_slice(),
-        shift,
-        pre_shifted,
-        _payload: std::marker::PhantomData,
-    }
-}
-
-impl<C: CodePayload> Matcher for CompactAutomaton<C> {
-    type Code = C;
-
+    /// The whole table; a row is the word index of a state's block.
     #[inline]
-    fn matches_at<F: FnMut(C, usize)>(&self, input: &[u8], start: usize, visit: F) {
-        CompactAutomaton::matches_at(self, input, start, visit)
+    pub(crate) fn table(&self) -> &[u32] {
+        &self.table
     }
 
+    /// Word offset of `b`'s transition column inside a block: always
+    /// `< block`, so `row + column(b)` is in bounds for every row.
     #[inline]
-    fn matches_at_raw<F: FnMut(u32, usize)>(&self, input: &[u8], start: usize, visit: F) {
-        match &self.repr {
-            CompactRepr::Narrow(t) => t.matches_at_raw(&self.classes, input, start, visit),
-            CompactRepr::Wide(t) => t.matches_at_raw(&self.classes, input, start, visit),
-        }
+    pub(crate) fn column(&self, b: u8) -> usize {
+        self.columns[b as usize] as usize
     }
 
+    /// Cost of lane `lane` in the row at `row`.
     #[inline]
-    fn best_relax<K: RelaxKey>(&self, input: &[u8], start: usize, cells: &[u64], init: u64) -> u64 {
-        match self.view() {
-            CompactLayout::Narrow(v) => v.best_relax::<K>(input, start, cells, init),
-            CompactLayout::Wide(v) => v.best_relax::<K>(input, start, cells, init),
-        }
+    pub(crate) fn lane_cost(&self, row: usize, lane: usize) -> u16 {
+        (self.table[row + lane / 2] >> (16 * (lane % 2))) as u16
+    }
+
+    /// The lanes of the row at `row` that hold a pattern or the escape,
+    /// as a bit mask (bit `k` = lane `k`).
+    #[inline]
+    pub(crate) fn lane_mask(&self, row: usize) -> u32 {
+        self.table[row + MASK]
+    }
+
+    /// Pick word of lane `lane` in the row at `row`.
+    #[inline]
+    pub(crate) fn pick(&self, row: usize, lane: usize) -> u32 {
+        self.table[row + PICKS + lane]
     }
 }
 
@@ -1364,14 +987,49 @@ mod tests {
         assert!(a.memory_bytes() < 8 << 20, "{} bytes", a.memory_bytes());
     }
 
-    fn collect_compact(a: &CompactAutomaton, input: &[u8], start: usize) -> Vec<(u8, usize)> {
-        let mut v = Vec::new();
-        a.matches_at(input, start, |c, l| v.push((c, l)));
-        v
+    /// Per start position, the `(code id, length)` matches a reverse
+    /// automaton's rows report, shortest first, from one right-to-left
+    /// scan of `input`.
+    fn reverse_rows<C: CodePayload>(
+        a: &ReverseAutomaton<C>,
+        input: &[u8],
+    ) -> Vec<Vec<(u16, usize)>> {
+        let mut rows = vec![Vec::new(); input.len()];
+        let mut row = 0;
+        for (i, &b) in input.iter().enumerate().rev() {
+            row = a.table()[row + a.column(b)] as usize;
+            for lane in (0..LANES).rev() {
+                let pick = a.pick(row, lane);
+                if a.lane_cost(row, lane) != NO_LANE && pick != ESCAPE_PICK {
+                    assert_eq!(
+                        pick & 0xFF,
+                        (LANES - lane) as u32,
+                        "pick length = lane length"
+                    );
+                    rows[i].push(((pick >> 8) as u16, LANES - lane));
+                }
+            }
+        }
+        rows
+    }
+
+    fn assert_rows_match_trie<C: CodePayload>(t: &Trie<C>, input: &[u8]) {
+        let a = ReverseAutomaton::compile(t);
+        let rows = reverse_rows(&a, input);
+        for (start, got) in rows.iter().enumerate() {
+            let mut want = Vec::new();
+            t.matches_at(input, start, |c, l| want.push((c.id(), l)));
+            assert_eq!(
+                got,
+                &want,
+                "input {:?} start {start}",
+                String::from_utf8_lossy(input)
+            );
+        }
     }
 
     #[test]
-    fn compact_matches_trie_and_dense_on_fixtures() {
+    fn reverse_rows_report_exactly_the_trie_matches() {
         let mut t: Trie = Trie::new();
         for (p, c) in [
             (b"C".as_slice(), 10u8),
@@ -1381,23 +1039,17 @@ mod tests {
             (b"ccc", 2),
             (b"cc", 3),
             (b"O", 20),
+            (b"CCCCCCCCCCCCCCCC", 30),
         ] {
             t.insert(p, c);
         }
+        let a = ReverseAutomaton::compile(&t);
+        assert_eq!(a.len(), t.len());
+        assert_eq!(a.max_depth(), t.max_depth());
+        // Alphabet: C, O, c, 1 → 4 classes plus the pattern-free class.
+        assert_eq!(a.class_count(), 5);
         let dense = DenseAutomaton::compile(&t);
-        let compact = CompactAutomaton::compile(&t);
-        assert!(compact.is_narrow());
-        assert_eq!(compact.len(), t.len());
-        assert_eq!(compact.max_depth(), t.max_depth());
-        assert_eq!(compact.states(), dense.states());
-        // Alphabet: C, O, c, 1 → 4 classes plus the dead class.
-        assert_eq!(compact.class_count(), 5);
-        assert!(
-            compact.memory_bytes() < dense.memory_bytes() / 10,
-            "compact {} vs dense {}",
-            compact.memory_bytes(),
-            dense.memory_bytes()
-        );
+        assert!(a.memory_bytes() < dense.memory_bytes() / 4);
         for input in [
             b"CCOC".as_slice(),
             b"c1ccccc1",
@@ -1406,108 +1058,56 @@ mod tests {
             b"",
             b"OCCOc1cc",
             &[0x80, 0xFF, b'C'],
+            b"CCCCCCCCCCCCCCCCCCCCCCCC",
         ] {
-            for start in 0..input.len() {
-                assert_eq!(
-                    collect_compact(&compact, input, start),
-                    collect_matches(&t, input, start),
-                    "input {:?} start {start}",
-                    String::from_utf8_lossy(input)
-                );
-                assert_eq!(
-                    compact.longest_match_at(input, start),
-                    t.longest_match_at(input, start)
-                );
-            }
-        }
-        for pat in [b"C".as_slice(), b"CC", b"CCO", b"CCOC", b"cc", b"X", b""] {
-            assert_eq!(compact.get(pat), t.get(pat));
+            assert_rows_match_trie(&t, input);
         }
     }
 
     #[test]
-    fn compact_view_matches_per_call_dispatch() {
-        let mut t: Trie = Trie::new();
-        t.insert(b"CC", 1);
-        t.insert(b"C", 2);
-        let compact = CompactAutomaton::compile(&t);
-        let input = b"CCC";
-        let mut via_view = Vec::new();
-        match compact.view() {
-            CompactLayout::Narrow(v) => v.matches_at(input, 0, |c, l| via_view.push((c, l))),
-            CompactLayout::Wide(v) => v.matches_at(input, 0, |c, l| via_view.push((c, l))),
-        }
-        assert_eq!(via_view, collect_compact(&compact, input, 0));
-    }
-
-    #[test]
-    fn compact_wide_payload_matches_trie() {
+    fn reverse_rows_carry_wide_ids_and_widths() {
         let mut t: Trie<u16> = Trie::new();
         for (p, c) in [
             (b"C".as_slice(), 67u16),
-            (b"CC", 300),
+            (b"CC", 200),
             (b"CCO", 2000),
             (b"c1cc", 256 + 511),
             (b"cc", 999),
         ] {
             t.insert(p, c);
         }
-        let compact = CompactAutomaton::compile(&t);
         for input in [b"CCOC".as_slice(), b"c1ccccc1", b"XYZ", b""] {
-            for start in 0..input.len() {
-                let mut vt = Vec::new();
-                t.matches_at(input, start, |c, l| vt.push((c, l)));
-                let mut vc = Vec::new();
-                compact.matches_at(input, start, |c, l| vc.push((c, l)));
-                assert_eq!(vc, vt, "start {start}");
-            }
+            assert_rows_match_trie(&t, input);
         }
-        assert_eq!(compact.get(b"CCO"), Some(2000));
-        assert_eq!(compact.get(b"CCOX"), None);
+        // At "CCO": lengths 1 (base, 1 byte), 2 (base), 3 (wide, 2 bytes).
+        let a = ReverseAutomaton::compile(&t);
+        let mut row = 0;
+        for &b in b"CCO".iter().rev() {
+            row = a.table()[row + a.column(b)] as usize;
+        }
+        assert_eq!(a.lane_cost(row, LANES - 1), 1);
+        assert_eq!(a.lane_cost(row, LANES - 2), 1);
+        assert_eq!(a.lane_cost(row, LANES - 3), 2);
+        assert_eq!(a.lane_cost(row, LANES - 4), NO_LANE);
     }
 
     #[test]
-    fn compact_empty_trie_matches_nothing() {
-        let a = CompactAutomaton::compile(&Trie::<u8>::new());
+    fn reverse_empty_trie_escapes_every_byte() {
+        let a = ReverseAutomaton::compile(&Trie::<u8>::new());
         assert!(a.is_empty());
-        assert_eq!(a.states(), 2, "just dead + root");
-        assert_eq!(a.class_count(), 1, "just the dead class");
-        assert_eq!(collect_compact(&a, b"CCO", 0), vec![]);
-        assert_eq!(a.get(b"C"), None);
+        assert_eq!(a.states(), 1, "just the root");
+        assert_eq!(a.class_count(), 1, "just the pattern-free class");
+        assert_eq!(a.table()[a.column(b'C')], 0, "every byte loops to the root");
+        assert_eq!(a.lane_cost(0, LANES - 1), 2);
+        assert_eq!(a.pick(0, LANES - 1), ESCAPE_PICK);
     }
 
     #[test]
-    fn compact_u16_overflow_falls_back_to_u32() {
-        // from_patterns-built dictionaries never get near 65k states, so
-        // drive the compiler directly with a synthetic prefix explosion:
-        // 50×50×30 three-byte patterns ≈ 77k distinct prefixes.
-        let mut t: Trie<u16> = Trie::new();
-        for a in 0..50u8 {
-            for b in 0..50u8 {
-                for c in 0..30u8 {
-                    t.insert(&[a, b + 50, c + 100], (a as u16) << 8 | b as u16);
-                }
-            }
-        }
-        let compact = CompactAutomaton::compile(&t);
-        assert!(!compact.is_narrow(), "{} states", compact.states());
-        assert!(compact.states() > u16::MAX as usize + 1);
-        let dense = DenseAutomaton::compile(&t);
-        assert_eq!(compact.states(), dense.states());
-        for input in [
-            [3u8, 53, 101, 7].as_slice(),
-            &[49, 99, 129],
-            &[0, 0, 0],
-            &[200, 200],
-        ] {
-            for start in 0..input.len() {
-                let mut vt = Vec::new();
-                t.matches_at(input, start, |c, l| vt.push((c, l)));
-                let mut vc = Vec::new();
-                compact.matches_at(input, start, |c, l| vc.push((c, l)));
-                assert_eq!(vc, vt);
-            }
-        }
+    #[should_panic(expected = "have no lane")]
+    fn reverse_rejects_patterns_longer_than_a_row() {
+        let mut t: Trie = Trie::new();
+        t.insert(&[b'C'; LANES + 1], 1);
+        ReverseAutomaton::compile(&t);
     }
 
     #[test]

@@ -23,14 +23,15 @@
 //!   access works, and a [`WideDictionary`] with zero wide entries encodes
 //!   exactly like a base [`crate::dict::Dictionary`] shorn of eight codes.
 
-use crate::codec::{code_space, is_code_byte, Prepopulation, ESCAPE, LINE_SEP};
+use crate::codec::{code_space, is_code_byte, Prepopulation, LINE_SEP};
 use crate::compress::{CompressStats, MatcherKind};
 use crate::decompress::{decode_slots, DecodeTable, DecompressStats};
 use crate::dict::builder::DictBuilder;
 use crate::dict::MAX_PATTERN_LEN;
 use crate::engine::{LineDecoder, LineEncoder, PreprocessStage};
 use crate::error::ZsmilesError;
-use crate::trie::{CompactAutomaton, CompactLayout, DenseAutomaton, Matcher, RelaxKey, Trie};
+use crate::sp::{self, SpAlgorithm, SpScratch};
+use crate::trie::{DenseAutomaton, Matcher, ReverseAutomaton, Trie};
 use std::io::{Read, Write};
 
 /// The eight extended bytes reserved as wide-code page prefixes.
@@ -111,17 +112,14 @@ pub struct WideDictionary {
     /// Pattern → [`CodeId`] matcher — the shared [`crate::trie::Trie`] at
     /// the 16-bit payload width (base and wide ids overflow a `u8`).
     trie: Trie<CodeId>,
-    /// The flat table-driven matcher the wide encode hot path walks,
-    /// compiled from `trie` on first use. Lazy (and shared across clones)
-    /// for the same reason as [`crate::dict::Dictionary`]: the tables run
-    /// to megabytes and decode-only paths never walk them.
+    /// The flat reference matcher, compiled from `trie` on first use.
+    /// Lazy (and shared across clones) for the same reason as
+    /// [`crate::dict::Dictionary`]: the tables run to megabytes and
+    /// decode-only paths never walk them.
     automaton: std::sync::Arc<std::sync::OnceLock<DenseAutomaton<CodeId>>>,
-    /// The byte-class compressed matcher the wide encode hot path walks by
-    /// default ([`MatcherKind::Compact`]); lazy and shared across clones
-    /// like `automaton`. Wide dictionaries are where the compact layout
-    /// pays most: a maximal one runs to ~28k states, whose dense rows cost
-    /// 1 KiB each.
-    compact: std::sync::Arc<std::sync::OnceLock<CompactAutomaton<CodeId>>>,
+    /// The matcher the wide encoder runs ([`MatcherKind::ReverseAutomaton`]);
+    /// lazy and shared across clones like `automaton`.
+    reverse: std::sync::Arc<std::sync::OnceLock<ReverseAutomaton<CodeId>>>,
 }
 
 impl WideDictionary {
@@ -223,7 +221,7 @@ impl WideDictionary {
             preprocessed,
             trie,
             automaton: std::sync::Arc::new(std::sync::OnceLock::new()),
-            compact: std::sync::Arc::new(std::sync::OnceLock::new()),
+            reverse: std::sync::Arc::new(std::sync::OnceLock::new()),
         })
     }
 
@@ -285,22 +283,20 @@ impl WideDictionary {
         &self.trie
     }
 
-    /// The flat table-driven matcher the wide encode hot path walks —
-    /// compiled from [`WideDictionary::trie`] on first call (then cached,
-    /// shared by clones), byte-identical matches, branch-light loads (see
-    /// [`DenseAutomaton`] for the layout trade-off).
+    /// The flat reference matcher — compiled from [`WideDictionary::trie`]
+    /// on first call (then cached, shared by clones), byte-identical
+    /// matches (see [`DenseAutomaton`] for the layout trade-off).
     pub fn automaton(&self) -> &DenseAutomaton<CodeId> {
         self.automaton
             .get_or_init(|| DenseAutomaton::compile(&self.trie))
     }
 
-    /// The byte-class compressed matcher the wide encode hot path walks by
-    /// default — compiled from [`WideDictionary::trie`] on first call
-    /// (then cached, shared by clones). Byte-identical matches to the trie
-    /// and [`WideDictionary::automaton`].
-    pub fn compact(&self) -> &CompactAutomaton<CodeId> {
-        self.compact
-            .get_or_init(|| CompactAutomaton::compile(&self.trie))
+    /// The matcher the wide encoder runs — compiled from
+    /// [`WideDictionary::trie`] on first call (then cached, shared by
+    /// clones); see [`ReverseAutomaton`].
+    pub fn reverse_automaton(&self) -> &ReverseAutomaton<CodeId> {
+        self.reverse
+            .get_or_init(|| ReverseAutomaton::compile(&self.trie))
     }
 
     /// All entries in code-assignment order: base codes (code-space order),
@@ -433,154 +429,25 @@ impl WideDictBuilder {
 // Compression: shortest path with per-edge costs
 // ---------------------------------------------------------------------------
 
-/// One wide DP cell, packed like [`crate::sp`]'s but with a 16-bit code
-/// id: `cost << 24 | (0xFF - len) << 16 | id`. Minimizing the key is the
-/// decision rule — smallest cost, then a code over an escape and a longer
-/// pattern over a shorter one (complemented length), then the smallest
-/// id. `len == 0` (stored as `0xFF`) means escape.
-type WideCell = u64;
-
-const WIDE_COST_SHIFT: u32 = 24;
-const WIDE_ESCAPE_TAG: WideCell = 0xFF_0000;
-
+/// Append the bytes of wide code `id`.
 #[inline]
-fn wide_cell_cost(cell: WideCell) -> u64 {
-    cell >> WIDE_COST_SHIFT
+fn push_code(id: CodeId, out: &mut Vec<u8>) {
+    let (bytes, width) = emit_bytes(id);
+    out.extend_from_slice(&bytes[..width]);
 }
 
-#[inline]
-fn wide_cell_len(cell: WideCell) -> usize {
-    0xFF - ((cell >> 16) & 0xFF) as usize
-}
-
-#[inline]
-fn wide_cell_id(cell: WideCell) -> CodeId {
-    (cell & 0xFFFF) as CodeId
-}
-
-/// Retired wide-DP scratch parked per thread — the same encoder-reuse
-/// story as `sp::SpScratch`: worker-pool threads persist, so re-minting a
-/// [`WideCompressor`] per parallel call pops warmed buffers instead of
-/// growing fresh ones.
-const WIDE_STASH_CAP: usize = 8;
-
-thread_local! {
-    static WIDE_STASH: std::cell::RefCell<Vec<Vec<WideCell>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Reusable DP scratch, recycled through a thread-local stash on drop.
-#[derive(Debug, Default)]
-pub struct WideScratch {
-    cells: Vec<WideCell>,
-}
-
-impl WideScratch {
-    fn recycled() -> Self {
-        WIDE_STASH
-            .with(|s| s.borrow_mut().pop())
-            .map(|cells| WideScratch { cells })
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for WideScratch {
-    fn drop(&mut self) {
-        if self.cells.capacity() == 0 {
-            return;
-        }
-        let entry = std::mem::take(&mut self.cells);
-        WIDE_STASH.with(|s| {
-            let mut stash = s.borrow_mut();
-            if stash.len() < WIDE_STASH_CAP {
-                stash.push(entry);
-            }
-        });
-    }
-}
-
-/// Encode one line against a wide matcher: backward DP over the position
-/// DAG with per-edge costs (1 for base codes, 2 for wide codes and
-/// escapes). Ties prefer any code over an escape, then cheaper emission,
-/// then longer patterns, then smaller ids — deterministic like
-/// [`crate::sp`]. Generic over [`Matcher`] exactly like the base DP: the
-/// flat [`DenseAutomaton`] is the hot path, the node [`Trie`] the
-/// reference both are pinned against.
+/// Encode one line against a wide reference matcher: the shared reference
+/// DP of [`crate::sp`], whose edges cost each code's output width (1 for
+/// base codes, 2 for wide codes and escapes), so the stream stays optimal
+/// and the tie rule is the base codec's.
 fn wide_encode_line<M: Matcher<Code = CodeId>>(
     matcher: &M,
     line: &[u8],
-    scratch: &mut WideScratch,
+    scratch: &mut SpScratch,
     out: &mut Vec<u8>,
 ) -> usize {
-    if line.is_empty() {
-        return 0;
-    }
-    let n = line.len();
-    // No per-line clear: cell `i` is written before anything reads it
-    // (the sweep is backward), so only the sink cell needs a value.
-    if scratch.cells.len() < n + 1 {
-        scratch.cells.resize(n + 1, 0);
-    }
-    scratch.cells[n] = 0;
-    for i in (0..n).rev() {
-        let escape =
-            ((2 + wide_cell_cost(scratch.cells[i + 1])) << WIDE_COST_SHIFT) | WIDE_ESCAPE_TAG;
-        scratch.cells[i] = matcher.best_relax::<WideKey>(line, i, &scratch.cells[..n + 1], escape);
-    }
-    wide_emit(line, &scratch.cells, out)
-}
-
-/// The wide codec's relax-key shape: base ids (< 256) emit one byte, wide
-/// ids two — the width is recovered from the raw accept word's payload
-/// bits without a full unpack.
-struct WideKey;
-
-impl RelaxKey for WideKey {
-    #[inline]
-    fn key(cell: u64, acc: u32) -> u64 {
-        let width = 1 + u64::from((acc & 0xFFFF) >= 256);
-        ((width + wide_cell_cost(cell)) << WIDE_COST_SHIFT) | acc as u64
-    }
-}
-
-/// Walk the line's choice chain out of the packed DP cells.
-fn wide_emit(line: &[u8], cells: &[WideCell], out: &mut Vec<u8>) -> usize {
-    let before = out.len();
-    let mut i = 0;
-    while i < line.len() {
-        let cell = cells[i];
-        let len = wide_cell_len(cell);
-        if len == 0 {
-            out.push(ESCAPE);
-            out.push(line[i]);
-            i += 1;
-        } else {
-            let (bytes, width) = emit_bytes(wide_cell_id(cell));
-            out.extend_from_slice(&bytes[..width]);
-            i += len;
-        }
-    }
-    out.len() - before
-}
-
-/// The wide twin of [`crate::sp::encode_lines_batched`]: run each line's
-/// fused match+DP walk with the wide codec's per-edge costs, the matcher's
-/// transition table staying cache-resident across the group. Byte-identical
-/// to the per-line [`wide_encode_line`] loop; appends each line's bytes
-/// followed by a [`LINE_SEP`] and returns the payload total, separators
-/// excluded.
-fn wide_encode_lines_batched<M: Matcher<Code = CodeId>>(
-    matcher: &M,
-    lines: &[&[u8]],
-    scratch: &mut WideScratch,
-    out: &mut Vec<u8>,
-) -> usize {
-    let mut payload = 0;
-    for line in lines {
-        payload += wide_encode_line(matcher, line, scratch, out);
-        out.push(LINE_SEP);
-    }
-    payload
+    sp::oracle_dp(matcher, line, SpAlgorithm::BackwardDp, scratch);
+    sp::emit(line, scratch, out, push_code)
 }
 
 /// A reusable compressor bound to one wide dictionary (mirrors
@@ -590,10 +457,7 @@ pub struct WideCompressor<'d> {
     dict: &'d WideDictionary,
     matcher: MatcherKind,
     preprocess: PreprocessStage,
-    scratch: WideScratch,
-    /// Arena one batched group is preprocessed into (mirrors
-    /// [`crate::Compressor`]).
-    batch_buf: Vec<u8>,
+    scratch: SpScratch,
 }
 
 impl<'d> WideCompressor<'d> {
@@ -602,8 +466,7 @@ impl<'d> WideCompressor<'d> {
             dict,
             matcher: MatcherKind::default(),
             preprocess: PreprocessStage::new(dict.preprocessed()),
-            scratch: WideScratch::recycled(),
-            batch_buf: Vec::new(),
+            scratch: SpScratch::new(),
         }
     }
 
@@ -612,9 +475,10 @@ impl<'d> WideCompressor<'d> {
         self
     }
 
-    /// Select the matching structure the DP walks (both emit identical
-    /// bytes; the node trie stays selectable so the throughput harness
-    /// can measure the two in one run, mirroring [`crate::Compressor`]).
+    /// Select the matching structure the DP walks (all emit identical
+    /// bytes; the reference matchers stay selectable so the throughput
+    /// harness can measure them in one run, mirroring
+    /// [`crate::Compressor`]).
     pub fn with_matcher(mut self, matcher: MatcherKind) -> Self {
         self.matcher = matcher;
         self
@@ -629,10 +493,10 @@ impl<'d> WideCompressor<'d> {
     pub fn compress_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
         let (src, failed) = self.preprocess.apply(line);
         let n = match self.matcher {
-            MatcherKind::Compact => match self.dict.compact().view() {
-                CompactLayout::Narrow(v) => wide_encode_line(&v, src, &mut self.scratch, out),
-                CompactLayout::Wide(v) => wide_encode_line(&v, src, &mut self.scratch, out),
-            },
+            MatcherKind::ReverseAutomaton => {
+                sp::reverse_dp(self.dict.reverse_automaton(), src, &mut self.scratch);
+                sp::emit(src, &self.scratch, out, push_code)
+            }
             MatcherKind::DenseAutomaton => {
                 wide_encode_line(self.dict.automaton(), src, &mut self.scratch, out)
             }
@@ -650,33 +514,6 @@ impl<'d> WideCompressor<'d> {
 impl LineEncoder for WideCompressor<'_> {
     fn encode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
         self.compress_line(line, out)
-    }
-
-    /// The fused batched path, mirroring [`crate::Compressor`]: compact
-    /// matcher runs each group through `wide_encode_lines_batched`;
-    /// other matchers fall back to the per-line loop. Byte-identical.
-    fn encode_lines(&mut self, lines: &[&[u8]], out: &mut Vec<u8>) -> CompressStats {
-        if self.matcher != MatcherKind::Compact {
-            return crate::engine::encode_lines_serial(self, lines, out);
-        }
-        let mut stats = CompressStats::default();
-        for chunk in lines.chunks(crate::sp::BATCH_LINES) {
-            let mut srcs: [&[u8]; crate::sp::BATCH_LINES] = [b""; crate::sp::BATCH_LINES];
-            stats.preprocess_failures +=
-                self.preprocess
-                    .apply_batch(chunk, &mut self.batch_buf, &mut srcs);
-            stats.lines += chunk.len();
-            stats.in_bytes += chunk.iter().map(|l| l.len()).sum::<usize>();
-            stats.out_bytes += match self.dict.compact().view() {
-                CompactLayout::Narrow(v) => {
-                    wide_encode_lines_batched(&v, &srcs[..chunk.len()], &mut self.scratch, out)
-                }
-                CompactLayout::Wide(v) => {
-                    wide_encode_lines_batched(&v, &srcs[..chunk.len()], &mut self.scratch, out)
-                }
-            };
-        }
-        stats
     }
 }
 
@@ -770,6 +607,7 @@ pub fn read_wide_dict<R: Read>(r: R) -> Result<WideDictionary, ZsmilesError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ESCAPE;
 
     fn deck() -> Vec<&'static [u8]> {
         let lines: [&[u8]; 6] = [

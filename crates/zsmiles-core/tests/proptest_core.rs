@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use zsmiles_core::dict::format;
-use zsmiles_core::sp::{encode_cost, encode_line, encode_lines_batched, SpScratch};
-use zsmiles_core::trie::{CompactAutomaton, CompactLayout, DenseAutomaton, Trie};
+use zsmiles_core::sp::{encode_cost, encode_line, SpScratch};
+use zsmiles_core::trie::{DenseAutomaton, Trie};
 use zsmiles_core::wide::{WideCompressor, WideDecompressor, WideDictionary};
 use zsmiles_core::{Dictionary, LineIndex, MatcherKind, Prepopulation, SpAlgorithm, LINE_SEP};
 
@@ -345,69 +345,43 @@ proptest! {
         }
     }
 
-    /// The byte-class compact automaton is pinned against both the node
-    /// trie and the dense automaton on arbitrary byte text — including
-    /// bytes outside the dictionary alphabet, which all share the dead
-    /// class — and the encoder emits byte-identical streams through it.
+    /// The reverse automaton the encoder runs is pinned against the node
+    /// trie and the dense automaton (both reference algorithms) on
+    /// arbitrary byte text — including bytes outside the dictionary
+    /// alphabet, which escape.
     #[test]
-    fn compact_automaton_identical_to_trie_and_dense(
+    fn reverse_automaton_encodes_identically_to_trie_and_dense(
         patterns in proptest::collection::vec(arb_pattern(), 1..24),
-        text in proptest::collection::vec(any::<u8>(), 0..60),
+        text in proptest::collection::vec(any::<u8>().prop_filter("no nl", |&b| b != b'\n'), 0..60),
     ) {
-        let mut unique: Vec<Vec<u8>> = Vec::new();
-        for p in patterns {
-            if !unique.contains(&p) {
-                unique.push(p);
+        let dict = Dictionary::from_patterns(
+            Prepopulation::SmilesAlphabet, &patterns, 1, 16, false).unwrap();
+        let reverse = dict.reverse_automaton();
+        prop_assert_eq!(reverse.len(), dict.trie().len());
+        prop_assert_eq!(reverse.max_depth(), dict.trie().max_depth());
+        let mut want = Vec::new();
+        let cost = zsmiles_core::Compressor::new(&dict)
+            .with_preprocess(false)
+            .compress_line(&text, &mut want).0;
+        for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
+            for algo in [SpAlgorithm::BackwardDp, SpAlgorithm::Dijkstra] {
+                let mut other = Vec::new();
+                let c = zsmiles_core::Compressor::new(&dict)
+                    .with_preprocess(false)
+                    .with_matcher(kind)
+                    .with_algorithm(algo)
+                    .compress_line(&text, &mut other).0;
+                prop_assert_eq!(c, cost, "{:?}/{:?} cost", kind, algo);
+                prop_assert_eq!(&other, &want, "{:?}/{:?} bytes", kind, algo);
             }
-        }
-        let mut trie = Trie::new();
-        for (i, p) in unique.iter().enumerate() {
-            trie.insert(p, (i % 200) as u8);
-        }
-        let dense = DenseAutomaton::compile(&trie);
-        let compact = CompactAutomaton::compile(&trie);
-        prop_assert!(compact.is_narrow(), "small tries stay u16");
-        prop_assert_eq!(compact.states(), dense.states());
-        prop_assert_eq!(compact.len(), trie.len());
-        prop_assert_eq!(compact.max_depth(), trie.max_depth());
-        for start in 0..text.len() {
-            let mut got: Vec<(u8, usize)> = Vec::new();
-            compact.matches_at(&text, start, |c, l| got.push((c, l)));
-            let mut want: Vec<(u8, usize)> = Vec::new();
-            trie.matches_at(&text, start, |c, l| want.push((c, l)));
-            prop_assert_eq!(got, want, "start {}", start);
-            prop_assert_eq!(
-                compact.longest_match_at(&text, start),
-                trie.longest_match_at(&text, start),
-                "start {}", start
-            );
-        }
-        for p in &unique {
-            prop_assert_eq!(compact.get(p), trie.get(p));
-        }
-        // Encoder byte-identity through the monomorphized view dispatch.
-        for algo in [SpAlgorithm::BackwardDp, SpAlgorithm::Dijkstra] {
-            let mut s1 = SpScratch::new();
-            let mut s2 = SpScratch::new();
-            let mut via_dense = Vec::new();
-            let mut via_compact = Vec::new();
-            let cd = encode_line(&dense, &text, algo, &mut s1, &mut via_dense);
-            let cc = match compact.view() {
-                CompactLayout::Narrow(v) =>
-                    encode_line(&v, &text, algo, &mut s2, &mut via_compact),
-                CompactLayout::Wide(v) =>
-                    encode_line(&v, &text, algo, &mut s2, &mut via_compact),
-            };
-            prop_assert_eq!(cd, cc, "{:?} cost", algo);
-            prop_assert_eq!(&via_dense, &via_compact, "{:?} bytes", algo);
         }
     }
 
-    /// The wide flavour's compact automaton is pinned against its node
-    /// trie at the 16-bit payload width, and the wide DP emits
-    /// byte-identical streams through every matcher kind.
+    /// The wide flavour's reverse automaton is pinned against its
+    /// reference matchers: the wide encoder emits byte-identical streams
+    /// through every matcher kind, and they decode.
     #[test]
-    fn wide_compact_identical_to_node_trie(
+    fn wide_reverse_identical_to_node_trie(
         patterns in proptest::collection::vec(arb_pattern(), 1..24),
         text in proptest::collection::vec(any::<u8>().prop_filter("no nl", |&b| b != b'\n'), 0..60),
     ) {
@@ -419,37 +393,29 @@ proptest! {
         }
         let dict = WideDictionary::from_patterns(
             Prepopulation::SmilesAlphabet, &unique, 1, 16, false, 1776).unwrap();
-        let trie = dict.trie();
-        let compact = dict.compact();
-        prop_assert_eq!(compact.len(), trie.len());
-        for start in 0..text.len() {
-            let mut got: Vec<(u16, usize)> = Vec::new();
-            compact.matches_at(&text, start, |c, l| got.push((c, l)));
-            let mut want: Vec<(u16, usize)> = Vec::new();
-            trie.matches_at(&text, start, |c, l| want.push((c, l)));
-            prop_assert_eq!(got, want, "start {}", start);
-        }
-        let mut via_compact = Vec::new();
+        prop_assert_eq!(dict.reverse_automaton().len(), dict.trie().len());
+        let mut via_reverse = Vec::new();
         WideCompressor::new(&dict)
             .with_preprocess(false)
-            .compress_line(&text, &mut via_compact);
+            .compress_line(&text, &mut via_reverse);
         for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
             let mut via_other = Vec::new();
             WideCompressor::new(&dict)
                 .with_preprocess(false)
                 .with_matcher(kind)
                 .compress_line(&text, &mut via_other);
-            prop_assert_eq!(&via_compact, &via_other, "{:?} bytes", kind);
+            prop_assert_eq!(&via_reverse, &via_other, "{:?} bytes", kind);
         }
         let mut back = Vec::new();
-        WideDecompressor::new(&dict).decompress_line(&via_compact, &mut back).unwrap();
+        WideDecompressor::new(&dict).decompress_line(&via_reverse, &mut back).unwrap();
         prop_assert_eq!(&back, &text);
     }
 
-    /// The fused batched DP emits exactly the serial per-line stream at
-    /// every group size, including groups holding empty lines.
+    /// The buffer path emits exactly the per-line stream, and the same
+    /// bytes and stats through every matcher kind, interior blank lines
+    /// included.
     #[test]
-    fn batched_encode_identical_to_serial_any_group_size(
+    fn buffer_encode_identical_to_per_line_and_every_matcher(
         raw_lines in proptest::collection::vec(
             proptest::collection::vec(
                 prop_oneof![Just(b'A'), Just(b'B'), Just(b'C'), Just(b'D')], 0..20),
@@ -460,52 +426,27 @@ proptest! {
             [b"AB".as_slice(), b"ABC", b"CCA", b"DD", b"BCD"],
             1, 16, false,
         ).unwrap();
-        let compact = dict.compact();
-        let lines: Vec<&[u8]> = raw_lines.iter().map(|l| l.as_slice()).collect();
-        let mut scratch = SpScratch::new();
-        let mut serial = Vec::new();
-        let mut serial_payload = 0usize;
-        for line in &lines {
-            serial_payload += match compact.view() {
-                CompactLayout::Narrow(v) =>
-                    encode_line(&v, line, SpAlgorithm::BackwardDp, &mut scratch, &mut serial),
-                CompactLayout::Wide(v) =>
-                    encode_line(&v, line, SpAlgorithm::BackwardDp, &mut scratch, &mut serial),
-            };
-            serial.push(LINE_SEP);
+        let mut per_line = Vec::new();
+        let mut enc = zsmiles_core::Compressor::new(&dict);
+        for line in raw_lines.iter().filter(|l| !l.is_empty()) {
+            enc.compress_line(line, &mut per_line);
+            per_line.push(LINE_SEP);
         }
-        for k in [1usize, 3, 8] {
-            let mut batched = Vec::new();
-            let mut payload = 0usize;
-            for group in lines.chunks(k) {
-                payload += match compact.view() {
-                    CompactLayout::Narrow(v) =>
-                        encode_lines_batched(&v, group, &mut scratch, &mut batched),
-                    CompactLayout::Wide(v) =>
-                        encode_lines_batched(&v, group, &mut scratch, &mut batched),
-                };
-            }
-            prop_assert_eq!(&batched, &serial, "group size {}", k);
-            prop_assert_eq!(payload, serial_payload, "group size {}", k);
-        }
-        // And the full pipeline: the default (compact, batched) buffer
-        // path is byte-identical to the serial node-trie path, interior
-        // blank lines included.
         let mut input = Vec::new();
         for l in &raw_lines {
             input.extend_from_slice(l);
             input.push(b'\n');
         }
-        let mut z_compact = Vec::new();
-        let s_compact = zsmiles_core::Compressor::new(&dict)
-            .compress_buffer(&input, &mut z_compact);
+        let mut z = Vec::new();
+        let stats = zsmiles_core::Compressor::new(&dict).compress_buffer(&input, &mut z);
+        prop_assert_eq!(&z, &per_line);
         for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
             let mut z_other = Vec::new();
             let s_other = zsmiles_core::Compressor::new(&dict)
                 .with_matcher(kind)
                 .compress_buffer(&input, &mut z_other);
-            prop_assert_eq!(&z_compact, &z_other, "{:?} buffer bytes", kind);
-            prop_assert_eq!(s_compact, s_other, "{:?} buffer stats", kind);
+            prop_assert_eq!(&z, &z_other, "{:?} buffer bytes", kind);
+            prop_assert_eq!(stats, s_other, "{:?} buffer stats", kind);
         }
     }
 
@@ -530,50 +471,53 @@ proptest! {
     }
 }
 
-/// A synthetic wide-payload trie big enough to overflow u16 state ids
-/// forces the u32 fallback layout — and stays match- and byte-identical
-/// to the node trie there. (Not a proptest: the ~77k-state compile is
-/// too heavy to repeat per case, and the interesting property is the
-/// single layout cliff.)
+/// A near-maximal wide dictionary (over 1500 two-byte codes, patterns up to
+/// 16 bytes) compiles to a reverse automaton whose row indexes run far
+/// past 16 bits, and stays byte-identical to the node trie there. (Not a
+/// proptest: the compile is too heavy to repeat per case.)
 #[test]
-fn compact_u32_fallback_identical_to_trie() {
-    let mut trie: Trie<u16> = Trie::new();
-    let mut id = 0u16;
-    for a in 0..50u8 {
-        for b in 0..50u8 {
-            for c in 0..30u8 {
-                trie.insert(&[a, b.wrapping_add(100), c.wrapping_add(200)], id);
-                id = id.wrapping_add(1);
-            }
-        }
-    }
-    let compact = CompactAutomaton::compile(&trie);
-    assert!(!compact.is_narrow(), "state count must overflow u16");
-    assert!(compact.states() > u16::MAX as usize + 1);
-    // A text walking real patterns, near-misses, and out-of-alphabet
-    // bytes (50..100 are never first bytes; 0xF0+ never appear at all).
-    let mut text = Vec::new();
-    for i in 0..400u32 {
-        text.push((i % 50) as u8);
-        text.push(100 + (i % 50) as u8);
-        text.push(200 + (i % 30) as u8);
-        if i % 7 == 0 {
-            text.push(0xF3);
-        }
-        if i % 11 == 0 {
-            text.push(60);
-        }
-    }
-    for start in 0..text.len() {
-        let mut got: Vec<(u16, usize)> = Vec::new();
-        compact.matches_at(&text, start, |c, l| got.push((c, l)));
-        let mut want: Vec<(u16, usize)> = Vec::new();
-        trie.matches_at(&text, start, |c, l| want.push((c, l)));
-        assert_eq!(got, want, "start {start}");
-        assert_eq!(
-            compact.longest_match_at(&text, start),
-            trie.longest_match_at(&text, start),
-            "start {start}"
-        );
-    }
+fn maximal_wide_reverse_automaton_identical_to_node_trie() {
+    let alphabet = b"CNOcn()=1[]";
+    let mut rng = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let patterns: Vec<Vec<u8>> = (0..1800)
+        .map(|_| {
+            let len = 3 + (next() % 14) as usize;
+            (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect()
+        })
+        .collect();
+    let dict =
+        WideDictionary::from_patterns(Prepopulation::SmilesAlphabet, &patterns, 1, 16, false, 1776)
+            .unwrap();
+    let reverse = dict.reverse_automaton();
+    assert!(dict.wide_len() > 1500, "{} wide entries", dict.wide_len());
+    assert!(
+        reverse.memory_bytes() > 1 << 18,
+        "{} bytes",
+        reverse.memory_bytes()
+    );
+    let text: Vec<u8> = (0..20_000)
+        .map(|_| match next() % 20 {
+            0 => 0xF3,
+            1 => b'X',
+            _ => alphabet[(next() % alphabet.len() as u64) as usize],
+        })
+        .collect();
+    let mut via_reverse = Vec::new();
+    WideCompressor::new(&dict)
+        .with_preprocess(false)
+        .compress_line(&text, &mut via_reverse);
+    let mut via_trie = Vec::new();
+    WideCompressor::new(&dict)
+        .with_preprocess(false)
+        .with_matcher(MatcherKind::NodeTrie)
+        .compress_line(&text, &mut via_trie);
+    assert_eq!(via_reverse, via_trie);
 }

@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 use zsmiles::zsmiles_core::{
-    check_deck, AnyDictionary, Archive, ArchiveReader, DeckReader, ShardedReader,
+    check_deck, AnyDictionary, Archive, ArchiveReader, Compressor, DeckReader, ShardedReader,
 };
 
 fn dir() -> PathBuf {
@@ -90,4 +90,28 @@ fn v3_sidecar_reads_byte_identically_through_cli_get() {
         assert_eq!(&got, line, "get -i deck.zsmi line {i}");
     }
     assert!(zsmiles_cli::commands::get_loose_line(&zsmi, &dict, want.len()).is_err());
+}
+
+/// The encoder's output is pinned to archives earlier builds wrote: every
+/// line of `deck.smi`, re-encoded with `deck.dct` (trained with `lmax
+/// 12`, so patterns reach past 8 bytes), must equal the committed
+/// `deck.zsa` line and the committed `deck.zsmi` line byte for byte.
+#[test]
+fn v3_decks_reencode_byte_identically() {
+    let want = expected();
+    let dict = AnyDictionary::load(&dir().join("deck.dct")).unwrap();
+    let AnyDictionary::Base(dict) = &dict else {
+        panic!("fixture dictionary is base");
+    };
+    assert!(dict.trie().max_depth() > 8, "lanes past 8 are exercised");
+    let archive = Archive::open(&dir().join("deck.zsa")).unwrap();
+    let zsmi = std::fs::read(dir().join("deck.zsmi")).unwrap();
+    let loose: Vec<&[u8]> = zsmi.split(|&b| b == b'\n').take(want.len()).collect();
+    let mut enc = Compressor::new(dict);
+    for (i, line) in want.iter().enumerate() {
+        let mut z = Vec::new();
+        enc.compress_line(line, &mut z);
+        assert_eq!(z, archive.compressed_line(i).unwrap(), ".zsa line {i}");
+        assert_eq!(z, loose[i], ".zsmi line {i}");
+    }
 }
