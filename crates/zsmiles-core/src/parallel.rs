@@ -26,9 +26,9 @@
 //!
 //! Worker minting is cheap across *calls* too: an encoder cannot outlive
 //! the engine borrow it is minted from, so what persists on each pool
-//! thread is the encoder's expensive state — the DP scratch buffers are
-//! recycled through thread-local stashes (`sp::SpScratch`,
-//! `wide::WideScratch`) when a worker's encoder drops. Repeated batch
+//! thread is the encoder's expensive state — the DP scratch buffers
+//! (`sp::SpScratch`, shared by both code widths) are recycled through a
+//! thread-local stash when a worker's encoder drops. Repeated batch
 //! submissions (the [`crate::writer::ArchiveWriter`] steady state) re-mint
 //! into warmed capacity at the cost of a thread-local pop.
 

@@ -15,9 +15,11 @@
 //! 3. **Selection** — the greedy loop that turns candidates into a
 //!    ranked pattern list. The default, [`Selection::CostGuided`], scores
 //!    each candidate by the *actual* marginal savings the shortest-path
-//!    encoder realizes — [`crate::sp::encode_cost`] over the
-//!    [`crate::trie::Matcher`] holding the identity entries plus
-//!    everything already selected — rather than raw frequency: a
+//!    encoder realizes — its shortest-path cost (the encoder's
+//!    [`crate::trie::ReverseAutomaton`] kernel, or
+//!    [`crate::sp::encode_cost`] over the node trie for small probes)
+//!    with the identity entries plus everything already selected
+//!    installed — rather than raw frequency: a
 //!    candidate that the optimal parse would rarely use (because its
 //!    occurrences are already covered by better patterns) scores what it
 //!    is actually worth. [`Selection::PaperRank`] keeps the paper's
