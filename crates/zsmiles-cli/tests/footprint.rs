@@ -1,7 +1,8 @@
 //! What a deck costs on disk, as the `zsmiles` binary reports it: `pack`
 //! prints the stored ratio (bytes on disk ÷ raw input bytes) beside the
 //! payload ratio, and `inspect --archive` prints the line index's wire
-//! version and bytes per line, per shard under `--verbose`.
+//! version and bytes per line, per shard under `--verbose`, and what the
+//! open index holds in memory.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -54,6 +55,16 @@ fn field(text: &str, key: &str) -> f64 {
         .take_while(|c| c.is_ascii_digit() || *c == '.')
         .collect();
     num.parse().unwrap()
+}
+
+/// Bytes per line the open line index holds in memory, from the
+/// `index in memory: N bytes, X B/line` line of `inspect --archive`.
+fn in_memory_per_line(text: &str) -> f64 {
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("index in memory: "))
+        .unwrap_or_else(|| panic!("no in-memory index line in {text}"));
+    field(line, "bytes, ")
 }
 
 fn size(path: &Path) -> u64 {
@@ -129,6 +140,8 @@ fn inspect_reports_the_index_wire_version_and_bytes_per_line() {
     let out = zsmiles(&["inspect", "--archive", &p("deck.zsa")]);
     assert!(out.contains("index v4, "), "{out}");
     assert!(field(&out, "bytes, ") <= 1.05, "{out}");
+    // Held as block anchors and one length byte a line, not two u64s.
+    assert!(in_memory_per_line(&out) <= 2.0, "{out}");
     // At least one byte a line, plus the 24-byte head and the CRC.
     assert!(
         field(&out, "index v4, ") >= field(&out, "archive: ") + 28.0,
@@ -148,6 +161,7 @@ fn inspect_reports_the_index_wire_version_and_bytes_per_line() {
         "--quiet",
     ]);
     let out = zsmiles(&["inspect", "--archive", &p("deck.zsm"), "--verbose"]);
+    assert!(in_memory_per_line(&out) <= 2.0, "{out}");
     let per_shard: Vec<&str> = out.lines().filter(|l| l.contains(".zsa")).collect();
     assert_eq!(per_shard.len(), 3, "{out}");
     for line in per_shard {

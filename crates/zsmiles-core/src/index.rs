@@ -14,6 +14,36 @@
 //! path — can issue a byte-range read for precisely one line without ever
 //! scanning the buffer for the newline.
 //!
+//! # In memory
+//!
+//! Lines are grouped in blocks of 64. Each block has one `u64` *anchor*,
+//! the start of its first line, and one cache-line-aligned row of 64
+//! `u8` lengths. In a *regular* block every later line starts one
+//! separator past the previous line's end, so line `k` of the block
+//! starts at
+//!
+//! ```text
+//! anchor + k + (lens[0] + … + lens[k-1])
+//! ```
+//!
+//! and [`LineIndex::line_range`] works that sum out without a branch, as
+//! masked 64-bit words folded into 16-bit lanes. A block with blank bytes
+//! between two of its lines (only raw `.smi` buffers have them) or with a
+//! line longer than 255 bytes is *irregular*: the top bit of its anchor
+//! is set, the other bits give where the block's exact `(start, end)`
+//! pairs begin in a side table kept in line order, and its lengths stay
+//! zero. A compressed payload never has blank lines, so its index costs
+//! 1 + 8/64 bytes a line (16 when ranges were held as two `u64`s), and a
+//! lookup touches one row of lengths, which for an 80k-line deck fit in
+//! L2 beside the payload.
+//!
+//! Every constructor — [`LineIndex::build`], [`LineIndex::append_scan`]
+//! and each wire-version parser — adds lines through one `push(start,
+//! end)`, so the layout is a function of the ranges alone: two indexes
+//! describing the same ranges hold the same vectors, and equality
+//! compares those. Walks over many lines ([`LineIndex::ranges`]) carry a
+//! running offset and pay O(1) a line instead of one block sum each.
+//!
 //! # Wire format (version 4)
 //!
 //! ```text
@@ -43,6 +73,7 @@ use crate::decompress::Decompressor;
 use crate::dict::Dictionary;
 use crate::error::ZsmilesError;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::Path;
 use textcomp::crc32::Crc32;
 
@@ -73,6 +104,50 @@ const WRITE_CHUNK: usize = 64 << 10;
 
 /// Bytes in the longest LEB128 varint of a `u64`.
 const MAX_VARINT_LEN: usize = 10;
+
+/// Lines per block: one anchor and one row of lengths each.
+const BLOCK: usize = 64;
+
+/// Set on the anchor of an irregular block; the remaining bits are the
+/// position of the block's first range in the side table.
+const IRREGULAR: u64 = 1 << 63;
+
+/// The `n` low bytes of a word, for `n` in `0..=8`.
+const LOW_BYTES: [u64; 9] = [
+    0,
+    0xFF,
+    0xFFFF,
+    0xFF_FFFF,
+    0xFFFF_FFFF,
+    0xFF_FFFF_FFFF,
+    0xFFFF_FFFF_FFFF,
+    0xFF_FFFF_FFFF_FFFF,
+    u64::MAX,
+];
+
+/// Every other byte of a word: the even lanes of a 16-bit fold.
+const EVEN_BYTES: u64 = 0x00FF_00FF_00FF_00FF;
+
+/// One block's line lengths, aligned so the row is one cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, align(64))]
+struct Lens([u8; BLOCK]);
+
+impl Lens {
+    /// Sum of the first `k` lengths (`k < 64`), without a branch: each
+    /// word is masked to the lengths before `k` and folded into four
+    /// 16-bit lanes. A lane gathers at most 8 × 510 and the four at most
+    /// 16 320, so the final multiply-and-shift never carries out.
+    fn sum_before(&self, k: usize) -> u64 {
+        let mut lanes = 0u64;
+        for (w, bytes) in self.0.chunks_exact(8).enumerate() {
+            let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+            let word = word & LOW_BYTES[k.saturating_sub(8 * w).min(8)];
+            lanes += (word & EVEN_BYTES) + (word >> 8 & EVEN_BYTES);
+        }
+        lanes.wrapping_mul(0x0001_0001_0001_0001) >> 48
+    }
+}
 
 fn corrupt(reason: impl std::fmt::Display) -> ZsmilesError {
     ZsmilesError::DictFormat {
@@ -116,12 +191,24 @@ fn read_varint<R: Read>(r: &mut R, crc: &mut Crc32) -> Result<u64, ZsmilesError>
     }
 }
 
-/// Exact byte ranges of non-empty lines in a newline-separated buffer.
+/// Exact byte ranges of non-empty lines in a newline-separated buffer,
+/// held as block anchors and per-line lengths (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct LineIndex {
-    starts: Vec<u64>,
-    /// End (exclusive, newline excluded) of each line.
-    ends: Vec<u64>,
+    /// One per block of [`BLOCK`] lines: the start of the block's first
+    /// line, or [`IRREGULAR`] and the block's position in `side`.
+    anchors: Vec<u64>,
+    /// One row per block: each line's length in a regular block; zero in
+    /// an irregular block and past the last line.
+    lens: Vec<Lens>,
+    /// Exact `[start, end]` of every line in an irregular block, in line
+    /// order.
+    side: Vec<[u64; 2]>,
+    /// Number of lines.
+    len: usize,
+    /// Where the next line starts when no blank bytes precede it: one
+    /// separator past the last line's end.
+    next_start: u64,
     /// Total buffer length the index describes.
     total: u64,
     /// The wire version this index was parsed from; `None` when it was
@@ -135,41 +222,37 @@ pub struct LineIndex {
 
 /// Equality is over the described ranges, not over how they were learned:
 /// an index read from a legacy sidecar equals a freshly built one whenever
-/// they agree on every line's range.
+/// they agree on every line's range. The layout is a function of the
+/// ranges alone, so comparing it compares them.
 impl PartialEq for LineIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.starts == other.starts && self.ends == other.ends && self.total == other.total
+        self.len == other.len
+            && self.total == other.total
+            && self.anchors == other.anchors
+            && self.lens == other.lens
+            && self.side == other.side
     }
 }
 
 impl Eq for LineIndex {}
 
 impl LineIndex {
+    /// An empty index with room for `lines` lines.
+    fn with_capacity(lines: usize) -> LineIndex {
+        let blocks = lines.div_ceil(BLOCK);
+        LineIndex {
+            anchors: Vec::with_capacity(blocks),
+            lens: Vec::with_capacity(blocks),
+            ..LineIndex::default()
+        }
+    }
+
     /// Scan a buffer and index every non-empty line with exact ends.
     pub fn build(buf: &[u8]) -> LineIndex {
-        let mut starts = Vec::new();
-        let mut ends = Vec::new();
-        let mut in_line = false;
-        for (i, &b) in buf.iter().enumerate() {
-            if b == b'\n' {
-                if in_line {
-                    ends.push(i as u64);
-                    in_line = false;
-                }
-            } else if !in_line {
-                starts.push(i as u64);
-                in_line = true;
-            }
-        }
-        if in_line {
-            ends.push(buf.len() as u64);
-        }
-        LineIndex {
-            starts,
-            ends,
-            total: buf.len() as u64,
-            wire_version: None,
-        }
+        let mut idx = LineIndex::default();
+        idx.append_scan(buf);
+        idx.shrink_to_fit();
+        idx
     }
 
     /// Extend the index with one more scanned chunk of the buffer it
@@ -195,8 +278,7 @@ impl LineIndex {
         for (i, &b) in chunk.iter().enumerate() {
             if b == b'\n' {
                 if in_line {
-                    self.starts.push(base + start);
-                    self.ends.push(base + i as u64);
+                    self.push(base + start, base + i as u64);
                     in_line = false;
                 }
             } else if !in_line {
@@ -205,24 +287,84 @@ impl LineIndex {
             }
         }
         if in_line {
-            self.starts.push(base + start);
-            self.ends.push(base + chunk.len() as u64);
+            self.push(base + start, base + chunk.len() as u64);
         }
         self.total += chunk.len() as u64;
     }
 
+    /// Append the line `start..end` — the one way a range enters an
+    /// index. Callers have checked that it is non-empty and starts past
+    /// the previous line's end.
+    fn push(&mut self, start: u64, end: u64) {
+        let k = self.len % BLOCK;
+        if k == 0 {
+            // Provisional: a start too large for an anchor fails `fits`
+            // below and moves the block to the side table.
+            self.anchors.push(start & !IRREGULAR);
+            self.lens.push(Lens([0; BLOCK]));
+        }
+        let b = self.anchors.len() - 1;
+        let len = end - start;
+        let fits = len <= u64::from(u8::MAX)
+            && if k == 0 {
+                start < IRREGULAR
+            } else {
+                start == self.next_start
+            };
+        let regular = self.anchors[b] & IRREGULAR == 0;
+        if regular && fits {
+            self.lens[b].0[k] = len as u8;
+        } else {
+            if regular {
+                self.spill(b, k);
+            }
+            self.side.push([start, end]);
+        }
+        self.len += 1;
+        // Saturating is safe: no line can start past a `u64::MAX` end.
+        self.next_start = end.saturating_add(1);
+    }
+
+    /// Turn block `b`, which holds `k` lines so far, irregular: move its
+    /// lines into the side table and point its anchor there.
+    fn spill(&mut self, b: usize, k: usize) {
+        let at = self.side.len() as u64;
+        let mut start = self.anchors[b];
+        for &len in &self.lens[b].0[..k] {
+            let end = start + u64::from(len);
+            self.side.push([start, end]);
+            start = end + 1;
+        }
+        self.lens[b] = Lens([0; BLOCK]);
+        self.anchors[b] = IRREGULAR | at;
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.anchors.shrink_to_fit();
+        self.lens.shrink_to_fit();
+        self.side.shrink_to_fit();
+    }
+
     /// Number of indexed lines.
     pub fn len(&self) -> usize {
-        self.starts.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
+        self.len == 0
     }
 
     /// Length in bytes of the buffer the index describes.
     pub fn total_bytes(&self) -> u64 {
         self.total
+    }
+
+    /// Heap bytes the index holds (anchors, lengths and side table, by
+    /// capacity): about 1.13 a line for a compressed payload.
+    pub fn heap_bytes(&self) -> usize {
+        self.anchors.capacity() * std::mem::size_of::<u64>()
+            + self.lens.capacity() * std::mem::size_of::<Lens>()
+            + self.side.capacity() * std::mem::size_of::<[u64; 2]>()
     }
 
     /// The wire version this index was read from (1–4), or `None` for an
@@ -235,9 +377,61 @@ impl LineIndex {
         !matches!(self.wire_version, Some(1 | 2))
     }
 
-    /// Exact byte range of line `i` (newline excluded).
-    pub fn line_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.starts[i] as usize..self.ends[i] as usize
+    /// Exact byte range of line `i` (newline excluded): the block's
+    /// anchor plus one separator and one length per earlier line of the
+    /// block, or the side table's entry for an irregular block.
+    ///
+    /// # Panics
+    ///
+    /// When `i` is not below [`LineIndex::len`].
+    pub fn line_range(&self, i: usize) -> Range<usize> {
+        assert!(i < self.len, "line {i} of an index of {}", self.len);
+        let (b, k) = (i / BLOCK, i % BLOCK);
+        let anchor = self.anchors[b];
+        if anchor & IRREGULAR != 0 {
+            let [start, end] = self.side[(anchor & !IRREGULAR) as usize + k];
+            return start as usize..end as usize;
+        }
+        let lens = &self.lens[b];
+        let start = anchor + lens.sum_before(k) + k as u64;
+        start as usize..(start + u64::from(lens.0[k])) as usize
+    }
+
+    /// The ranges of `lines`, in order: one block sum where the walk
+    /// enters a regular block, then a running offset, so a walk pays O(1)
+    /// a line.
+    ///
+    /// # Panics
+    ///
+    /// When `lines.end` is past [`LineIndex::len`].
+    pub fn ranges(&self, lines: Range<usize>) -> Ranges<'_> {
+        assert!(
+            lines.end <= self.len,
+            "lines {lines:?} of an index of {}",
+            self.len
+        );
+        Ranges {
+            index: self,
+            lines,
+            lens: &[],
+            side: &[],
+            at: 0,
+        }
+    }
+
+    /// The rest of line `i`'s block from `i` on, for [`Ranges`]: its
+    /// lengths and the start of line `i` when the block is regular, its
+    /// side-table entries when it is not.
+    fn block_from(&self, i: usize) -> (&[u8], &[[u64; 2]], u64) {
+        let (b, k) = (i / BLOCK, i % BLOCK);
+        let anchor = self.anchors[b];
+        if anchor & IRREGULAR != 0 {
+            let at = (anchor & !IRREGULAR) as usize;
+            let end = (at + BLOCK).min(self.side.len());
+            return (&[], &self.side[at + k..end], 0);
+        }
+        let lens = &self.lens[b];
+        (&lens.0[k..], &[], anchor + lens.sum_before(k) + k as u64)
     }
 
     /// Slice line `i` out of the buffer the index was built from. With
@@ -280,11 +474,12 @@ impl LineIndex {
         let estimate = HEAD_LEN + self.len() + 4;
         let mut buf = Vec::with_capacity(estimate.min(WRITE_CHUNK) + 2 * MAX_VARINT_LEN);
         buf.extend_from_slice(MAGIC_V4);
-        buf.extend_from_slice(&(self.starts.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&(self.len as u64).to_le_bytes());
         buf.extend_from_slice(&self.total.to_le_bytes());
         // Where the next line starts when no blank bytes precede it.
         let mut expected = 0u64;
-        for (&s, &e) in self.starts.iter().zip(&self.ends) {
+        for r in self.ranges(0..self.len) {
+            let (s, e) = (r.start as u64, r.end as u64);
             let gap = s - expected;
             put_varint(&mut buf, (e - s - 1) << 1 | u64::from(gap != 0));
             if gap != 0 {
@@ -331,20 +526,16 @@ impl LineIndex {
         r.read_exact(&mut head[8..])?;
         let field = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
         let (n, total) = (field(8), field(16));
-        let cap = n.min(MAX_PREALLOC_LINES as u64) as usize;
-        let mut starts = Vec::with_capacity(cap);
-        let mut ends = Vec::with_capacity(cap);
+        let mut idx = LineIndex::with_capacity(n.min(MAX_PREALLOC_LINES as u64) as usize);
         match version {
-            4 => read_v4(&mut r, &head, n, total, &mut starts, &mut ends)?,
-            3 => read_v3(&mut r, n, total, &mut starts, &mut ends)?,
-            _ => read_legacy(&mut r, version, n, total, &mut starts, &mut ends)?,
+            4 => read_v4(&mut r, &head, n, total, &mut idx)?,
+            3 => read_v3(&mut r, n, total, &mut idx)?,
+            _ => read_legacy(&mut r, version, n, total, &mut idx)?,
         }
-        Ok(LineIndex {
-            starts,
-            ends,
-            total,
-            wire_version: Some(version),
-        })
+        idx.total = total;
+        idx.wire_version = Some(version);
+        idx.shrink_to_fit();
+        Ok(idx)
     }
 
     pub fn save(&self, path: &Path) -> Result<(), ZsmilesError> {
@@ -359,6 +550,49 @@ impl LineIndex {
     }
 }
 
+/// In-order cursor over the byte ranges of a run of lines, from
+/// [`LineIndex::ranges`]. It holds the rest of the current block — its
+/// lengths when regular, its side-table entries when not — and moves to
+/// the next block when they run out.
+#[derive(Debug, Clone)]
+pub struct Ranges<'a> {
+    index: &'a LineIndex,
+    /// The lines still to yield.
+    lines: Range<usize>,
+    /// Lengths of the current regular block from the next line on.
+    lens: &'a [u8],
+    /// Ranges of the current irregular block from the next line on.
+    side: &'a [[u64; 2]],
+    /// Start of the next line of the current regular block.
+    at: u64,
+}
+
+impl Iterator for Ranges<'_> {
+    type Item = Range<usize>;
+
+    fn next(&mut self) -> Option<Range<usize>> {
+        let i = self.lines.next()?;
+        if self.lens.is_empty() && self.side.is_empty() {
+            (self.lens, self.side, self.at) = self.index.block_from(i);
+        }
+        if let [len, rest @ ..] = self.lens {
+            self.lens = rest;
+            let (start, end) = (self.at, self.at + u64::from(*len));
+            self.at = end + 1;
+            return Some(start as usize..end as usize);
+        }
+        let ([start, end], rest) = self.side.split_first().expect("entered a block");
+        self.side = rest;
+        Some(*start as usize..*end as usize)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.lines.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Ranges<'_> {}
+
 /// Version 4 body: varint lengths and gaps, then the CRC over `head` and
 /// every body byte, then end of input.
 fn read_v4<R: Read>(
@@ -366,8 +600,7 @@ fn read_v4<R: Read>(
     head: &[u8; HEAD_LEN],
     n: u64,
     total: u64,
-    starts: &mut Vec<u64>,
-    ends: &mut Vec<u64>,
+    idx: &mut LineIndex,
 ) -> Result<(), ZsmilesError> {
     let mut crc = Crc32::new();
     crc.update(head);
@@ -387,8 +620,7 @@ fn read_v4<R: Read>(
         let end = start.and_then(|s| s.checked_add((word >> 1) + 1));
         match (start, end) {
             (Some(s), Some(e)) if e <= total => {
-                starts.push(s);
-                ends.push(e);
+                idx.push(s, e);
                 // Saturating is safe: a line that would start at
                 // `u64::MAX` can have no in-bounds end.
                 expected = e.saturating_add(1);
@@ -416,10 +648,10 @@ fn read_v3<R: Read>(
     r: &mut R,
     n: u64,
     total: u64,
-    starts: &mut Vec<u64>,
-    ends: &mut Vec<u64>,
+    idx: &mut LineIndex,
 ) -> Result<(), ZsmilesError> {
     let (mut s8, mut e8) = ([0u8; 8], [0u8; 8]);
+    let mut prev_end = None;
     for _ in 0..n {
         r.read_exact(&mut s8)?;
         r.read_exact(&mut e8)?;
@@ -427,25 +659,26 @@ fn read_v3<R: Read>(
         // Ranges are non-empty, in-bounds, and strictly ordered with at
         // least one separator byte between lines; anything else would arm
         // a reversed or out-of-bounds slice.
-        if s >= e || e > total || ends.last().is_some_and(|&p| s <= p) {
+        if s >= e || e > total || prev_end.is_some_and(|p| s <= p) {
             return Err(corrupt("offsets not monotonic"));
         }
-        starts.push(s);
-        ends.push(e);
+        idx.push(s, e);
+        prev_end = Some(e);
     }
     Ok(())
 }
 
 /// Version 1 and 2 bodies: starts only (v2 after a trailing-newline
-/// flag byte); ends are derived and held to the same rules as stored
-/// ones.
+/// flag byte). Each end is derived when the next start arrives, one
+/// separator before it, and held to the same rules as a stored one; an
+/// empty derived line is reported only once every start has been read,
+/// so a truncated or disordered body still fails as such.
 fn read_legacy<R: Read>(
     r: &mut R,
     version: u8,
     n: u64,
     total: u64,
-    starts: &mut Vec<u64>,
-    ends: &mut Vec<u64>,
+    idx: &mut LineIndex,
 ) -> Result<(), ZsmilesError> {
     let trailing_newline = if version == 2 {
         let mut flag = [0u8; 1];
@@ -455,26 +688,32 @@ fn read_legacy<R: Read>(
         true
     };
     let mut n8 = [0u8; 8];
+    let mut prev: Option<u64> = None;
+    let mut empty = false;
     for _ in 0..n {
         r.read_exact(&mut n8)?;
         let v = u64::from_le_bytes(n8);
         // Strictly increasing and inside the buffer: equal consecutive
         // starts would yield a reversed (or underflowing) line_range.
-        if starts.last().is_some_and(|&p| v <= p) || v >= total {
+        if prev.is_some_and(|p| v <= p) || v >= total {
             return Err(corrupt("offsets not monotonic"));
         }
-        starts.push(v);
-    }
-    let last_end = total.checked_sub(u64::from(trailing_newline));
-    for (i, &s) in starts.iter().enumerate() {
-        let end = match starts.get(i + 1) {
-            Some(&next) => next.checked_sub(1),
-            None => last_end,
-        };
-        match end {
-            Some(e) if s < e && e <= total => ends.push(e),
-            _ => return Err(corrupt("derived line range is empty")),
+        if let Some(p) = prev {
+            empty |= p + 1 >= v;
+            if !empty {
+                idx.push(p, v - 1);
+            }
         }
+        prev = Some(v);
+    }
+    if let Some(s) = prev {
+        match total.checked_sub(u64::from(trailing_newline)) {
+            Some(e) if !empty && s < e => idx.push(s, e),
+            _ => empty = true,
+        }
+    }
+    if empty {
+        return Err(corrupt("derived line range is empty"));
     }
     Ok(())
 }
@@ -494,6 +733,86 @@ mod tests {
         assert_eq!(idx.line(buf, 1), b"c1ccccc1");
         assert_eq!(idx.line(buf, 2), b"N");
         assert_eq!(idx.total_bytes(), buf.len() as u64);
+    }
+
+    #[test]
+    fn block_sum_matches_a_plain_sum_at_every_position() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let rows = [Lens([255; BLOCK]), Lens([1; BLOCK]), Lens([0; BLOCK])];
+        let random = (0..8).map(|_| {
+            let mut row = [0u8; BLOCK];
+            for b in &mut row {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                *b = rng as u8;
+            }
+            Lens(row)
+        });
+        for row in rows.into_iter().chain(random) {
+            for k in 0..BLOCK {
+                let plain: u64 = row.0[..k].iter().map(|&b| u64::from(b)).sum();
+                assert_eq!(row.sum_before(k), plain, "k={k} row={:?}", &row.0[..k]);
+            }
+        }
+    }
+
+    #[test]
+    fn irregular_blocks_sit_beside_regular_ones() {
+        // Block 0 regular; block 1 turns irregular at its third line (a
+        // gap); block 2 at its first (a 256-byte line); block 3 regular
+        // again after a leading gap, which its anchor absorbs.
+        let mut buf = Vec::new();
+        let mut want = Vec::new();
+        for i in 0..4 * BLOCK {
+            if i == BLOCK + 2 || i == 3 * BLOCK {
+                buf.extend_from_slice(b"\n\n");
+            }
+            let len = if i == 2 * BLOCK { 256 } else { 1 + i % 9 };
+            want.push(buf.len()..buf.len() + len);
+            buf.extend(std::iter::repeat_n(b'C', len));
+            buf.push(b'\n');
+        }
+        let idx = LineIndex::build(&buf);
+        assert_eq!(idx.anchors[0] & IRREGULAR, 0);
+        assert_eq!(idx.anchors[1], IRREGULAR);
+        assert_eq!(idx.anchors[2], IRREGULAR | BLOCK as u64);
+        assert_eq!(idx.anchors[3], want[3 * BLOCK].start as u64);
+        assert_eq!(idx.side.len(), 2 * BLOCK);
+        let got: Vec<_> = (0..idx.len()).map(|i| idx.line_range(i)).collect();
+        assert_eq!(got, want);
+        assert_eq!(idx.ranges(0..idx.len()).collect::<Vec<_>>(), want);
+        assert_eq!(idx.ranges(BLOCK + 1..3 * BLOCK + 5).len(), 2 * BLOCK + 4);
+        assert!(idx
+            .ranges(BLOCK + 1..3 * BLOCK + 5)
+            .eq(want[BLOCK + 1..3 * BLOCK + 5].iter().cloned()));
+        // Four anchors and rows, and two blocks' lines in the side table
+        // at 16 bytes each.
+        assert_eq!(idx.heap_bytes(), 4 * (8 + BLOCK) + 2 * BLOCK * 16);
+    }
+
+    #[test]
+    fn a_start_too_large_for_an_anchor_goes_to_the_side_table() {
+        let mut idx = LineIndex::default();
+        for i in 0..BLOCK as u64 {
+            idx.push(2 * i, 2 * i + 1);
+        }
+        let top = 1u64 << 63;
+        idx.push(top, top + 5);
+        idx.push(top + 6, top + 7);
+        assert_eq!(idx.anchors[1], IRREGULAR);
+        assert_eq!(idx.line_range(BLOCK - 1), 126..127);
+        assert_eq!(idx.line_range(BLOCK), top as usize..top as usize + 5);
+        assert_eq!(
+            idx.line_range(BLOCK + 1),
+            top as usize + 6..top as usize + 7
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "line 3 of an index of 3")]
+    fn line_range_past_the_end_panics() {
+        LineIndex::build(b"CCO\nN\nC\n").line_range(3);
     }
 
     #[test]

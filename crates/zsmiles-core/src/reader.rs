@@ -9,9 +9,11 @@
 //! 1. **Open** reads the fixed-size footer and header, then the embedded
 //!    dictionary and the line index. On disk the index costs about one
 //!    byte per line (wire version 4), so opening a 100M-line archive
-//!    reads ~100 MB of metadata; held in memory it is two `u64`s per line,
-//!    16 bytes, so that same archive needs 1.6 GB of RAM before the first
-//!    `get`. The payload is *never* loaded wholesale.
+//!    reads ~100 MB of metadata; held in memory it is one `u64` anchor
+//!    per 64 lines plus one length byte per line (see
+//!    [`crate::index`]), about 1.13 bytes, so that same archive holds
+//!    ~113 MB of index (two `u64`s per line took 1.6 GB). The payload is
+//!    *never* loaded wholesale.
 //! 2. **`get(line)`** issues one positioned read for that line's exact
 //!    byte range (the [`crate::index::LineIndex`] stores exact ends) into
 //!    a stack buffer and decodes it into an exactly sized result — one
@@ -21,7 +23,8 @@
 //! 3. **`get_range`** / [`ArchiveReader::lines`] / `unpack_to` batch
 //!    contiguous lines into single reads, for campaign-style "pull these
 //!    thousand hits" workloads and full streaming unpacks in bounded
-//!    memory.
+//!    memory. They walk the index with its [`LineIndex::ranges`] cursor,
+//!    O(1) a line.
 //!
 //! The reader is generic over [`ArchiveSource`] — a file via
 //! [`FileSource`], bytes via [`crate::source::InMemorySource`] or
@@ -41,7 +44,7 @@ use crate::archive::{bad, parse_layout, FOOTER_LEN, HEADER_LEN};
 use crate::decompress::DecompressStats;
 use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
-use crate::index::LineIndex;
+use crate::index::{LineIndex, Ranges};
 use crate::source::{ArchiveSource, AutoSource, FileSource};
 use std::io::Write;
 use std::ops::Range;
@@ -253,8 +256,7 @@ impl<S: ArchiveSource> ArchiveReader<S> {
         let span = self.read_span(span_start..span_end)?;
 
         let mut out = Vec::with_capacity(lines.len());
-        for i in lines {
-            let r = self.index.line_range(i);
+        for r in self.index.ranges(lines) {
             let mut smiles = Vec::new();
             self.dict
                 .decompress_line(&span[r.start - span_start..r.end - span_start], &mut smiles)?;
@@ -285,6 +287,7 @@ impl<S: ArchiveSource> ArchiveReader<S> {
     pub fn lines_batched(&self, batch_bytes: usize) -> LineIter<'_, S> {
         LineIter {
             reader: self,
+            ranges: self.index.ranges(0..self.index.len()),
             batch: Vec::new(),
             batch_start: 0,
             batch_end_line: 0,
@@ -299,12 +302,13 @@ impl<S: ArchiveSource> ArchiveReader<S> {
     /// first line *not* in the batch and the batch's payload byte span —
     /// the single batching rule the iterator and streaming unpack share.
     fn batch_span(&self, i: usize, budget: usize) -> (usize, Range<usize>) {
-        let start_off = self.index.line_range(i).start;
-        let mut j = i + 1;
-        while j < self.index.len() && self.index.line_range(j).end - start_off <= budget {
-            j += 1;
+        let mut ranges = self.index.ranges(i..self.index.len());
+        let first = ranges.next().expect("a batch starts at an indexed line");
+        let (mut j, mut end) = (i + 1, first.end);
+        for r in ranges.take_while(|r| r.end - first.start <= budget) {
+            (j, end) = (j + 1, r.end);
         }
-        (j, start_off..self.index.line_range(j - 1).end)
+        (j, first.start..end)
     }
 
     /// Read one payload byte span as positioned I/O.
@@ -369,6 +373,8 @@ impl<S: ArchiveSource> ArchiveReader<S> {
 /// positioned read per batch.
 pub struct LineIter<'r, S: ArchiveSource> {
     reader: &'r ArchiveReader<S>,
+    /// The range of every line from `next` on.
+    ranges: Ranges<'r>,
     batch: Vec<u8>,
     /// Payload offset of `batch[0]`.
     batch_start: usize,
@@ -402,7 +408,7 @@ impl<S: ArchiveSource> Iterator for LineIter<'_, S> {
                 return Some(Err(e));
             }
         }
-        let r = self.reader.index().line_range(self.next);
+        let r = self.ranges.next().expect("one range per line");
         let line = &self.batch[r.start - self.batch_start..r.end - self.batch_start];
         let mut out = Vec::new();
         match self.reader.dict.decompress_line(line, &mut out) {

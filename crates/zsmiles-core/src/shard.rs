@@ -132,8 +132,12 @@ pub struct ShardManifest {
 }
 
 impl ShardManifest {
+    /// A manifest over `shards`, in order. A line total past `u64::MAX`
+    /// saturates; [`ShardManifest::read_from`] refuses such rows outright.
     pub fn new(flavor: DictFlavor, shards: Vec<ShardMeta>) -> ShardManifest {
-        let total_lines = shards.iter().map(|s| s.lines).sum();
+        let total_lines = shards
+            .iter()
+            .fold(0u64, |sum, s| sum.saturating_add(s.lines));
         ShardManifest {
             flavor,
             total_lines,
@@ -288,6 +292,14 @@ impl ShardManifest {
         let flavor = flavor.ok_or_else(|| bad("manifest missing 'flavor'"))?;
         if shards.is_empty() {
             return Err(bad("manifest lists no shards"));
+        }
+        // The rows are untrusted: their sum must fit before `new` takes it.
+        if shards
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.lines))
+            .is_none()
+        {
+            return Err(bad("shard line counts sum past 2^64"));
         }
         let manifest = ShardManifest::new(flavor, shards).with_generation(generation.unwrap_or(0));
         if let Some(declared) = declared_lines {
@@ -1064,7 +1076,11 @@ impl ShardedReader {
                 Err(e) => return Err(e),
             }
             starts.push(at);
-            at += meta.lines;
+            // A quarantined shard's count is unverified; the manifest
+            // parser bounds the sum, and this keeps the bound local.
+            at = at
+                .checked_add(meta.lines)
+                .ok_or_else(|| bad("shard line counts sum past 2^64"))?;
         }
         let Some(dict_shard) = dict_shard else {
             return Err(bad(format!(
@@ -1073,8 +1089,13 @@ impl ShardedReader {
                 quarantined.len()
             )));
         };
+        let total = usize::try_from(at).map_err(|_| {
+            bad(format!(
+                "{at} lines do not fit this platform's address space"
+            ))
+        })?;
         Ok(ShardedReader {
-            total: at as usize,
+            total,
             manifest,
             readers,
             quarantined,
@@ -1246,13 +1267,21 @@ impl ShardedReader {
                 len: self.total,
             });
         }
-        let mut out = Vec::with_capacity(lines.len());
+        // Grown shard by shard, the first shard's lines taken as they are:
+        // on a degraded deck `lines` may span a quarantined shard's
+        // unverified line count, too many to reserve up front.
+        let mut out = Vec::new();
         let mut i = lines.start;
         while i < lines.end {
             let (s, local) = self.locate(i);
             let reader = self.shard_for_line(s, i)?;
             let take = (reader.len() - local).min(lines.end - i);
-            out.extend(reader.get_range(local..local + take)?);
+            let part = reader.get_range(local..local + take)?;
+            if out.is_empty() {
+                out = part;
+            } else {
+                out.extend(part);
+            }
             i += take;
         }
         Ok(out)

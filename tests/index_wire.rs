@@ -1,7 +1,9 @@
-//! The line index on the wire: round trips against `LineIndex::build`
-//! and a plain `split`, the v3 writer kept as an oracle for the decks it
-//! wrote, the footprint of the v4 format, and a seeded mutation fuzz of
-//! the parser over v1–v4 sidecars and the index section of a `.zsa`.
+//! The line index on the wire and in memory: round trips against
+//! `LineIndex::build` and a plain `split`, the v3 writer kept as an
+//! oracle for the decks it wrote, the block-anchored in-memory layout
+//! against a plain `Vec<Range>` oracle, the footprint of the v4 format
+//! and of an open index, and a seeded mutation fuzz of the parser over
+//! v1–v4 sidecars and the index section of a `.zsa`.
 //!
 //! A test binary of its own: the `#[global_allocator]` below records the
 //! largest single allocation made on the thread that armed it, so the
@@ -10,6 +12,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use molgen::Dataset;
@@ -72,15 +75,23 @@ fn v4(idx: &LineIndex) -> Vec<u8> {
     raw
 }
 
+/// Every line's range, one `line_range` call each.
+fn ranges_of(idx: &LineIndex) -> Vec<Range<usize>> {
+    (0..idx.len()).map(|i| idx.line_range(i)).collect()
+}
+
 /// The v3 writer as it shipped: magic, count, total, then each line's
 /// `(start, end)` as two little-endian `u64`s. Every deck packed before
 /// v4 carries this layout, so it stays here as an oracle.
 fn v3(idx: &LineIndex) -> Vec<u8> {
+    v3_of(&ranges_of(idx), idx.total_bytes())
+}
+
+fn v3_of(ranges: &[Range<usize>], total: u64) -> Vec<u8> {
     let mut raw = b"ZSXIDX03".to_vec();
-    raw.extend_from_slice(&(idx.len() as u64).to_le_bytes());
-    raw.extend_from_slice(&idx.total_bytes().to_le_bytes());
-    for i in 0..idx.len() {
-        let r = idx.line_range(i);
+    raw.extend_from_slice(&(ranges.len() as u64).to_le_bytes());
+    raw.extend_from_slice(&total.to_le_bytes());
+    for r in ranges {
         raw.extend_from_slice(&(r.start as u64).to_le_bytes());
         raw.extend_from_slice(&(r.end as u64).to_le_bytes());
     }
@@ -90,16 +101,47 @@ fn v3(idx: &LineIndex) -> Vec<u8> {
 /// A v1 (`flag == None`) or v2 sidecar: starts only, v2 with its
 /// trailing-newline flag byte after the head.
 fn legacy(idx: &LineIndex, flag: Option<bool>) -> Vec<u8> {
+    legacy_of(&ranges_of(idx), idx.total_bytes(), flag)
+}
+
+fn legacy_of(ranges: &[Range<usize>], total: u64, flag: Option<bool>) -> Vec<u8> {
     let mut raw = match flag {
         None => b"ZSXIDX01".to_vec(),
         Some(_) => b"ZSXIDX02".to_vec(),
     };
-    raw.extend_from_slice(&(idx.len() as u64).to_le_bytes());
-    raw.extend_from_slice(&idx.total_bytes().to_le_bytes());
+    raw.extend_from_slice(&(ranges.len() as u64).to_le_bytes());
+    raw.extend_from_slice(&total.to_le_bytes());
     raw.extend(flag.map(u8::from));
-    for i in 0..idx.len() {
-        raw.extend_from_slice(&(idx.line_range(i).start as u64).to_le_bytes());
+    for r in ranges {
+        raw.extend_from_slice(&(r.start as u64).to_le_bytes());
     }
+    raw
+}
+
+/// The v4 wire format written straight from a list of ranges, as the
+/// module docs of `zsmiles_core::index` define it.
+fn v4_of(ranges: &[Range<usize>], total: u64) -> Vec<u8> {
+    fn varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+    let mut raw = b"ZSXIDX04".to_vec();
+    raw.extend_from_slice(&(ranges.len() as u64).to_le_bytes());
+    raw.extend_from_slice(&total.to_le_bytes());
+    let mut expected = 0;
+    for r in ranges {
+        let gap = (r.start - expected) as u64;
+        varint(&mut raw, ((r.len() as u64 - 1) << 1) | u64::from(gap != 0));
+        if gap != 0 {
+            varint(&mut raw, gap);
+        }
+        expected = r.end + 1;
+    }
+    let crc = crc32(&raw);
+    raw.extend_from_slice(&crc.to_le_bytes());
     raw
 }
 
@@ -188,6 +230,148 @@ proptest! {
         prop_assert_eq!(back.wire_version(), Some(3));
         prop_assert!(v4(&idx).len() <= v3(&idx).len() + 4);
     }
+}
+
+/// One planned line: blank bytes before it when the selector is 0, and
+/// its length.
+type Planned = (u8, usize, usize);
+
+fn planned() -> impl Strategy<Value = Planned> {
+    (0u8..8, 1usize..=300, 1usize..4)
+}
+
+/// A buffer and the exact range of each of its lines, built side by
+/// side. Whole 64-line blocks come first, each either regular (short
+/// lines, no blank bytes except before its first line) or left as drawn
+/// (about one line in eight after blank bytes, one in seven longer than
+/// 255 bytes); then a partial block, optional trailing blanks, and an
+/// optional final newline.
+fn oracle_deck() -> impl Strategy<Value = (Vec<u8>, Vec<Range<usize>>)> {
+    let block = (any::<bool>(), proptest::collection::vec(planned(), 64));
+    (
+        proptest::collection::vec(block, 0..5),
+        proptest::collection::vec(planned(), 0..64),
+        0usize..3,
+        any::<bool>(),
+    )
+        .prop_map(|(blocks, tail, trailing, cut)| {
+            let mut lines = Vec::new();
+            for (regular, plan) in blocks {
+                for (k, (sel, len, gap)) in plan.into_iter().enumerate() {
+                    match regular {
+                        true if k > 0 => lines.push((0, (len - 1) % 255 + 1)),
+                        true => lines.push((usize::from(sel == 0) * gap, (len - 1) % 255 + 1)),
+                        false => lines.push((usize::from(sel == 0) * gap, len)),
+                    }
+                }
+            }
+            lines.extend(
+                tail.into_iter()
+                    .map(|(sel, len, gap)| (usize::from(sel == 0) * gap, len)),
+            );
+            let (mut buf, mut ranges) = (Vec::new(), Vec::new());
+            for (i, (gap, len)) in lines.into_iter().enumerate() {
+                buf.resize(buf.len() + gap, b'\n');
+                let start = buf.len();
+                buf.extend((0..len).map(|j| b'A' + ((i + j) % 26) as u8));
+                ranges.push(start..buf.len());
+                buf.push(b'\n');
+            }
+            buf.resize(buf.len() + trailing, b'\n');
+            if cut && trailing == 0 {
+                buf.pop();
+            }
+            (buf, ranges)
+        })
+}
+
+/// What a v1 (`flag == None`) or v2 sidecar of `ranges` reads back as:
+/// each end derived one separator before the next start, the last from
+/// the total and the trailing-newline flag (v1 assumes one); `None` when
+/// a derived line is empty, which the reader refuses.
+fn derived(ranges: &[Range<usize>], total: usize, flag: Option<bool>) -> Option<Vec<Range<usize>>> {
+    let last_end = total.checked_sub(usize::from(flag.unwrap_or(true)))?;
+    let ends = ranges.iter().skip(1).map(|r| r.start - 1).chain([last_end]);
+    let out: Vec<Range<usize>> = ranges.iter().zip(ends).map(|(r, e)| r.start..e).collect();
+    out.iter().all(|r| r.start < r.end).then_some(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// The block-anchored index describes exactly the oracle's ranges:
+    /// per line, through the cursor over any run, after `append_scan` at
+    /// line-aligned splits, in the v4 bytes it writes, and read back from
+    /// every wire version.
+    #[test]
+    fn block_index_matches_a_plain_range_oracle(
+        (buf, oracle) in oracle_deck(),
+        cuts in proptest::collection::vec(any::<u64>(), 0..6),
+    ) {
+        let n = oracle.len();
+        let total = buf.len() as u64;
+        let idx = LineIndex::build(&buf);
+        prop_assert_eq!(idx.len(), n);
+        prop_assert_eq!(ranges_of(&idx), oracle.clone());
+        prop_assert_eq!(idx.ranges(0..n).collect::<Vec<_>>(), oracle.clone());
+        for pair in cuts.chunks(2) {
+            let a = (pair[0] % (n as u64 + 1)) as usize;
+            let b = a + (pair.get(1).copied().unwrap_or(0) % (n - a + 1) as u64) as usize;
+            let run = idx.ranges(a..b);
+            prop_assert_eq!(run.len(), b - a);
+            prop_assert_eq!(run.collect::<Vec<_>>(), oracle[a..b].to_vec(), "run {}..{}", a, b);
+        }
+
+        // Chunks that each end just after a newline (or at the end).
+        let mut ends: Vec<usize> = cuts
+            .iter()
+            .map(|&c| {
+                let at = (c % (total + 1)) as usize;
+                buf[at..].iter().position(|&b| b == b'\n').map_or(buf.len(), |p| at + p + 1)
+            })
+            .collect();
+        ends.sort_unstable();
+        let mut appended = LineIndex::default();
+        let mut from = 0;
+        for end in ends.into_iter().chain([buf.len()]) {
+            appended.append_scan(&buf[from..end]);
+            from = end;
+        }
+        prop_assert_eq!(&appended, &idx);
+        prop_assert_eq!(appended.ranges(0..n).collect::<Vec<_>>(), oracle.clone());
+
+        let written = v4(&idx);
+        prop_assert_eq!(&written, &v4_of(&oracle, total));
+        for (version, blob) in [(4, written), (3, v3_of(&oracle, total))] {
+            let back = LineIndex::read_from(blob.as_slice()).unwrap();
+            prop_assert_eq!(back.wire_version(), Some(version));
+            prop_assert_eq!(ranges_of(&back), oracle.clone(), "v{}", version);
+            prop_assert_eq!(&back, &idx);
+        }
+        let flag = Some(buf.last() == Some(&b'\n'));
+        for flag in [None, flag] {
+            let back = LineIndex::read_from(legacy_of(&oracle, total, flag).as_slice());
+            match derived(&oracle, buf.len(), flag) {
+                Some(want) => prop_assert_eq!(ranges_of(&back.unwrap()), want, "flag {:?}", flag),
+                None => prop_assert!(back.is_err(), "flag {:?}", flag),
+            }
+        }
+    }
+}
+
+#[test]
+fn open_index_holds_about_one_and_an_eighth_bytes_per_line() {
+    let ds = Dataset::generate_mixed(20_000, 7);
+    let dict = AnyDictionary::Base(Box::new(Dictionary::builtin().clone()));
+    let archive = Archive::pack(dict, ds.as_bytes(), 2);
+    let mut blob = Vec::new();
+    archive.write_to(&mut blob).unwrap();
+    let reader = ArchiveReader::from_source(blob.as_slice()).unwrap();
+    // One u64 anchor and 64 length bytes per 64-line block.
+    let blocks = 20_000usize.div_ceil(64);
+    assert_eq!(reader.index().heap_bytes(), blocks * (8 + 64));
+    assert!(reader.index().heap_bytes() as f64 / 20_000.0 <= 1.2);
+    assert!(archive.index().heap_bytes() <= reader.index().heap_bytes());
 }
 
 #[test]
