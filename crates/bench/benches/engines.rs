@@ -1,12 +1,12 @@
 //! Criterion microbenchmarks for the encoding engines — the timing side
-//! of the `ablation_engines` harness (DP vs Dijkstra vs greedy, trie
-//! matching, preprocessing).
+//! of the `ablation_engines` harness (the production kernel vs the
+//! reference sweep, preprocessing).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use molgen::Dataset;
 use std::time::Duration;
 use zsmiles_core::sp::{encode_line, SpScratch};
-use zsmiles_core::{Compressor, Decompressor, DictBuilder, SpAlgorithm};
+use zsmiles_core::{Compressor, Decompressor, DictBuilder};
 
 fn fixtures() -> (zsmiles_core::Dictionary, Dataset) {
     let deck = Dataset::generate_mixed(2_000, 0xBEEF);
@@ -20,23 +20,33 @@ fn bench_shortest_path(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.throughput(Throughput::Bytes(deck.payload_bytes() as u64));
-    for (name, algo) in [
-        ("backward_dp", SpAlgorithm::BackwardDp),
-        ("dijkstra", SpAlgorithm::Dijkstra),
-    ] {
-        group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            let mut scratch = SpScratch::new();
-            let mut out = Vec::with_capacity(64);
-            b.iter(|| {
-                let mut total = 0usize;
-                for line in deck.iter() {
-                    out.clear();
-                    total += encode_line(dict.trie(), line, algo, &mut scratch, &mut out);
-                }
-                total
-            })
-        });
-    }
+    // The reference sweep over the node trie.
+    group.bench_function(BenchmarkId::from_parameter("backward_dp"), |b| {
+        let mut scratch = SpScratch::new();
+        let mut out = Vec::with_capacity(64);
+        b.iter(|| {
+            let mut total = 0usize;
+            for line in deck.iter() {
+                out.clear();
+                total += encode_line(dict.trie(), line, &mut scratch, &mut out);
+            }
+            total
+        })
+    });
+    // The production kernel: the reverse automaton, same lines, no
+    // preprocessing.
+    group.bench_function(BenchmarkId::from_parameter("reverse_automaton"), |b| {
+        let mut compressor = Compressor::new(&dict).with_preprocess(false);
+        let mut out = Vec::with_capacity(64);
+        b.iter(|| {
+            let mut total = 0usize;
+            for line in deck.iter() {
+                out.clear();
+                total += compressor.compress_line(line, &mut out).0;
+            }
+            total
+        })
+    });
     group.finish();
 }
 

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use molgen::Dataset;
 use std::time::Duration;
-use zsmiles_core::{compress_parallel, Compressor, DictBuilder, SpAlgorithm};
+use zsmiles_core::{AnyDictionary, Compressor, DictBuilder};
 
 fn bench_lmax_sweep(c: &mut Criterion) {
     let deck = Dataset::generate_mixed(2_000, 0xF16);
@@ -71,18 +71,16 @@ fn bench_lmax_sweep_decompress(c: &mut Criterion) {
 fn bench_parallel_scaling(c: &mut Criterion) {
     let deck = Dataset::generate_mixed(4_000, 0xF16);
     let input = deck.as_bytes().to_vec();
-    let dict = DictBuilder::default().train(deck.iter()).expect("train");
+    let dict = AnyDictionary::Base(Box::new(
+        DictBuilder::default().train(deck.iter()).expect("train"),
+    ));
     let mut group = c.benchmark_group("parallel_compress");
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.throughput(Throughput::Bytes(deck.payload_bytes() as u64));
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(BenchmarkId::from_parameter(threads), |b| {
-            b.iter(|| {
-                compress_parallel(&dict, &input, SpAlgorithm::BackwardDp, threads)
-                    .0
-                    .len()
-            })
+            b.iter(|| dict.compress_parallel(&input, threads).0.len())
         });
     }
     group.finish();
@@ -93,7 +91,9 @@ fn bench_gpu_sim(c: &mut Criterion) {
     // host, so this benchmark tracks simulator overhead, not device time.
     let deck = Dataset::generate_mixed(200, 0xF16);
     let input = deck.as_bytes().to_vec();
-    let dict = DictBuilder::default().train(deck.iter()).expect("train");
+    let dict = AnyDictionary::Base(Box::new(
+        DictBuilder::default().train(deck.iter()).expect("train"),
+    ));
     let mut group = c.benchmark_group("gpu_simulator");
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
@@ -101,7 +101,9 @@ fn bench_gpu_sim(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("compress_kernel", |b| {
         b.iter(|| {
-            zsmiles_gpu::compress(&dict, &input, &zsmiles_gpu::GpuOptions::default()).out_bytes
+            zsmiles_gpu::compress(&dict, &input, &zsmiles_gpu::GpuOptions::default())
+                .expect("base dictionary stages")
+                .out_bytes
         })
     });
     group.finish();

@@ -1,14 +1,19 @@
 //! **Ablation** — encoding engine choices:
 //!
-//! * shortest path via backward DP vs the paper's Dijkstra (identical
-//!   bytes, different constant factors);
+//! * the production kernel (the reverse automaton's backward sweep) vs
+//!   the reference sweep over the dense automaton — the paper's Dijkstra
+//!   in its settle order (identical bytes, different constant factors);
 //! * optimal shortest-path encoding vs greedy longest-match (what a
 //!   simpler implementation would do, and what FSST does);
 //! * order-preserving multi-threaded CPU scaling.
 
-use bench::{emit_datum, row, Decks, ExpConfig};
+use bench::{emit_datum, reference_encode_buffer, row, Decks, ExpConfig};
 use std::time::Instant;
-use zsmiles_core::{compress_parallel, Compressor, DictBuilder, SpAlgorithm, ESCAPE};
+use zsmiles_core::sp::encode_line;
+use zsmiles_core::{AnyDictionary, CompressStats, Compressor, DictBuilder, ESCAPE};
+
+/// One way to encode the deck into a buffer.
+type EncodeBuffer<'a> = &'a dyn Fn(&mut Vec<u8>) -> CompressStats;
 
 fn main() {
     let cfg = ExpConfig::from_args();
@@ -19,7 +24,7 @@ fn main() {
 
     println!("Ablation: encoding engines (MIXED, {} lines)\n", deck.len());
 
-    // ---- DP vs Dijkstra --------------------------------------------------
+    // ---- kernel vs reference sweep ----------------------------------------
     let widths = [14usize, 10, 14];
     println!(
         "{}",
@@ -29,15 +34,17 @@ fn main() {
         )
     );
     let mut outputs = Vec::new();
-    for (name, algo) in [
-        ("backward-dp", SpAlgorithm::BackwardDp),
-        ("dijkstra", SpAlgorithm::Dijkstra),
-    ] {
+    let kernel = |out: &mut Vec<u8>| Compressor::new(&dict).compress_buffer(input, out);
+    let reference = |out: &mut Vec<u8>| {
+        reference_encode_buffer(dict.preprocessed(), input, out, |line, s, out| {
+            encode_line(dict.automaton(), line, s, out)
+        })
+    };
+    let runs: [(&str, EncodeBuffer); 2] = [("backward-dp", &kernel), ("dense-ref-dp", &reference)];
+    for (name, encode) in runs {
         let t0 = Instant::now();
         let mut out = Vec::with_capacity(input.len() / 2);
-        let stats = Compressor::new(&dict)
-            .with_algorithm(algo)
-            .compress_buffer(input, &mut out);
+        let stats = encode(&mut out);
         let dt = t0.elapsed().as_secs_f64();
         println!(
             "{}",
@@ -96,10 +103,11 @@ fn main() {
             &widths
         )
     );
+    let any = AnyDictionary::Base(Box::new(dict.clone()));
     let mut t1 = 0.0f64;
     for threads in [1usize, 2, 4, 8] {
         let t0 = Instant::now();
-        let (out, _) = compress_parallel(&dict, input, SpAlgorithm::BackwardDp, threads);
+        let (out, _) = any.compress_parallel(input, threads);
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(out, opt_out, "parallel output identical");
         if threads == 1 {

@@ -10,7 +10,7 @@
 use bench::{bar, emit_datum, Decks, ExpConfig};
 use textcomp::{bzip, fsst::Fsst, line_codec_ratio, shoco::ShocoModel, smaz::Smaz, LineCodec};
 use zsmiles_core::engine::AnyDictionary;
-use zsmiles_core::{Compressor, DictBuilder, DynCodec, WideDictBuilder};
+use zsmiles_core::{Compressor, DictBuilder, WideDictBuilder};
 
 fn main() {
     let cfg = ExpConfig::from_args();
@@ -27,13 +27,12 @@ fn main() {
     // --- ZSMILES: dictionary trained on the same input (FSST-fair), then
     //     driven through the exact per-line interface (LineCodec) the
     //     other short-string tools use, dictionary bytes charged the way
-    //     FSST's symbol table is. Both flavours go through the dyn-safe
-    //     DynEngine facade -- the harness never matches on the flavour.
+    //     FSST's symbol table is. Both flavours go through AnyDictionary's
+    //     LineCodec impl -- the harness never matches on the flavour.
     let dict = DictBuilder::default()
         .train(decks.mixed.iter())
         .expect("train");
-    let any = AnyDictionary::Base(Box::new(dict.clone()));
-    let zcodec = DynCodec::new(any.as_dyn());
+    let zcodec = AnyDictionary::Base(Box::new(dict.clone()));
     let (z_out, z_in) = line_codec_ratio(&zcodec, input);
     let zsmiles_charged_ratio = z_out as f64 / z_in as f64;
     let mut zout = Vec::with_capacity(payload / 2);
@@ -47,8 +46,7 @@ fn main() {
     }
     .train(decks.mixed.iter())
     .expect("train wide");
-    let wide_any = AnyDictionary::Wide(Box::new(wide_dict));
-    let wcodec = DynCodec::new(wide_any.as_dyn());
+    let wcodec = AnyDictionary::Wide(Box::new(wide_dict));
     let (w_out, w_in) = line_codec_ratio(&wcodec, input);
     let zsmiles_wide_ratio = w_out as f64 / w_in as f64;
 
@@ -164,8 +162,7 @@ fn verify_roundtrips(
     // ZSMILES round trip (preprocessed form re-parses to same molecules),
     // driven through the same dyn interface as the baselines.
     let line = decks.mixed.line(0);
-    let any = AnyDictionary::Base(Box::new(dict.clone()));
-    let zcodec = DynCodec::new(any.as_dyn());
+    let zcodec = AnyDictionary::Base(Box::new(dict.clone()));
     let mut z = Vec::new();
     (&zcodec as &dyn LineCodec).compress_line(line, &mut z);
     let mut back = Vec::new();

@@ -14,7 +14,7 @@
 use bench::{emit_datum, row, Decks, ExpConfig};
 use simt::{A100_LIKE, EPYC_CORE_LIKE, SCRATCH_FS};
 use std::time::Instant;
-use zsmiles_core::{Compressor, Decompressor, DictBuilder};
+use zsmiles_core::{AnyDictionary, Compressor, Decompressor, DictBuilder};
 use zsmiles_gpu::{compress as gpu_compress, decompress as gpu_decompress, GpuOptions};
 
 const LMAX_VALUES: [usize; 3] = [5, 8, 15];
@@ -63,7 +63,9 @@ fn main() {
             &SCRATCH_FS,
         );
 
-        let grun = gpu_compress(&dict, input, &GpuOptions::default());
+        let any = AnyDictionary::Base(Box::new(dict.clone()));
+        let grun =
+            gpu_compress(&any, input, &GpuOptions::default()).expect("base dictionary stages");
         assert_eq!(grun.output, zout, "device output must match serial");
         let gpu_comp =
             A100_LIKE.pipeline_time(&grun.report, grun.in_bytes, grun.out_bytes, &SCRATCH_FS);
@@ -82,7 +84,7 @@ fn main() {
             &SCRATCH_FS,
         );
 
-        let drun = gpu_decompress(&dict, &zout, &GpuOptions::default()).unwrap();
+        let drun = gpu_decompress(&any, &zout, &GpuOptions::default()).unwrap();
         assert_eq!(drun.output, back, "device decompression must match serial");
         let gpu_deco =
             A100_LIKE.pipeline_time(&drun.report, drun.in_bytes, drun.out_bytes, &SCRATCH_FS);

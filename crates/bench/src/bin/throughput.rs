@@ -3,9 +3,10 @@
 //! Times the paper's Fig. 3 fast path end to end on a seeded molgen deck —
 //! serial encode through *all three* matchers (the right-to-left
 //! `ReverseAutomaton` kernel — per line and through the buffer loop —
-//! the flat `DenseAutomaton`, and the node-`Trie` reference,
-//! measured in the same run so every speedup is an observation, not a
-//! claim — on the base *and* wide flavours), worker-pool parallel encode
+//! and the reference sweep, called directly, over the flat
+//! `DenseAutomaton` and the node `Trie`, measured in the same run so
+//! every speedup is an observation, not a claim — on the base *and* wide
+//! flavours), worker-pool parallel encode
 //! and decode, serial decode,
 //! streaming pack through the out-of-core `ArchiveWriter` (single-file,
 //! sharded-serial, and sharded-parallel — cross-shard jobs on the worker
@@ -40,17 +41,19 @@
 //! cache-backed reads return exactly the file-backed bytes, and the
 //! parallel sharded pack's files are byte-identical to the serial pack's.
 
+use bench::reference_encode_buffer;
 use molgen::Dataset;
 use std::sync::Arc;
 use std::time::Instant;
 use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::serve::{Executor, QueryClient, Request, ServeOptions, Server};
+use zsmiles_core::sp;
 use zsmiles_core::train::{BaseBuilder, DictBuilder as _, TrainCorpus};
 use zsmiles_core::{
     compress_parallel_dyn, decompress_parallel_dyn, ArchiveReader, ArchiveWriter, BlockCache,
     CachedSource, Compressor, Decompressor, DictBuilder, Dictionary, FileSink, FileSource,
-    MatcherKind, MmapSource, ShardPolicy, ShardedReader, ShardedWriter, TrainOptions,
-    WideCompressor, WideDictBuilder, WriterOptions,
+    MmapSource, ShardPolicy, ShardedReader, ShardedWriter, TrainOptions, WideCompressor,
+    WideDictBuilder, WriterOptions,
 };
 
 struct Opts {
@@ -155,52 +158,64 @@ fn main() {
     .train(deck.iter())
     .expect("training the wide dictionary");
 
+    // The reference encodes: preprocessing as the dictionary declares,
+    // then the reference sweep over the dense automaton or the node trie.
+    let base_dense = |out: &mut Vec<u8>| {
+        reference_encode_buffer(dict.preprocessed(), &input, out, |l, s, o| {
+            sp::encode_line(dict.automaton(), l, s, o)
+        })
+    };
+    let base_node = |out: &mut Vec<u8>| {
+        reference_encode_buffer(dict.preprocessed(), &input, out, |l, s, o| {
+            sp::encode_line(dict.trie(), l, s, o)
+        })
+    };
+    let wide_dense = |out: &mut Vec<u8>| {
+        reference_encode_buffer(wide.preprocessed(), &input, out, |l, s, o| {
+            zsmiles_core::wide::encode_line(wide.automaton(), l, s, o)
+        })
+    };
+    let wide_node = |out: &mut Vec<u8>| {
+        reference_encode_buffer(wide.preprocessed(), &input, out, |l, s, o| {
+            zsmiles_core::wide::encode_line(wide.trie(), l, s, o)
+        })
+    };
+
     // ---- identity assertions the measurements rely on --------------------
-    // The default encoder is the reverse automaton; pin its bytes against
-    // the dense automaton and the node trie in this run, so the speedup
-    // rows below compare identical work.
+    // The encoder runs the reverse automaton; pin its bytes against the
+    // dense automaton and the node trie in this run, so the speedup rows
+    // below compare identical work.
     let mut z_enc = Vec::new();
     let stats = Compressor::new(&dict).compress_buffer(&input, &mut z_enc);
     let mut z_dense = Vec::new();
-    Compressor::new(&dict)
-        .with_matcher(MatcherKind::DenseAutomaton)
-        .compress_buffer(&input, &mut z_dense);
+    base_dense(&mut z_dense);
     assert_eq!(z_enc, z_dense, "reverse automaton ≠ dense automaton output");
     let mut z_node = Vec::new();
-    Compressor::new(&dict)
-        .with_matcher(MatcherKind::NodeTrie)
-        .compress_buffer(&input, &mut z_node);
+    base_node(&mut z_node);
     assert_eq!(z_enc, z_node, "reverse automaton ≠ node trie output");
 
     let any = AnyDictionary::Base(Box::new(dict.clone()));
     let (z_par, _) = compress_parallel_dyn(&any, &input, o.threads);
     assert_eq!(z_par, z_enc, "parallel ≠ serial (base)");
 
-    let any_wide = AnyDictionary::Wide(Box::new(wide));
     let mut zw_serial = Vec::new();
-    {
-        let mut enc = zsmiles_core::WideCompressor::new(match &any_wide {
-            AnyDictionary::Wide(w) => w,
-            _ => unreachable!(),
-        });
-        enc.compress_buffer(&input, &mut zw_serial);
-    }
+    WideCompressor::new(&wide).compress_buffer(&input, &mut zw_serial);
+    let any_wide = AnyDictionary::Wide(Box::new(wide.clone()));
     let (zw_par, _) = compress_parallel_dyn(&any_wide, &input, o.threads);
     assert_eq!(zw_par, zw_serial, "parallel ≠ serial (wide)");
 
     // The wide flavour runs its own reverse automaton; the dense
     // automaton and the node trie stay the references it is pinned
     // against.
-    for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
-        let AnyDictionary::Wide(w) = &any_wide else {
-            unreachable!()
-        };
-        let mut zw_other = Vec::new();
-        WideCompressor::new(w)
-            .with_matcher(kind)
-            .compress_buffer(&input, &mut zw_other);
-        assert_eq!(zw_other, zw_serial, "wide reverse automaton ≠ {kind:?}");
-    }
+    let mut zw_dense = Vec::new();
+    wide_dense(&mut zw_dense);
+    assert_eq!(
+        zw_dense, zw_serial,
+        "wide reverse automaton ≠ dense automaton"
+    );
+    let mut zw_node = Vec::new();
+    wide_node(&mut zw_node);
+    assert_eq!(zw_node, zw_serial, "wide reverse automaton ≠ node trie");
 
     let mut back = Vec::new();
     Decompressor::new(&dict)
@@ -212,15 +227,11 @@ fn main() {
     let mut out_buf = Vec::with_capacity(z_enc.len() + 16);
     let enc_node = time_best(o.reps, || {
         out_buf.clear();
-        Compressor::new(&dict)
-            .with_matcher(MatcherKind::NodeTrie)
-            .compress_buffer(&input, &mut out_buf);
+        base_node(&mut out_buf);
     });
     let enc_dense = time_best(o.reps, || {
         out_buf.clear();
-        Compressor::new(&dict)
-            .with_matcher(MatcherKind::DenseAutomaton)
-            .compress_buffer(&input, &mut out_buf);
+        base_dense(&mut out_buf);
     });
     // The reverse automaton through the one-line entry point, beside the
     // buffer loop below, so the loop's own cost is a measured delta.
@@ -242,29 +253,16 @@ fn main() {
         let _ = compress_parallel_dyn(&any, &input, o.threads);
     });
     let wide_enc_batched = time_best(o.reps, || {
-        let AnyDictionary::Wide(w) = &any_wide else {
-            unreachable!()
-        };
         out_buf.clear();
-        WideCompressor::new(w).compress_buffer(&input, &mut out_buf);
+        WideCompressor::new(&wide).compress_buffer(&input, &mut out_buf);
     });
     let wide_enc_dense = time_best(o.reps, || {
-        let AnyDictionary::Wide(w) = &any_wide else {
-            unreachable!()
-        };
         out_buf.clear();
-        WideCompressor::new(w)
-            .with_matcher(MatcherKind::DenseAutomaton)
-            .compress_buffer(&input, &mut out_buf);
+        wide_dense(&mut out_buf);
     });
     let wide_enc_node = time_best(o.reps, || {
-        let AnyDictionary::Wide(w) = &any_wide else {
-            unreachable!()
-        };
         out_buf.clear();
-        WideCompressor::new(w)
-            .with_matcher(MatcherKind::NodeTrie)
-            .compress_buffer(&input, &mut out_buf);
+        wide_node(&mut out_buf);
     });
     let mut back_buf = Vec::with_capacity(input.len() + 16);
     let dec_serial = time_best(o.reps, || {

@@ -8,7 +8,9 @@
 //! sample size exactly.
 
 use molgen::{profiles, Dataset};
-use zsmiles_core::{CompressStats, Compressor, Dictionary};
+use zsmiles_core::engine::PreprocessStage;
+use zsmiles_core::sp::SpScratch;
+use zsmiles_core::{CompressStats, Compressor, Dictionary, LINE_SEP};
 
 /// Common experiment configuration parsed from argv.
 #[derive(Debug, Clone, Copy)]
@@ -94,6 +96,32 @@ impl Decks {
 pub fn compress_dataset(dict: &Dictionary, ds: &Dataset) -> CompressStats {
     let mut out = Vec::with_capacity(ds.total_bytes() / 2);
     Compressor::new(dict).compress_buffer(ds.as_bytes(), &mut out)
+}
+
+/// Encode a newline-separated buffer through a reference engine: each
+/// non-empty line ring-ID preprocessed if `preprocess` is set, then
+/// encoded by `encode_line` — `sp::encode_line` or `wide::encode_line`
+/// over a dictionary's node trie or dense automaton — and
+/// newline-terminated. The same work, bytes and stats as the production
+/// buffer loop, with the reference sweep in place of the kernel.
+pub fn reference_encode_buffer(
+    preprocess: bool,
+    input: &[u8],
+    out: &mut Vec<u8>,
+    mut encode_line: impl FnMut(&[u8], &mut SpScratch, &mut Vec<u8>) -> usize,
+) -> CompressStats {
+    let mut pp = PreprocessStage::new(preprocess);
+    let mut scratch = SpScratch::new();
+    let mut stats = CompressStats::default();
+    for line in input.split(|&b| b == LINE_SEP).filter(|l| !l.is_empty()) {
+        let (src, failed) = pp.apply(line);
+        stats.out_bytes += encode_line(src, &mut scratch, out);
+        out.push(LINE_SEP);
+        stats.lines += 1;
+        stats.in_bytes += line.len();
+        stats.preprocess_failures += failed as usize;
+    }
+    stats
 }
 
 /// Render one row of a fixed-width table.

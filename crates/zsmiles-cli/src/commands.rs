@@ -517,7 +517,7 @@ fn cmd_unpack(args: &Args) -> Result<(), String> {
         .unpack_to(
             std::io::BufWriter::new(f),
             threads,
-            zsmiles_core::fileio::DEFAULT_CHUNK,
+            zsmiles_core::reader::DEFAULT_CHUNK,
         )
         .map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {

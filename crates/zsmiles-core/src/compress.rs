@@ -2,26 +2,8 @@
 //! preprocess → compress → store).
 
 use crate::dict::Dictionary;
-use crate::engine::{LineEncoder, PreprocessStage};
-use crate::sp::{self, encode_line, SpAlgorithm, SpScratch};
-
-/// Which pattern-matching structure the encoder walks. All three produce
-/// byte-identical output; the reverse automaton is the production kernel,
-/// and the dense automaton and node trie remain selectable as the
-/// reference engines the throughput harness measures it against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatcherKind {
-    /// The right-to-left Aho–Corasick kernel
-    /// ([`crate::trie::ReverseAutomaton`]): one transition and one
-    /// 16-lane minimum per byte. With [`SpAlgorithm::Dijkstra`] the
-    /// reference Dijkstra runs over the dense automaton instead.
-    #[default]
-    ReverseAutomaton,
-    /// Flat `state × 256` tables ([`crate::trie::DenseAutomaton`]).
-    DenseAutomaton,
-    /// The pointer-linked build-time [`crate::trie::Trie`].
-    NodeTrie,
-}
+use crate::engine::PreprocessStage;
+use crate::sp::{self, SpScratch};
 
 /// Accounting for one compression run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -58,8 +40,6 @@ impl CompressStats {
 /// buffers, so per-line compression is allocation-free in steady state.
 pub struct Compressor<'d> {
     dict: &'d Dictionary,
-    algo: SpAlgorithm,
-    matcher: MatcherKind,
     /// The shared ring-ID preprocessing stage. Enabled by default to
     /// whatever the dictionary was trained with — mixing the two wastes
     /// ratio but is never incorrect, so it is a tunable, not an invariant.
@@ -71,21 +51,9 @@ impl<'d> Compressor<'d> {
     pub fn new(dict: &'d Dictionary) -> Self {
         Compressor {
             dict,
-            algo: SpAlgorithm::default(),
-            matcher: MatcherKind::default(),
             preprocess: PreprocessStage::new(dict.preprocessed()),
             scratch: SpScratch::new(),
         }
-    }
-
-    pub fn with_algorithm(mut self, algo: SpAlgorithm) -> Self {
-        self.algo = algo;
-        self
-    }
-
-    pub fn with_matcher(mut self, matcher: MatcherKind) -> Self {
-        self.matcher = matcher;
-        self
     }
 
     pub fn with_preprocess(mut self, on: bool) -> Self {
@@ -97,22 +65,13 @@ impl<'d> Compressor<'d> {
         self.dict
     }
 
-    /// Compress one line (no newline), appending code bytes to `out`.
+    /// Compress one line (no newline), appending code bytes to `out`,
+    /// through the dictionary's [`crate::trie::ReverseAutomaton`] kernel.
     /// Returns `(bytes_written, preprocess_failed)`.
     pub fn compress_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
         let (src, failed) = self.preprocess.apply(line);
-        let n = match (self.matcher, self.algo) {
-            (MatcherKind::ReverseAutomaton, SpAlgorithm::BackwardDp) => {
-                sp::reverse_dp(self.dict.reverse_automaton(), src, &mut self.scratch);
-                sp::emit(src, &self.scratch, out, |code, out| out.push(code as u8))
-            }
-            (MatcherKind::ReverseAutomaton | MatcherKind::DenseAutomaton, algo) => {
-                encode_line(self.dict.automaton(), src, algo, &mut self.scratch, out)
-            }
-            (MatcherKind::NodeTrie, algo) => {
-                encode_line(self.dict.trie(), src, algo, &mut self.scratch, out)
-            }
-        };
+        sp::reverse_dp(self.dict.reverse_automaton(), src, &mut self.scratch);
+        let n = sp::emit(src, &self.scratch, out, |code, out| out.push(code as u8));
         (n, failed)
     }
 
@@ -120,13 +79,7 @@ impl<'d> Compressor<'d> {
     /// newline-separated, same line count and order — the random-access
     /// property).
     pub fn compress_buffer(&mut self, input: &[u8], out: &mut Vec<u8>) -> CompressStats {
-        crate::engine::encode_buffer(self, input, out)
-    }
-}
-
-impl LineEncoder for Compressor<'_> {
-    fn encode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
-        self.compress_line(line, out)
+        crate::engine::encode_buffer(input, out, |line, out| self.compress_line(line, out))
     }
 }
 
@@ -184,7 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn matcher_kinds_compress_identically() {
+    fn kernel_compresses_like_both_reference_matchers() {
         let deck: Vec<&[u8]> = [
             b"C1=CC=C(C=C1)C(=O)CC(=O)C2=CC=CC=C2".as_slice(),
             b"COc1cc(C=O)ccc1O",
@@ -197,18 +150,22 @@ mod tests {
         }
         .train(deck.iter().copied())
         .unwrap();
-        let input: Vec<u8> = deck
-            .iter()
-            .flat_map(|l| l.iter().copied().chain(std::iter::once(b'\n')))
-            .collect();
-        let mut dense = Vec::new();
-        let s1 = Compressor::new(&d).compress_buffer(&input, &mut dense);
-        let mut node = Vec::new();
-        let s2 = Compressor::new(&d)
-            .with_matcher(MatcherKind::NodeTrie)
-            .compress_buffer(&input, &mut node);
-        assert_eq!(dense, node, "automaton and node trie emit the same bytes");
-        assert_eq!(s1, s2);
+        let mut c = Compressor::new(&d).with_preprocess(false);
+        let mut scratch = SpScratch::new();
+        for line in deck {
+            let mut kernel = Vec::new();
+            let (n, _) = c.compress_line(line, &mut kernel);
+            let mut dense = Vec::new();
+            let nd = sp::encode_line(d.automaton(), line, &mut scratch, &mut dense);
+            let mut node = Vec::new();
+            let nn = sp::encode_line(d.trie(), line, &mut scratch, &mut node);
+            assert_eq!(
+                kernel, dense,
+                "kernel and dense automaton emit the same bytes"
+            );
+            assert_eq!(kernel, node, "kernel and node trie emit the same bytes");
+            assert_eq!((n, n), (nd, nn));
+        }
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::codec::ESCAPE;
 use crate::dict::{Dictionary, MAX_PATTERN_LEN};
-use crate::engine::LineDecoder;
 use crate::error::ZsmilesError;
 use smiles::preprocess::Preprocessor;
 
@@ -252,13 +251,7 @@ impl<'d> Decompressor<'d> {
         input: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<DecompressStats, ZsmilesError> {
-        crate::engine::decode_buffer(self, input, out)
-    }
-}
-
-impl LineDecoder for Decompressor<'_> {
-    fn decode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> Result<usize, ZsmilesError> {
-        self.decompress_line(line, out)
+        crate::engine::decode_buffer(input, out, |line, out| self.decompress_line(line, out))
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::codec::{ESCAPE, LINE_SEP};
 use crate::compress::Compressor;
 use crate::dict::Dictionary;
-use crate::engine::AnyDictionary;
+use crate::engine::{AnyCompressor, AnyDictionary};
 use crate::wide::page_index;
 
 /// Where the output bytes of a corpus went.
@@ -314,10 +314,10 @@ impl Coverage {
 /// out_bytes`) hold for preprocessed dictionaries too.
 pub fn coverage(dict: &AnyDictionary, corpus: &[u8]) -> Result<Coverage, crate::ZsmilesError> {
     let mut pp = crate::engine::PreprocessStage::new(dict.preprocessed());
-    let mut enc: Box<dyn crate::engine::LineEncoder> = match dict {
-        AnyDictionary::Base(d) => Box::new(Compressor::new(d).with_preprocess(false)),
+    let mut enc = match dict {
+        AnyDictionary::Base(d) => AnyCompressor::Base(Compressor::new(d).with_preprocess(false)),
         AnyDictionary::Wide(d) => {
-            Box::new(crate::wide::WideCompressor::new(d).with_preprocess(false))
+            AnyCompressor::Wide(crate::wide::WideCompressor::new(d).with_preprocess(false))
         }
     };
     let mut uses: std::collections::HashMap<Vec<u8>, (u64, u64)> = Default::default();
@@ -327,7 +327,7 @@ pub fn coverage(dict: &AnyDictionary, corpus: &[u8]) -> Result<Coverage, crate::
     for line in corpus.split(|&b| b == LINE_SEP).filter(|l| !l.is_empty()) {
         let (src, _) = pp.apply(line);
         z.clear();
-        let (n, _) = enc.encode_line(src, &mut z);
+        let (n, _) = enc.compress_line(src, &mut z);
         lines += 1;
         in_bytes += src.len() as u64;
         out_bytes += n as u64;

@@ -39,9 +39,8 @@ pub struct Dictionary {
     /// MiB and decode-only paths — `unpack`, the out-of-core reader —
     /// never walk it.
     automaton: std::sync::Arc<std::sync::OnceLock<DenseAutomaton>>,
-    /// The matcher the encoder runs
-    /// ([`crate::MatcherKind::ReverseAutomaton`]); lazy and shared across
-    /// clones like `automaton`.
+    /// The matcher the encoder runs; lazy and shared across clones like
+    /// `automaton`.
     reverse: std::sync::Arc<std::sync::OnceLock<ReverseAutomaton>>,
     /// `decode.expansion(code)` = the pattern this code expands to: the
     /// fixed-slot table the decode hot path reads (4.25 KiB; built

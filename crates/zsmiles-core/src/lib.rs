@@ -19,25 +19,28 @@
 //! .zsmi ── decompress (table lookup) ──► postprocess (optional) ──► .smi
 //! ```
 //!
-//! # Architecture: one engine interface, two code widths, one container
+//! # Architecture: one codec value, two code widths, one container
 //!
 //! Two codecs implement the pipeline: the paper's one-byte dictionary
-//! ([`dict::Dictionary`]) and the wide-code extension
-//! ([`wide::WideDictionary`], two-byte codes behind page prefixes). Both
-//! are driven through the [`engine::Engine`] trait — and, for every layer
-//! that learns the code width at run time, through its object-safe
-//! facade [`engine::DynEngine`] — so every width-independent layer
-//! exists once:
+//! ([`dict::Dictionary`], encoded by [`Compressor`]) and the wide-code
+//! extension ([`wide::WideDictionary`], two-byte codes behind page
+//! prefixes, encoded by [`WideCompressor`]). Both run one encode kernel,
+//! the right-to-left [`trie::ReverseAutomaton`] with the backward
+//! shortest-path sweep of [`sp`]. Every width-independent layer takes an
+//! [`engine::AnyDictionary`], which matches on the flavour once per
+//! call, so each such layer exists once:
 //!
-//! * [`engine`] — the `Engine` / `LineEncoder` / `LineDecoder` traits,
-//!   the dyn-safe [`engine::DynEngine`] facade (boxed worker minting;
-//!   [`engine::AnyDictionary`] implements it directly, which makes the
-//!   sniffed-at-run-time dictionary *the* engine object), the shared
-//!   buffer loops and preprocessing stage, and [`textcomp::LineCodec`]
-//!   adapters for the baseline-comparison harness;
-//! * [`parallel`] / [`fileio`] — span-parallel execution of any engine,
-//!   static or dyn, on a persistent [`parallel::WorkerPool`] (no OS
-//!   threads spawned per call), and streaming chunk I/O on top of it;
+//! * [`engine`] — [`engine::AnyDictionary`] (either flavour, sniffed from
+//!   file magic): it hands out an [`engine::AnyCompressor`], decodes
+//!   lines and buffers, and is the [`textcomp::LineCodec`] the
+//!   baseline-comparison harness drives; plus the shared buffer loops and
+//!   preprocessing stage;
+//! * [`sp`] / [`trie`] — the encode kernel, and the reference engines
+//!   ([`sp::encode_line`] and [`wide::encode_line`] over the node
+//!   [`trie::Trie`] or the [`trie::DenseAutomaton`]) that tests and
+//!   benches call directly as oracles;
+//! * [`parallel`] — span-parallel execution on a persistent
+//!   [`parallel::WorkerPool`] (no OS threads spawned per call);
 //! * [`archive`] — the `.zsa` container: magic + header, embedded
 //!   dictionary (either flavour), readable compressed payload, line-offset
 //!   index and CRC32 footer in one self-describing file with O(1)
@@ -121,7 +124,6 @@ pub mod dict;
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod fileio;
 pub mod index;
 pub mod parallel;
 pub mod reader;
@@ -142,26 +144,15 @@ pub use check::{
     check_deck, quarantine_shards, repair_deck, CheckReport, RepairOutcome, ShardCheck,
 };
 pub use codec::{Prepopulation, ESCAPE, LINE_SEP};
-pub use compress::{CompressStats, Compressor, MatcherKind};
+pub use compress::{CompressStats, Compressor};
 pub use decompress::{DecodeTable, DecompressStats, Decompressor};
 pub use dict::builder::{DictBuilder, RankStrategy};
 pub use dict::Dictionary;
-pub use engine::{
-    AnyDictionary, BaseEngine, DictFlavor, DynCodec, DynEngine, Engine, EngineCodec, LineDecoder,
-    LineEncoder, WideEngine,
-};
+pub use engine::{AnyCompressor, AnyDictionary, DictFlavor};
 pub use error::ZsmilesError;
 pub use fault::{Fault, FaultPlan, FaultySink, FaultySource};
-pub use fileio::{
-    compress_stream, compress_stream_dyn, compress_stream_engine, decompress_stream,
-    decompress_stream_dyn, decompress_stream_engine, StreamOptions,
-};
 pub use index::LineIndex;
-pub use parallel::{
-    compress_parallel, compress_parallel_dyn, compress_parallel_engine, compress_parallel_wide,
-    decompress_parallel, decompress_parallel_dyn, decompress_parallel_engine,
-    decompress_parallel_wide, WorkerPool,
-};
+pub use parallel::{compress_parallel_dyn, decompress_parallel_dyn, WorkerPool};
 pub use reader::ArchiveReader;
 pub use serve::{
     ClientOptions, HealthStats, QueryClient, ServeHandle, ServeOptions, ServeStats, Server,
@@ -177,7 +168,6 @@ pub use sink::{
 pub use source::{
     ArchiveSource, AutoSource, CachedSource, CountingSource, FileSource, InMemorySource, MmapSource,
 };
-pub use sp::SpAlgorithm;
 pub use topk::{score_order, top_k};
 // The `train::DictBuilder` *trait* is deliberately not re-exported at the
 // root: `zsmiles_core::DictBuilder` keeps naming the paper's Algorithm-1

@@ -18,14 +18,14 @@
 //! process ([`WorkerPool::global`]) and jobs are dispatched over
 //! channels; per-call work is channel sends plus one latch wait.
 //!
-//! The span machinery is written once against the object-safe
-//! [`DynEngine`] facade ([`compress_parallel_dyn`] /
-//! [`decompress_parallel_dyn`]); the [`Engine`]-generic and
-//! dictionary-taking functions below are thin wrappers that pick the
-//! engine.
+//! The span machinery is written once, over [`AnyDictionary`]
+//! ([`compress_parallel_dyn`] / [`decompress_parallel_dyn`], which
+//! [`AnyDictionary::compress_parallel`] and
+//! [`AnyDictionary::decompress_parallel`] call): each job mints one
+//! encoder and matches on the flavour once per span it claims.
 //!
 //! Worker minting is cheap across *calls* too: an encoder cannot outlive
-//! the engine borrow it is minted from, so what persists on each pool
+//! the dictionary borrow it is minted from, so what persists on each pool
 //! thread is the encoder's expensive state — the DP scratch buffers
 //! (`sp::SpScratch`, shared by both code widths) are recycled through a
 //! thread-local stash when a worker's encoder drops. Repeated batch
@@ -34,11 +34,8 @@
 
 use crate::compress::CompressStats;
 use crate::decompress::DecompressStats;
-use crate::dict::Dictionary;
-use crate::engine::{decode_buffer, encode_buffer, BaseEngine, DynEngine, Engine, WideEngine};
+use crate::engine::AnyDictionary;
 use crate::error::ZsmilesError;
-use crate::sp::SpAlgorithm;
-use crate::wide::WideDictionary;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -304,15 +301,15 @@ struct CompressSlot {
     parts: Vec<(usize, Range<usize>, CompressStats)>,
 }
 
-/// Compress a newline-separated buffer on `threads` workers with any
-/// [`DynEngine`]. Byte-identical to the engine's serial buffer loop.
+/// Compress a newline-separated buffer on `threads` workers with either
+/// dictionary flavour. Byte-identical to the serial buffer loop.
 ///
 /// This is the one copy of the span machinery: `threads` jobs drain a
 /// byte-balanced span queue on the global [`WorkerPool`]; each job mints
-/// one boxed encoder and reuses it (and one output buffer) across every
-/// span it claims, so the only dynamic cost is one vtable call per line.
+/// one encoder and reuses it (and one output buffer) across every span
+/// it claims.
 pub fn compress_parallel_dyn(
-    engine: &dyn DynEngine,
+    dict: &AnyDictionary,
     input: &[u8],
     threads: usize,
 ) -> (Vec<u8>, CompressStats) {
@@ -324,7 +321,7 @@ pub fn compress_parallel_dyn(
     };
     if spans.len() == 1 {
         let mut out = Vec::with_capacity(input.len() / 2);
-        let stats = encode_buffer(&mut *engine.boxed_encoder(), input, &mut out);
+        let stats = dict.encoder().compress_buffer(input, &mut out);
         return (out, stats);
     }
 
@@ -338,7 +335,7 @@ pub fn compress_parallel_dyn(
             .iter_mut()
             .map(|slot| {
                 Box::new(move || {
-                    let mut enc = engine.boxed_encoder();
+                    let mut enc = dict.encoder();
                     loop {
                         let k = queue.fetch_add(1, Ordering::Relaxed);
                         if k >= spans.len() {
@@ -346,7 +343,7 @@ pub fn compress_parallel_dyn(
                         }
                         let start = slot.buf.len();
                         slot.buf.reserve(spans[k].len() / 2);
-                        let stats = encode_buffer(&mut *enc, spans[k], &mut slot.buf);
+                        let stats = enc.compress_buffer(spans[k], &mut slot.buf);
                         slot.parts.push((k, start..slot.buf.len(), stats));
                     }
                 }) as Box<dyn FnOnce() + Send + '_>
@@ -382,10 +379,10 @@ struct DecompressSlot {
     err: Option<(usize, ZsmilesError)>,
 }
 
-/// Decompress a newline-separated buffer on `threads` workers with any
-/// [`DynEngine`].
+/// Decompress a newline-separated buffer on `threads` workers with either
+/// dictionary flavour.
 pub fn decompress_parallel_dyn(
-    engine: &dyn DynEngine,
+    dict: &AnyDictionary,
     input: &[u8],
     threads: usize,
 ) -> Result<(Vec<u8>, DecompressStats), ZsmilesError> {
@@ -397,7 +394,7 @@ pub fn decompress_parallel_dyn(
     };
     if spans.len() == 1 {
         let mut out = Vec::with_capacity(input.len() * 3);
-        let stats = decode_buffer(&mut *engine.boxed_decoder(), input, &mut out)?;
+        let stats = dict.decompress_buffer(input, &mut out)?;
         return Ok((out, stats));
     }
 
@@ -413,7 +410,6 @@ pub fn decompress_parallel_dyn(
             .iter_mut()
             .map(|slot| {
                 Box::new(move || {
-                    let mut dec = engine.boxed_decoder();
                     while !abort.load(Ordering::Relaxed) {
                         let k = queue.fetch_add(1, Ordering::Relaxed);
                         if k >= spans.len() {
@@ -421,7 +417,7 @@ pub fn decompress_parallel_dyn(
                         }
                         let start = slot.buf.len();
                         slot.buf.reserve(spans[k].len() * 3);
-                        match decode_buffer(&mut *dec, spans[k], &mut slot.buf) {
+                        match dict.decompress_buffer(spans[k], &mut slot.buf) {
                             Ok(stats) => slot.parts.push((k, start..slot.buf.len(), stats)),
                             Err(e) => {
                                 slot.buf.truncate(start);
@@ -467,66 +463,12 @@ pub fn decompress_parallel_dyn(
     Ok((out, stats))
 }
 
-/// [`compress_parallel_dyn`] for a statically-typed [`Engine`].
-pub fn compress_parallel_engine<E: Engine>(
-    engine: &E,
-    input: &[u8],
-    threads: usize,
-) -> (Vec<u8>, CompressStats) {
-    compress_parallel_dyn(engine, input, threads)
-}
-
-/// [`decompress_parallel_dyn`] for a statically-typed [`Engine`].
-pub fn decompress_parallel_engine<E: Engine>(
-    engine: &E,
-    input: &[u8],
-    threads: usize,
-) -> Result<(Vec<u8>, DecompressStats), ZsmilesError> {
-    decompress_parallel_dyn(engine, input, threads)
-}
-
-/// [`compress_parallel_engine`] with the one-byte codec.
-pub fn compress_parallel(
-    dict: &Dictionary,
-    input: &[u8],
-    algo: SpAlgorithm,
-    threads: usize,
-) -> (Vec<u8>, CompressStats) {
-    compress_parallel_engine(&BaseEngine::new(dict).with_algorithm(algo), input, threads)
-}
-
-/// [`decompress_parallel_engine`] with the one-byte codec.
-pub fn decompress_parallel(
-    dict: &Dictionary,
-    input: &[u8],
-    threads: usize,
-) -> Result<(Vec<u8>, DecompressStats), ZsmilesError> {
-    decompress_parallel_engine(&BaseEngine::new(dict), input, threads)
-}
-
-/// [`compress_parallel_engine`] with the wide-code extension.
-pub fn compress_parallel_wide(
-    dict: &WideDictionary,
-    input: &[u8],
-    threads: usize,
-) -> (Vec<u8>, CompressStats) {
-    compress_parallel_engine(&WideEngine::new(dict), input, threads)
-}
-
-/// [`decompress_parallel_engine`] with the wide-code extension.
-pub fn decompress_parallel_wide(
-    dict: &WideDictionary,
-    input: &[u8],
-    threads: usize,
-) -> Result<(Vec<u8>, DecompressStats), ZsmilesError> {
-    decompress_parallel_engine(&WideEngine::new(dict), input, threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compress::Compressor;
     use crate::dict::builder::DictBuilder;
+    use crate::dict::Dictionary;
     use crate::wide::{WideCompressor, WideDictBuilder};
 
     fn fixture() -> (Dictionary, Vec<u8>) {
@@ -570,8 +512,9 @@ mod tests {
         let (dict, input) = fixture();
         let mut serial = Vec::new();
         let s_stats = Compressor::new(&dict).compress_buffer(&input, &mut serial);
+        let any = AnyDictionary::Base(Box::new(dict));
         for threads in [1, 2, 3, 4, 7] {
-            let (par, p_stats) = compress_parallel(&dict, &input, SpAlgorithm::BackwardDp, threads);
+            let (par, p_stats) = compress_parallel_dyn(&any, &input, threads);
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(p_stats, s_stats, "threads={threads}");
         }
@@ -656,8 +599,9 @@ mod tests {
         let input = b"CCO\n\n\nCCN(CC)CC\n\nCCO\nCC(C)Cc1ccc(cc1)C(C)C(=O)O\n\n".to_vec();
         let mut serial = Vec::new();
         let s_stats = Compressor::new(&dict).compress_buffer(&input, &mut serial);
+        let any = AnyDictionary::Base(Box::new(dict));
         for threads in [2, 3, 7] {
-            let (par, p_stats) = compress_parallel(&dict, &input, SpAlgorithm::BackwardDp, threads);
+            let (par, p_stats) = compress_parallel_dyn(&any, &input, threads);
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(p_stats, s_stats);
         }
@@ -666,8 +610,9 @@ mod tests {
     #[test]
     fn parallel_round_trip() {
         let (dict, input) = fixture();
-        let (z, _) = compress_parallel(&dict, &input, SpAlgorithm::BackwardDp, 4);
-        let (back, stats) = decompress_parallel(&dict, &z, 4).unwrap();
+        let any = AnyDictionary::Base(Box::new(dict));
+        let (z, _) = compress_parallel_dyn(&any, &input, 4);
+        let (back, stats) = decompress_parallel_dyn(&any, &z, 4).unwrap();
         // Preprocessing is on (dictionary default), so compare against the
         // preprocessed input.
         let mut expect = Vec::new();
@@ -685,14 +630,14 @@ mod tests {
     fn decompress_error_propagates_from_worker() {
         let (dict, _) = fixture();
         let bad = b"CCO\n\x01\x02\n".to_vec(); // 0x01 is not a valid code
-        let r = decompress_parallel(&dict, &bad, 4);
+        let r = decompress_parallel_dyn(&AnyDictionary::Base(Box::new(dict)), &bad, 4);
         assert!(r.is_err());
     }
 
     #[test]
     fn empty_input() {
         let (dict, _) = fixture();
-        let (z, stats) = compress_parallel(&dict, b"", SpAlgorithm::BackwardDp, 4);
+        let (z, stats) = compress_parallel_dyn(&AnyDictionary::Base(Box::new(dict)), b"", 4);
         assert!(z.is_empty());
         assert_eq!(stats.lines, 0);
     }
@@ -722,13 +667,14 @@ mod tests {
 
         let mut serial = Vec::new();
         let s_stats = WideCompressor::new(&dict).compress_buffer(&input, &mut serial);
+        let any = AnyDictionary::Wide(Box::new(dict));
         for threads in [1, 2, 3, 5] {
-            let (par, p_stats) = compress_parallel_wide(&dict, &input, threads);
+            let (par, p_stats) = compress_parallel_dyn(&any, &input, threads);
             assert_eq!(par, serial, "threads={threads}");
             assert_eq!(p_stats, s_stats, "threads={threads}");
         }
 
-        let (back, d_stats) = decompress_parallel_wide(&dict, &serial, 3).unwrap();
+        let (back, d_stats) = decompress_parallel_dyn(&any, &serial, 3).unwrap();
         assert_eq!(d_stats.lines, 256);
         // Preprocess is on; decompressed output is the renumbered form.
         let mut expect = Vec::new();
@@ -754,6 +700,7 @@ mod tests {
         .train(lines.iter().copied())
         .unwrap();
         let bad = b"CCO\n\x01\x02\n".to_vec();
-        assert!(decompress_parallel_wide(&dict, &bad, 4).is_err());
+        let any = AnyDictionary::Wide(Box::new(dict));
+        assert!(decompress_parallel_dyn(&any, &bad, 4).is_err());
     }
 }

@@ -54,6 +54,10 @@ use textcomp::crc32::Crc32;
 /// Default byte budget for one batched payload read.
 pub const DEFAULT_BATCH_BYTES: usize = 1 << 20;
 
+/// Default chunk size for [`ArchiveReader::unpack_to`]: bytes of payload
+/// read and decoded per parallel call.
+pub const DEFAULT_CHUNK: usize = 8 << 20;
+
 /// Stack buffer a single-line fetch reads into. Compressed SMILES lines
 /// run to tens of bytes; a longer line takes one heap read instead.
 const LINE_STACK_BYTES: usize = 256;

@@ -198,7 +198,9 @@ impl ShardManifest {
     /// Parse a `.zsm` manifest, either version. Strict per version: a
     /// `generation` row in a v1 manifest is a format error (v1 readers
     /// never knew the field, so a v1 file carrying it is corrupt or
-    /// mislabelled), and an unknown version is refused outright.
+    /// mislabelled), and an unknown version is refused outright. A
+    /// repeated `flavor`, `lines` or `generation` row is a format error
+    /// too: no row silently overrides another.
     pub fn read_from(bytes: &[u8]) -> Result<ShardManifest, ZsmilesError> {
         let text = std::str::from_utf8(bytes).map_err(|_| bad("manifest is not UTF-8 text"))?;
         let mut lines = text.lines();
@@ -224,6 +226,9 @@ impl ShardManifest {
             let mut f = line.split_whitespace();
             match f.next() {
                 Some("flavor") => {
+                    if flavor.is_some() {
+                        return Err(bad(format!("line {}: duplicate 'flavor'", no + 2)));
+                    }
                     flavor = Some(match f.next() {
                         Some("base") => DictFlavor::Base,
                         Some("wide") => DictFlavor::Wide,
@@ -233,6 +238,9 @@ impl ShardManifest {
                     });
                 }
                 Some("lines") => {
+                    if declared_lines.is_some() {
+                        return Err(bad(format!("line {}: duplicate 'lines'", no + 2)));
+                    }
                     declared_lines = Some(
                         f.next()
                             .and_then(|v| v.parse::<u64>().ok())

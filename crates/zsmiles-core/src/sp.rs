@@ -7,9 +7,14 @@
 //! literal). The cheapest path from 0 to `n` is the smallest possible
 //! compressed size for this dictionary.
 //!
-//! The paper runs Dijkstra. Because every edge points forward, the graph is
-//! a DAG over positions, so a backward sweep computes the same optimum in
-//! one pass without a priority queue.
+//! The paper runs Dijkstra. Every edge points forward, so the graph is a
+//! DAG over positions, and Dijkstra run toward the sink (distances to
+//! node `n`, over reversed edges) settles the nodes in the order
+//! `n − 1, …, 0`: a node's distance depends only on its successors, and
+//! each of those is settled before it, so a binary heap would pop the
+//! nodes in exactly that order at O(n log n). Without the heap, that
+//! settle-and-relax loop is the one backward sweep every engine here
+//! runs — one pass, no priority queue, the same optimum.
 //!
 //! # The tie rule
 //!
@@ -41,25 +46,16 @@
 //!
 //! # The oracles
 //!
-//! [`encode_line`] and [`encode_cost`] run the reference DP over any
+//! [`encode_line`] and [`encode_cost`] run the reference sweep over any
 //! [`Matcher`] (the node [`crate::trie::Trie`] or the flat
 //! [`crate::trie::DenseAutomaton`]), visiting each position's matches
-//! shortest first; `SpAlgorithm::Dijkstra` settles the same DAG in the
-//! paper's order. Property tests pin the kernel to both.
+//! shortest first; [`crate::wide::encode_line`] is its wide counterpart.
+//! Tests and benches call them directly; property tests pin the kernel
+//! to both matchers, and a unit test pins the sweep to a binary-heap
+//! Dijkstra.
 
 use crate::codec::ESCAPE;
 use crate::trie::{CodePayload, Matcher, ReverseAutomaton, ESCAPE_PICK, LANES, PICKS};
-
-/// Which shortest-path engine the reference encoder runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpAlgorithm {
-    /// Backward dynamic program over the position DAG (default).
-    #[default]
-    BackwardDp,
-    /// The paper's Dijkstra, minus the heap its position DAG never needs
-    /// (see the comment in the implementation).
-    Dijkstra,
-}
 
 /// Longest line the 16-bit relax takes: every suffix cost is at most
 /// `2n ≤ u16::MAX − 1`, so no real candidate ties a missing lane.
@@ -178,61 +174,37 @@ impl Drop for SpScratch {
     }
 }
 
-/// Encode `line` against `matcher` with the reference engine `algo`,
-/// appending code bytes to `out`. Returns the path cost (= number of
-/// appended bytes).
+/// Encode `line` against `matcher` with the reference sweep, appending
+/// code bytes to `out`. Returns the path cost (= number of appended
+/// bytes).
 pub fn encode_line<M: Matcher<Code = u8>>(
     matcher: &M,
     line: &[u8],
-    algo: SpAlgorithm,
     scratch: &mut SpScratch,
     out: &mut Vec<u8>,
 ) -> usize {
-    oracle_dp(matcher, line, algo, scratch);
+    oracle_dp(matcher, line, scratch);
     emit(line, scratch, out, |code, out| out.push(code as u8))
 }
 
-/// Cost of the optimal encoding without emitting it (reference engine).
+/// Cost of the optimal encoding without emitting it (reference sweep).
 pub fn encode_cost<M: Matcher<Code = u8>>(
     matcher: &M,
     line: &[u8],
-    algo: SpAlgorithm,
     scratch: &mut SpScratch,
 ) -> usize {
-    oracle_dp(matcher, line, algo, scratch) as usize
+    oracle_dp(matcher, line, scratch) as usize
 }
 
-/// The reference sweep: fill the picks for `line` from `matcher`'s match
+/// The reference sweep — the paper's Dijkstra in its settle order (see
+/// the module doc): fill the picks for `line` from `matcher`'s match
 /// stream and return the line's cost.
-pub(crate) fn oracle_dp<M: Matcher>(
-    matcher: &M,
-    line: &[u8],
-    algo: SpAlgorithm,
-    s: &mut SpScratch,
-) -> u64 {
+pub(crate) fn oracle_dp<M: Matcher>(matcher: &M, line: &[u8], s: &mut SpScratch) -> u64 {
     s.reset(line.len());
     s.costs.resize(line.len() + 1, 0);
     s.costs[line.len()] = 0;
-    match algo {
-        SpAlgorithm::BackwardDp => {
-            for i in (0..line.len()).rev() {
-                relax_matches(matcher, line, i, s);
-            }
-        }
-        // Dijkstra runs *backward* for identical tie-breaking with the DP:
-        // settle nodes from n toward 0, relaxing reverse edges. The paper
-        // describes a binary-heap Dijkstra, but every edge points forward
-        // (i → j, j > i), so the settle order is simply n, n-1, …, 0 —
-        // each node's distance-to-sink depends only on settled
-        // successors, and a heap would pop nodes in exactly that order at
-        // O(n log n). What remains is the settle-and-relax structure.
-        SpAlgorithm::Dijkstra => {
-            let mut settle = line.len();
-            while settle > 0 {
-                settle -= 1;
-                relax_matches(matcher, line, settle, s);
-            }
-        }
+    for i in (0..line.len()).rev() {
+        relax_matches(matcher, line, i, s);
     }
     s.costs[0]
 }
@@ -395,10 +367,10 @@ mod tests {
         t
     }
 
-    fn encode(t: &Trie, line: &[u8], algo: SpAlgorithm) -> (Vec<u8>, usize) {
+    fn encode<M: Matcher<Code = u8>>(m: &M, line: &[u8]) -> (Vec<u8>, usize) {
         let mut scratch = SpScratch::new();
         let mut out = Vec::new();
-        let cost = encode_line(t, line, algo, &mut scratch, &mut out);
+        let cost = encode_line(m, line, &mut scratch, &mut out);
         assert_eq!(cost, out.len());
         (out, cost)
     }
@@ -406,7 +378,7 @@ mod tests {
     #[test]
     fn empty_line_costs_nothing() {
         let t = trie(&[(b"C", 1)]);
-        let (out, cost) = encode(&t, b"", SpAlgorithm::BackwardDp);
+        let (out, cost) = encode(&t, b"");
         assert!(out.is_empty());
         assert_eq!(cost, 0);
     }
@@ -418,12 +390,7 @@ mod tests {
         // scratch must inherit the warmed capacity without allocating.
         std::thread::spawn(|| {
             let mut s = SpScratch::new();
-            oracle_dp(
-                &Trie::<u8>::new(),
-                &[b'C'; 5_000],
-                SpAlgorithm::BackwardDp,
-                &mut s,
-            );
+            oracle_dp(&Trie::<u8>::new(), &[b'C'; 5_000], &mut s);
             let warmed = (s.picks.capacity(), s.costs.capacity());
             assert!(warmed.0 >= 5_000 && warmed.1 >= 5_001);
             drop(s);
@@ -450,7 +417,7 @@ mod tests {
     #[test]
     fn identity_codes_give_passthrough() {
         let t = trie(&[(b"C", b'C'), (b"O", b'O')]);
-        let (out, cost) = encode(&t, b"COC", SpAlgorithm::BackwardDp);
+        let (out, cost) = encode(&t, b"COC");
         assert_eq!(out, b"COC");
         assert_eq!(cost, 3);
     }
@@ -458,14 +425,14 @@ mod tests {
     #[test]
     fn escape_when_no_match() {
         let t = trie(&[(b"C", b'C')]);
-        let (out, _) = encode(&t, b"CXC", SpAlgorithm::BackwardDp);
+        let (out, _) = encode(&t, b"CXC");
         assert_eq!(out, b"C XC", "escape = space + literal");
     }
 
     #[test]
     fn longer_pattern_wins() {
         let t = trie(&[(b"C", b'C'), (b"CC", 1), (b"CCC", 2)]);
-        let (out, cost) = encode(&t, b"CCC", SpAlgorithm::BackwardDp);
+        let (out, cost) = encode(&t, b"CCC");
         assert_eq!(out, vec![2]);
         assert_eq!(cost, 1);
     }
@@ -476,13 +443,47 @@ mod tests {
         // AB|C|C = 1+2+2 = 5 with dict {AB, BCC}. Optimal: A escaped + BCC
         // = 2 + 1 = 3.
         let t = trie(&[(b"AB", 1), (b"BCC", 2)]);
-        let (out, cost) = encode(&t, b"ABCC", SpAlgorithm::BackwardDp);
+        let (out, cost) = encode(&t, b"ABCC");
         assert_eq!(cost, 3);
         assert_eq!(out, vec![ESCAPE, b'A', 2]);
     }
 
+    /// The paper's Dijkstra with its binary heap, run toward the sink over
+    /// reversed edges: every position's distance to `n`.
+    fn heap_dijkstra<M: Matcher>(matcher: &M, line: &[u8]) -> Vec<u64> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let n = line.len();
+        // into[j]: (i, cost) for every edge i → j, the escape included.
+        let mut into: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n + 1];
+        for i in 0..n {
+            into[i + 1].push((i, 2));
+            matcher.matches_at(line, i, |code, len| {
+                into[i + len].push((i, u64::from(code.width())));
+            });
+        }
+        let mut dist = vec![u64::MAX; n + 1];
+        dist[n] = 0;
+        let mut heap = BinaryHeap::from([Reverse((0u64, n))]);
+        while let Some(Reverse((d, j))) = heap.pop() {
+            if d > dist[j] {
+                continue;
+            }
+            for &(i, w) in &into[j] {
+                if d + w < dist[i] {
+                    dist[i] = d + w;
+                    heap.push(Reverse((dist[i], i)));
+                }
+            }
+        }
+        dist
+    }
+
+    /// The sweep settles every position at the distance the heap-based
+    /// Dijkstra finds. The picks are a function of those distances and
+    /// the tie rule, so the emitted bytes follow.
     #[test]
-    fn dijkstra_equals_dp_cost_and_bytes() {
+    fn sweep_settles_every_position_at_its_heap_dijkstra_distance() {
         let t = trie(&[
             (b"C", b'C'),
             (b"c", b'c'),
@@ -507,10 +508,14 @@ mod tests {
             b"",
             b"CCXc1ccccc1(=O)ZZ",
         ] {
-            let (a, ca) = encode(&t, line, SpAlgorithm::BackwardDp);
-            let (b, cb) = encode(&t, line, SpAlgorithm::Dijkstra);
-            assert_eq!(ca, cb, "cost differs on {}", String::from_utf8_lossy(line));
-            assert_eq!(a, b, "bytes differ on {}", String::from_utf8_lossy(line));
+            let mut s = SpScratch::new();
+            oracle_dp(&t, line, &mut s);
+            assert_eq!(
+                s.costs[..=line.len()],
+                heap_dijkstra(&t, line)[..],
+                "distances differ on {}",
+                String::from_utf8_lossy(line)
+            );
         }
     }
 
@@ -526,10 +531,10 @@ mod tests {
         let t = trie(&[(b"A", 1), (b"AA", 2), (b"AAA", 3)]);
         // "AAAA": [AAA][A] = 2 codes; [AA][AA] = 2 codes. Longer-first picks
         // AAA at position 0.
-        let (out, cost) = encode(&t, b"AAAA", SpAlgorithm::BackwardDp);
+        let (out, cost) = encode(&t, b"AAAA");
         assert_eq!(cost, 2);
         assert_eq!(out, vec![3, 1]);
-        let (out2, _) = encode(&t, b"AAAA", SpAlgorithm::Dijkstra);
+        let (out2, _) = encode(&DenseAutomaton::compile(&t), b"AAAA");
         assert_eq!(out, out2);
     }
 
@@ -548,28 +553,26 @@ mod tests {
         let auto = DenseAutomaton::compile(&t);
         let mut s1 = SpScratch::new();
         let mut s2 = SpScratch::new();
-        for algo in [SpAlgorithm::BackwardDp, SpAlgorithm::Dijkstra] {
-            for line in [
-                b"COc1cc(C=O)ccc1O".as_slice(),
-                b"c1ccccc1",
-                b"CCCCCCCC",
-                b"XYZ",
-                b"",
-            ] {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                let ca = encode_line(&t, line, algo, &mut s1, &mut a);
-                let cb = encode_line(&auto, line, algo, &mut s2, &mut b);
-                assert_eq!(ca, cb, "{algo:?} cost on {}", String::from_utf8_lossy(line));
-                assert_eq!(a, b, "{algo:?} bytes on {}", String::from_utf8_lossy(line));
-            }
+        for line in [
+            b"COc1cc(C=O)ccc1O".as_slice(),
+            b"c1ccccc1",
+            b"CCCCCCCC",
+            b"XYZ",
+            b"",
+        ] {
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            let ca = encode_line(&t, line, &mut s1, &mut a);
+            let cb = encode_line(&auto, line, &mut s2, &mut b);
+            assert_eq!(ca, cb, "cost on {}", String::from_utf8_lossy(line));
+            assert_eq!(a, b, "bytes on {}", String::from_utf8_lossy(line));
         }
     }
 
     #[test]
     fn all_escape_doubles_length() {
         let t = Trie::new();
-        let (out, cost) = encode(&t, b"CCO", SpAlgorithm::BackwardDp);
+        let (out, cost) = encode(&t, b"CCO");
         assert_eq!(cost, 6);
         assert_eq!(out, b" C C O");
     }
@@ -579,8 +582,8 @@ mod tests {
         let t = trie(&[(b"CC", 1), (b"C", b'C')]);
         let mut s = SpScratch::new();
         for line in [b"CCCCC".as_slice(), b"CXXC", b""] {
-            let c1 = encode_cost(&t, line, SpAlgorithm::BackwardDp, &mut s);
-            let (_, c2) = encode(&t, line, SpAlgorithm::BackwardDp);
+            let c1 = encode_cost(&t, line, &mut s);
+            let (_, c2) = encode(&t, line);
             assert_eq!(c1, c2);
         }
     }
@@ -593,18 +596,18 @@ mod tests {
         paths
     }
 
-    /// The kernel's picks and cost through `relax`, beside the reference
-    /// DP's and Dijkstra's over the node trie and the dense automaton.
+    /// The kernel's picks and cost through every relax path, beside the
+    /// reference sweep's over the node trie and the dense automaton, and
+    /// the sweep's distances beside the heap-based Dijkstra's.
     fn assert_kernel_matches_oracles<C: CodePayload>(t: &Trie<C>, line: &[u8]) {
         let reverse = ReverseAutomaton::compile(t);
         let dense = DenseAutomaton::compile(t);
         let mut s = SpScratch::new();
-        let want = oracle_dp(t, line, SpAlgorithm::BackwardDp, &mut s);
+        let want = oracle_dp(t, line, &mut s);
+        assert_eq!(s.costs[..=line.len()], heap_dijkstra(t, line)[..]);
         let want_picks = s.picks[..line.len()].to_vec();
-        for algo in [SpAlgorithm::BackwardDp, SpAlgorithm::Dijkstra] {
-            assert_eq!(oracle_dp(&dense, line, algo, &mut s), want, "{algo:?}");
-            assert_eq!(s.picks[..line.len()], want_picks[..], "{algo:?}");
-        }
+        assert_eq!(oracle_dp(&dense, line, &mut s), want, "dense");
+        assert_eq!(s.picks[..line.len()], want_picks[..], "dense");
         for relax in relax_paths() {
             let cost = reverse_dp_with(&reverse, line, &mut s, relax);
             assert_eq!(cost, want, "{relax:?} cost");
@@ -664,10 +667,7 @@ mod tests {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             reverse_dp(&reverse, line, &mut s);
             let n = emit(line, &s, &mut a, |code, out| out.push(code as u8));
-            assert_eq!(
-                n,
-                encode_line(&t, line, SpAlgorithm::BackwardDp, &mut s, &mut b)
-            );
+            assert_eq!(n, encode_line(&t, line, &mut s, &mut b));
             assert_eq!(a, b);
         }
     }
@@ -697,9 +697,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Both relax paths pick exactly what the node-trie DP, and the
-        /// DP and Dijkstra over the dense automaton, pick — at both
-        /// payload widths.
+        /// Both relax paths pick exactly what the reference sweep picks
+        /// over the node trie and the dense automaton — at both payload
+        /// widths.
         #[test]
         fn reverse_kernel_identical_to_oracles(
             entries in arb_dictionary(),
@@ -742,11 +742,11 @@ mod tests {
         let t = trie(&[(b"CC", 1)]);
         let mut s = SpScratch::new();
         let mut out = Vec::new();
-        encode_line(&t, b"CCCC", SpAlgorithm::BackwardDp, &mut s, &mut out);
+        encode_line(&t, b"CCCC", &mut s, &mut out);
         let l1 = out.len();
-        encode_line(&t, b"CC", SpAlgorithm::BackwardDp, &mut s, &mut out);
+        encode_line(&t, b"CC", &mut s, &mut out);
         assert_eq!(out.len(), l1 + 1);
-        encode_line(&t, b"", SpAlgorithm::BackwardDp, &mut s, &mut out);
+        encode_line(&t, b"", &mut s, &mut out);
         assert_eq!(out.len(), l1 + 1);
     }
 }

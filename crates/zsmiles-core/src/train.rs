@@ -27,10 +27,10 @@
 //! 4. **Installation** — the [`DictBuilder`] implementation installs the
 //!    ranked list into its code space: [`BaseBuilder`] and
 //!    [`WideBuilder`] produce [`AnyDictionary`] values that plug
-//!    straight into [`crate::engine::Engine`] / `DynEngine`, archives,
-//!    and GPU staging unchanged; [`FsstBuilder`] and [`SmazBuilder`]
-//!    train the `textcomp` baselines' tables on the *same corpus*, so a
-//!    bench harness can train-and-compare every codec in one run.
+//!    straight into the encoders, archives and GPU staging unchanged;
+//!    [`FsstBuilder`] and [`SmazBuilder`] train the `textcomp`
+//!    baselines' tables on the *same corpus*, so a bench harness can
+//!    train-and-compare every codec in one run.
 //!
 //! # Example
 //!
@@ -44,7 +44,7 @@
 //! };
 //! let dict = builder.train(&corpus).unwrap().into_dictionary().unwrap();
 //! let mut z = Vec::new();
-//! dict.as_dyn().boxed_encoder().encode_line(b"COc1cc(C=O)ccc1O", &mut z);
+//! dict.encoder().compress_line(b"COc1cc(C=O)ccc1O", &mut z);
 //! assert!(z.len() < 16);
 //! ```
 
@@ -53,9 +53,9 @@ use crate::dict::builder::{
     harvest_candidates, materialize_corpus, DictBuilder as PaperBuilder, RankStrategy,
 };
 use crate::dict::Dictionary;
-use crate::engine::{AnyDictionary, DictFlavor, DynCodec};
+use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
-use crate::sp::{encode_cost, SpAlgorithm, SpScratch};
+use crate::sp::{encode_cost, SpScratch};
 use crate::trie::{ReverseAutomaton, Trie};
 use crate::wide::{WideDictionary, MAX_WIDE_ENTRIES, PAGE_BYTES};
 use std::io::BufRead;
@@ -253,7 +253,7 @@ impl Default for TrainOptions {
 // ---------------------------------------------------------------------------
 
 /// What a training run produces: a ZSMILES dictionary (either flavour —
-/// flows through `Engine`, archives and GPU staging unchanged) or a
+/// flows through the encoders, archives and GPU staging unchanged) or a
 /// trained baseline table (bench comparison only).
 #[derive(Debug, Clone)]
 pub enum TrainedModel {
@@ -266,7 +266,7 @@ impl TrainedModel {
     /// Display name (bench axis labels).
     pub fn name(&self) -> &'static str {
         match self {
-            TrainedModel::Zsmiles(d) => d.as_dyn().name(),
+            TrainedModel::Zsmiles(d) => d.name(),
             TrainedModel::Fsst(_) => "FSST",
             TrainedModel::Smaz(_) => "SMAZ",
         }
@@ -293,7 +293,7 @@ impl TrainedModel {
     /// one loop ratios every codec on the corpus they all trained on.
     pub fn line_codec(&self) -> Box<dyn textcomp::LineCodec + '_> {
         match self {
-            TrainedModel::Zsmiles(d) => Box::new(DynCodec::new(d.as_dyn())),
+            TrainedModel::Zsmiles(d) => Box::new(d.clone()),
             TrainedModel::Fsst(t) => Box::new(t.clone()),
             TrainedModel::Smaz(t) => Box::new(t.clone()),
         }
@@ -351,7 +351,7 @@ fn line_cost(
 ) -> u64 {
     match compiled {
         Some(ra) => crate::sp::reverse_dp(ra, line, scratch),
-        None => encode_cost(trie, line, SpAlgorithm::BackwardDp, scratch) as u64,
+        None => encode_cost(trie, line, scratch) as u64,
     }
 }
 
@@ -785,15 +785,14 @@ mod tests {
         assert_eq!(model.name(), "ZSMILES");
         let dict = model.as_dictionary().unwrap();
         assert_eq!(dict.flavor(), DictFlavor::Base);
-        let mut enc = dict.as_dyn().boxed_encoder();
-        let mut dec = dict.as_dyn().boxed_decoder();
+        let mut enc = dict.encoder();
         let mut total_in = 0usize;
         let mut total_out = 0usize;
         for line in deck() {
             let mut z = Vec::new();
-            let (n, _) = enc.encode_line(line, &mut z);
+            let (n, _) = enc.compress_line(line, &mut z);
             let mut back = Vec::new();
-            dec.decode_line(&z, &mut back).unwrap();
+            dict.decompress_line(&z, &mut back).unwrap();
             assert_eq!(back, line);
             total_in += line.len();
             total_out += n;
@@ -814,13 +813,12 @@ mod tests {
         assert_eq!(b.flavor(), Some(DictFlavor::Wide));
         let dict = b.train(&corpus).unwrap().into_dictionary().unwrap();
         assert_eq!(dict.flavor(), DictFlavor::Wide);
-        let mut enc = dict.as_dyn().boxed_encoder();
-        let mut dec = dict.as_dyn().boxed_decoder();
+        let mut enc = dict.encoder();
         for line in deck().iter().take(12) {
             let mut z = Vec::new();
-            enc.encode_line(line, &mut z);
+            enc.compress_line(line, &mut z);
             let mut back = Vec::new();
-            dec.decode_line(&z, &mut back).unwrap();
+            dict.decompress_line(&z, &mut back).unwrap();
             assert_eq!(&back, line);
         }
     }
@@ -871,11 +869,11 @@ mod tests {
             .train(&corpus)
             .unwrap();
             let dict = model.into_dictionary().unwrap();
-            let mut enc = dict.as_dyn().boxed_encoder();
+            let mut enc = dict.encoder();
             let (mut inb, mut outb) = (0usize, 0usize);
             for line in deck() {
                 let mut z = Vec::new();
-                let (n, _) = enc.encode_line(line, &mut z);
+                let (n, _) = enc.compress_line(line, &mut z);
                 inb += line.len();
                 outb += n;
             }

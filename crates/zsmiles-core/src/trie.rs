@@ -10,8 +10,8 @@
 //! * [`DenseAutomaton`] — the same trie flattened into one `state × 256`
 //!   transition table plus a packed per-state accept word. It answers the
 //!   [`Matcher`] question "which patterns start at `i`?" with two loads per
-//!   consumed byte, and stays as the oracle the reference DP and the
-//!   paper's Dijkstra ([`crate::sp`]) run over.
+//!   consumed byte, and stays as an oracle the reference sweep
+//!   ([`crate::sp::encode_line`]) runs over.
 //! * [`ReverseAutomaton`] — the matcher both encoders run. An Aho–Corasick
 //!   automaton over the *reversed* patterns: fed a line right to left, its
 //!   state after byte `i` names exactly the patterns that start at `i`, so

@@ -24,13 +24,13 @@
 //!   exactly like a base [`crate::dict::Dictionary`] shorn of eight codes.
 
 use crate::codec::{code_space, is_code_byte, Prepopulation, LINE_SEP};
-use crate::compress::{CompressStats, MatcherKind};
+use crate::compress::CompressStats;
 use crate::decompress::{decode_slots, DecodeTable, DecompressStats};
 use crate::dict::builder::DictBuilder;
 use crate::dict::MAX_PATTERN_LEN;
-use crate::engine::{LineDecoder, LineEncoder, PreprocessStage};
+use crate::engine::PreprocessStage;
 use crate::error::ZsmilesError;
-use crate::sp::{self, SpAlgorithm, SpScratch};
+use crate::sp::{self, SpScratch};
 use crate::trie::{DenseAutomaton, Matcher, ReverseAutomaton, Trie};
 use std::io::{Read, Write};
 
@@ -117,8 +117,8 @@ pub struct WideDictionary {
     /// [`crate::dict::Dictionary`]: the tables run to megabytes and
     /// decode-only paths never walk them.
     automaton: std::sync::Arc<std::sync::OnceLock<DenseAutomaton<CodeId>>>,
-    /// The matcher the wide encoder runs ([`MatcherKind::ReverseAutomaton`]);
-    /// lazy and shared across clones like `automaton`.
+    /// The matcher the wide encoder runs; lazy and shared across clones
+    /// like `automaton`.
     reverse: std::sync::Arc<std::sync::OnceLock<ReverseAutomaton<CodeId>>>,
 }
 
@@ -436,17 +436,20 @@ fn push_code(id: CodeId, out: &mut Vec<u8>) {
     out.extend_from_slice(&bytes[..width]);
 }
 
-/// Encode one line against a wide reference matcher: the shared reference
-/// DP of [`crate::sp`], whose edges cost each code's output width (1 for
-/// base codes, 2 for wide codes and escapes), so the stream stays optimal
-/// and the tie rule is the base codec's.
-fn wide_encode_line<M: Matcher<Code = CodeId>>(
+/// Encode one line against a wide reference matcher (the node trie or the
+/// dense automaton) — the wide counterpart of [`crate::sp::encode_line`],
+/// a test and bench oracle for [`WideCompressor`]. It runs the shared
+/// reference DP of [`crate::sp`], whose edges cost each code's output
+/// width (1 for base codes, 2 for wide codes and escapes), so the stream
+/// stays optimal and the tie rule is the base codec's. Returns the number
+/// of appended bytes.
+pub fn encode_line<M: Matcher<Code = CodeId>>(
     matcher: &M,
     line: &[u8],
     scratch: &mut SpScratch,
     out: &mut Vec<u8>,
 ) -> usize {
-    sp::oracle_dp(matcher, line, SpAlgorithm::BackwardDp, scratch);
+    sp::oracle_dp(matcher, line, scratch);
     sp::emit(line, scratch, out, push_code)
 }
 
@@ -455,7 +458,6 @@ fn wide_encode_line<M: Matcher<Code = CodeId>>(
 /// shared [`crate::engine`] machinery; only the per-line DP is wide-specific.
 pub struct WideCompressor<'d> {
     dict: &'d WideDictionary,
-    matcher: MatcherKind,
     preprocess: PreprocessStage,
     scratch: SpScratch,
 }
@@ -464,7 +466,6 @@ impl<'d> WideCompressor<'d> {
     pub fn new(dict: &'d WideDictionary) -> Self {
         WideCompressor {
             dict,
-            matcher: MatcherKind::default(),
             preprocess: PreprocessStage::new(dict.preprocessed()),
             scratch: SpScratch::new(),
         }
@@ -475,45 +476,22 @@ impl<'d> WideCompressor<'d> {
         self
     }
 
-    /// Select the matching structure the DP walks (all emit identical
-    /// bytes; the reference matchers stay selectable so the throughput
-    /// harness can measure them in one run, mirroring
-    /// [`crate::Compressor`]).
-    pub fn with_matcher(mut self, matcher: MatcherKind) -> Self {
-        self.matcher = matcher;
-        self
-    }
-
     pub fn dictionary(&self) -> &WideDictionary {
         self.dict
     }
 
-    /// Compress one line (no newline), appending to `out`. Returns
+    /// Compress one line (no newline), appending to `out`, through the
+    /// dictionary's [`ReverseAutomaton`] kernel. Returns
     /// `(bytes_written, preprocess_failed)`.
     pub fn compress_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
         let (src, failed) = self.preprocess.apply(line);
-        let n = match self.matcher {
-            MatcherKind::ReverseAutomaton => {
-                sp::reverse_dp(self.dict.reverse_automaton(), src, &mut self.scratch);
-                sp::emit(src, &self.scratch, out, push_code)
-            }
-            MatcherKind::DenseAutomaton => {
-                wide_encode_line(self.dict.automaton(), src, &mut self.scratch, out)
-            }
-            MatcherKind::NodeTrie => wide_encode_line(&self.dict.trie, src, &mut self.scratch, out),
-        };
-        (n, failed)
+        sp::reverse_dp(self.dict.reverse_automaton(), src, &mut self.scratch);
+        (sp::emit(src, &self.scratch, out, push_code), failed)
     }
 
     /// Compress a newline-separated buffer, preserving line count and order.
     pub fn compress_buffer(&mut self, input: &[u8], out: &mut Vec<u8>) -> CompressStats {
-        crate::engine::encode_buffer(self, input, out)
-    }
-}
-
-impl LineEncoder for WideCompressor<'_> {
-    fn encode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> (usize, bool) {
-        self.compress_line(line, out)
+        crate::engine::encode_buffer(input, out, |line, out| self.compress_line(line, out))
     }
 }
 
@@ -544,19 +522,7 @@ impl<'d> WideDecompressor<'d> {
         input: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<DecompressStats, ZsmilesError> {
-        crate::engine::decode_buffer(&mut &*self, input, out)
-    }
-}
-
-impl LineDecoder for WideDecompressor<'_> {
-    fn decode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> Result<usize, ZsmilesError> {
-        self.decompress_line(line, out)
-    }
-}
-
-impl LineDecoder for &WideDecompressor<'_> {
-    fn decode_line(&mut self, line: &[u8], out: &mut Vec<u8>) -> Result<usize, ZsmilesError> {
-        self.decompress_line(line, out)
+        crate::engine::decode_buffer(input, out, |line, out| self.decompress_line(line, out))
     }
 }
 
@@ -948,26 +914,28 @@ mod tests {
     }
 
     #[test]
-    fn dense_automaton_matches_node_trie_byte_for_byte() {
-        // The wide hot path walks the flat automaton; the node trie is the
-        // reference. Both must emit identical streams — same pin the base
-        // codec carries, here across one- and two-byte codes.
+    fn kernel_matches_dense_automaton_and_node_trie_byte_for_byte() {
+        // The wide encoder runs the reverse automaton; the dense automaton
+        // and the node trie are the references. All must emit identical
+        // streams — same pin the base codec carries, here across one- and
+        // two-byte codes.
         let deck = diverse_deck();
         let d = trained_diverse(256);
         assert!(d.wide_len() > 0, "training should spill into wide codes");
         let auto = d.automaton();
         assert_eq!(auto.len(), d.trie().len());
         assert_eq!(auto.max_depth(), d.trie().max_depth());
-        let mut dense = WideCompressor::new(&d).with_preprocess(false);
-        let mut node = WideCompressor::new(&d)
-            .with_preprocess(false)
-            .with_matcher(MatcherKind::NodeTrie);
+        let mut kernel = WideCompressor::new(&d).with_preprocess(false);
+        let mut scratch = SpScratch::new();
         for line in deck.iter().take(200) {
+            let mut zk = Vec::new();
             let mut za = Vec::new();
             let mut zt = Vec::new();
-            dense.compress_line(line, &mut za);
-            node.compress_line(line, &mut zt);
-            assert_eq!(za, zt, "line {:?}", String::from_utf8_lossy(line));
+            kernel.compress_line(line, &mut zk);
+            encode_line(auto, line, &mut scratch, &mut za);
+            encode_line(d.trie(), line, &mut scratch, &mut zt);
+            assert_eq!(zk, za, "line {:?}", String::from_utf8_lossy(line));
+            assert_eq!(zk, zt, "line {:?}", String::from_utf8_lossy(line));
         }
         // The automaton is compiled once and shared across clones.
         let clone = d.clone();

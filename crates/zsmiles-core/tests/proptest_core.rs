@@ -7,8 +7,29 @@ use proptest::prelude::*;
 use zsmiles_core::dict::format;
 use zsmiles_core::sp::{encode_cost, encode_line, SpScratch};
 use zsmiles_core::trie::{DenseAutomaton, Trie};
-use zsmiles_core::wide::{WideCompressor, WideDecompressor, WideDictionary};
-use zsmiles_core::{Dictionary, LineIndex, MatcherKind, Prepopulation, SpAlgorithm, LINE_SEP};
+use zsmiles_core::wide::{self, WideCompressor, WideDecompressor, WideDictionary};
+use zsmiles_core::{AnyDictionary, CompressStats, Dictionary, LineIndex, Prepopulation, LINE_SEP};
+
+/// The reference encode of a newline-separated buffer, no preprocessing:
+/// each non-empty line through the reference sweep over the dictionary's
+/// node trie or dense automaton, newline-terminated, with the stats the
+/// buffer loop keeps.
+fn reference_buffer(dict: &Dictionary, dense: bool, input: &[u8]) -> (Vec<u8>, CompressStats) {
+    let mut scratch = SpScratch::new();
+    let mut out = Vec::new();
+    let mut stats = CompressStats::default();
+    for line in input.split(|&b| b == LINE_SEP).filter(|l| !l.is_empty()) {
+        stats.out_bytes += if dense {
+            encode_line(dict.automaton(), line, &mut scratch, &mut out)
+        } else {
+            encode_line(dict.trie(), line, &mut scratch, &mut out)
+        };
+        out.push(LINE_SEP);
+        stats.lines += 1;
+        stats.in_bytes += line.len();
+    }
+    (out, stats)
+}
 
 /// Small alphabet so patterns actually collide/overlap.
 fn arb_pattern() -> impl Strategy<Value = Vec<u8>> {
@@ -75,7 +96,7 @@ proptest! {
             trie.insert(p, 33 + (i as u8));
         }
         let mut scratch = SpScratch::new();
-        let got = encode_cost(&trie, &text, SpAlgorithm::BackwardDp, &mut scratch);
+        let got = encode_cost(&trie, &text, &mut scratch);
 
         // Brute force: exhaustive DP with explicit recursion.
         fn brute(text: &[u8], i: usize, pats: &[Vec<u8>], memo: &mut Vec<Option<usize>>) -> usize {
@@ -249,17 +270,15 @@ proptest! {
         for p in &unique {
             prop_assert_eq!(auto.get(p), trie.get(p));
         }
-        // Encoder byte-identity through both matchers, both algorithms.
-        for algo in [SpAlgorithm::BackwardDp, SpAlgorithm::Dijkstra] {
-            let mut s1 = SpScratch::new();
-            let mut s2 = SpScratch::new();
-            let mut via_trie = Vec::new();
-            let mut via_auto = Vec::new();
-            let ct = encode_line(&trie, &text, algo, &mut s1, &mut via_trie);
-            let ca = encode_line(&auto, &text, algo, &mut s2, &mut via_auto);
-            prop_assert_eq!(ct, ca, "{:?} cost", algo);
-            prop_assert_eq!(&via_trie, &via_auto, "{:?} bytes", algo);
-        }
+        // Encoder byte-identity through both matchers.
+        let mut s1 = SpScratch::new();
+        let mut s2 = SpScratch::new();
+        let mut via_trie = Vec::new();
+        let mut via_auto = Vec::new();
+        let ct = encode_line(&trie, &text, &mut s1, &mut via_trie);
+        let ca = encode_line(&auto, &text, &mut s2, &mut via_auto);
+        prop_assert_eq!(ct, ca, "cost");
+        prop_assert_eq!(&via_trie, &via_auto, "bytes");
     }
 
     /// The wide flavour's dense automaton is pinned against its node trie
@@ -290,15 +309,11 @@ proptest! {
             trie.matches_at(&text, start, |c, l| want.push((c, l)));
             prop_assert_eq!(got, want, "start {}", start);
         }
+        let mut scratch = SpScratch::new();
         let mut via_auto = Vec::new();
-        WideCompressor::new(&dict)
-            .with_preprocess(false)
-            .compress_line(&text, &mut via_auto);
+        wide::encode_line(auto, &text, &mut scratch, &mut via_auto);
         let mut via_trie = Vec::new();
-        WideCompressor::new(&dict)
-            .with_preprocess(false)
-            .with_matcher(zsmiles_core::MatcherKind::NodeTrie)
-            .compress_line(&text, &mut via_trie);
+        wide::encode_line(trie, &text, &mut scratch, &mut via_trie);
         prop_assert_eq!(&via_auto, &via_trie, "wide DP bytes");
         // And the stream still decodes.
         let mut back = Vec::new();
@@ -333,20 +348,19 @@ proptest! {
         let mut serial_back = Vec::new();
         let d_stats = zsmiles_core::Decompressor::new(&dict)
             .decompress_buffer(&serial_z, &mut serial_back).unwrap();
+        let any = AnyDictionary::Base(Box::new(dict));
         for threads in [1usize, 3, 7] {
-            let (par_z, pc) = zsmiles_core::compress_parallel(
-                &dict, &input, SpAlgorithm::BackwardDp, threads);
+            let (par_z, pc) = any.compress_parallel(&input, threads);
             prop_assert_eq!(&par_z, &serial_z, "compress threads={}", threads);
             prop_assert_eq!(pc, s_stats, "compress stats threads={}", threads);
-            let (par_back, pd) = zsmiles_core::decompress_parallel(
-                &dict, &serial_z, threads).unwrap();
+            let (par_back, pd) = any.decompress_parallel(&serial_z, threads).unwrap();
             prop_assert_eq!(&par_back, &serial_back, "decompress threads={}", threads);
             prop_assert_eq!(pd, d_stats, "decompress stats threads={}", threads);
         }
     }
 
-    /// The reverse automaton the encoder runs is pinned against the node
-    /// trie and the dense automaton (both reference algorithms) on
+    /// The reverse automaton the encoder runs is pinned against the
+    /// reference sweep over the node trie and the dense automaton on
     /// arbitrary byte text — including bytes outside the dictionary
     /// alphabet, which escape.
     #[test]
@@ -363,23 +377,21 @@ proptest! {
         let cost = zsmiles_core::Compressor::new(&dict)
             .with_preprocess(false)
             .compress_line(&text, &mut want).0;
-        for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
-            for algo in [SpAlgorithm::BackwardDp, SpAlgorithm::Dijkstra] {
-                let mut other = Vec::new();
-                let c = zsmiles_core::Compressor::new(&dict)
-                    .with_preprocess(false)
-                    .with_matcher(kind)
-                    .with_algorithm(algo)
-                    .compress_line(&text, &mut other).0;
-                prop_assert_eq!(c, cost, "{:?}/{:?} cost", kind, algo);
-                prop_assert_eq!(&other, &want, "{:?}/{:?} bytes", kind, algo);
-            }
-        }
+        let mut scratch = SpScratch::new();
+        let mut dense = Vec::new();
+        let c = encode_line(dict.automaton(), &text, &mut scratch, &mut dense);
+        prop_assert_eq!(c, cost, "dense cost");
+        prop_assert_eq!(&dense, &want, "dense bytes");
+        let mut node = Vec::new();
+        let c = encode_line(dict.trie(), &text, &mut scratch, &mut node);
+        prop_assert_eq!(c, cost, "node-trie cost");
+        prop_assert_eq!(&node, &want, "node-trie bytes");
     }
 
     /// The wide flavour's reverse automaton is pinned against its
-    /// reference matchers: the wide encoder emits byte-identical streams
-    /// through every matcher kind, and they decode.
+    /// reference matchers: the wide encoder emits the bytes the reference
+    /// sweep emits over the dense automaton and the node trie, and they
+    /// decode.
     #[test]
     fn wide_reverse_identical_to_node_trie(
         patterns in proptest::collection::vec(arb_pattern(), 1..24),
@@ -398,22 +410,21 @@ proptest! {
         WideCompressor::new(&dict)
             .with_preprocess(false)
             .compress_line(&text, &mut via_reverse);
-        for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
-            let mut via_other = Vec::new();
-            WideCompressor::new(&dict)
-                .with_preprocess(false)
-                .with_matcher(kind)
-                .compress_line(&text, &mut via_other);
-            prop_assert_eq!(&via_reverse, &via_other, "{:?} bytes", kind);
-        }
+        let mut scratch = SpScratch::new();
+        let mut via_dense = Vec::new();
+        wide::encode_line(dict.automaton(), &text, &mut scratch, &mut via_dense);
+        prop_assert_eq!(&via_reverse, &via_dense, "dense bytes");
+        let mut via_trie = Vec::new();
+        wide::encode_line(dict.trie(), &text, &mut scratch, &mut via_trie);
+        prop_assert_eq!(&via_reverse, &via_trie, "node-trie bytes");
         let mut back = Vec::new();
         WideDecompressor::new(&dict).decompress_line(&via_reverse, &mut back).unwrap();
         prop_assert_eq!(&back, &text);
     }
 
-    /// The buffer path emits exactly the per-line stream, and the same
-    /// bytes and stats through every matcher kind, interior blank lines
-    /// included.
+    /// The buffer path emits exactly the per-line stream, and the bytes
+    /// and stats of the reference sweep over either reference matcher,
+    /// interior blank lines included.
     #[test]
     fn buffer_encode_identical_to_per_line_and_every_matcher(
         raw_lines in proptest::collection::vec(
@@ -440,13 +451,10 @@ proptest! {
         let mut z = Vec::new();
         let stats = zsmiles_core::Compressor::new(&dict).compress_buffer(&input, &mut z);
         prop_assert_eq!(&z, &per_line);
-        for kind in [MatcherKind::DenseAutomaton, MatcherKind::NodeTrie] {
-            let mut z_other = Vec::new();
-            let s_other = zsmiles_core::Compressor::new(&dict)
-                .with_matcher(kind)
-                .compress_buffer(&input, &mut z_other);
-            prop_assert_eq!(&z, &z_other, "{:?} buffer bytes", kind);
-            prop_assert_eq!(stats, s_other, "{:?} buffer stats", kind);
+        for dense in [true, false] {
+            let (z_other, s_other) = reference_buffer(&dict, dense, &input);
+            prop_assert_eq!(&z, &z_other, "dense={} buffer bytes", dense);
+            prop_assert_eq!(stats, s_other, "dense={} buffer stats", dense);
         }
     }
 
@@ -515,9 +523,6 @@ fn maximal_wide_reverse_automaton_identical_to_node_trie() {
         .with_preprocess(false)
         .compress_line(&text, &mut via_reverse);
     let mut via_trie = Vec::new();
-    WideCompressor::new(&dict)
-        .with_preprocess(false)
-        .with_matcher(MatcherKind::NodeTrie)
-        .compress_line(&text, &mut via_trie);
+    wide::encode_line(dict.trie(), &text, &mut SpScratch::new(), &mut via_trie);
     assert_eq!(via_reverse, via_trie);
 }

@@ -20,4 +20,4 @@ pub mod pipeline;
 
 pub use device_dict::DeviceDict;
 pub use kernels::{compress_block, decompress_block, MAX_LINE};
-pub use pipeline::{compress, compress_any, decompress, decompress_any, GpuOptions, GpuRun};
+pub use pipeline::{compress, decompress, GpuOptions, GpuRun};

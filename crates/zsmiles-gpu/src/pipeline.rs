@@ -10,8 +10,8 @@ use crate::device_dict::DeviceDict;
 use crate::kernels::{compress_block, decompress_block};
 use simt::{launch, CostReport};
 use smiles::preprocess::{Preprocessor, RingRenumber};
-use zsmiles_core::engine::{AnyDictionary, DynEngine};
-use zsmiles_core::{Dictionary, ZsmilesError, LINE_SEP};
+use zsmiles_core::engine::AnyDictionary;
+use zsmiles_core::{ZsmilesError, LINE_SEP};
 
 /// Launch configuration.
 #[derive(Debug, Clone, Copy)]
@@ -48,24 +48,16 @@ pub struct GpuRun {
     pub lines: u64,
 }
 
-/// Compress a newline-separated buffer on the simulated device.
-pub fn compress(dict: &Dictionary, input: &[u8], opts: &GpuOptions) -> GpuRun {
-    let dd = DeviceDict::from_dictionary(dict);
-    let preprocess = opts.preprocess.unwrap_or(dict.preprocessed());
-    run_compress(&dd, preprocess, input, opts)
-}
-
-/// [`compress`] for a run-time-flavoured dictionary (e.g. straight from a
-/// `.zsa` container): staging goes through [`DeviceDict::stage`] and the
-/// preprocessing default through the [`DynEngine`] facade, so this layer
-/// holds no flavour match of its own.
-pub fn compress_any(
+/// Compress a newline-separated buffer on the simulated device. Staging
+/// goes through [`DeviceDict::stage`], which refuses a wide dictionary
+/// with a typed error, so this layer holds no flavour match of its own.
+pub fn compress(
     dict: &AnyDictionary,
     input: &[u8],
     opts: &GpuOptions,
 ) -> Result<GpuRun, ZsmilesError> {
     let dd = DeviceDict::stage(dict)?;
-    let preprocess = opts.preprocess.unwrap_or(DynEngine::preprocessed(dict));
+    let preprocess = opts.preprocess.unwrap_or(dict.preprocessed());
     Ok(run_compress(&dd, preprocess, input, opts))
 }
 
@@ -108,16 +100,6 @@ fn run_compress(dd: &DeviceDict, preprocess: bool, input: &[u8], opts: &GpuOptio
 
 /// Decompress a newline-separated buffer on the simulated device.
 pub fn decompress(
-    dict: &Dictionary,
-    input: &[u8],
-    opts: &GpuOptions,
-) -> Result<GpuRun, ZsmilesError> {
-    let dd = DeviceDict::from_dictionary(dict);
-    run_decompress(&dd, input, opts)
-}
-
-/// [`decompress`] for a run-time-flavoured dictionary.
-pub fn decompress_any(
     dict: &AnyDictionary,
     input: &[u8],
     opts: &GpuOptions,
@@ -170,9 +152,9 @@ fn run_decompress(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zsmiles_core::{compress_parallel, Compressor, DictBuilder, SpAlgorithm};
+    use zsmiles_core::{compress_parallel_dyn, Compressor, DictBuilder};
 
-    fn fixture() -> (Dictionary, Vec<u8>) {
+    fn fixture() -> (AnyDictionary, Vec<u8>) {
         let lines: Vec<&[u8]> = [
             b"COc1cc(C=O)ccc1O".as_slice(),
             b"C1=CC=C(C=C1)C(=O)CC(=O)C2=CC=CC=C2",
@@ -190,27 +172,30 @@ mod tests {
             .iter()
             .flat_map(|l| l.iter().copied().chain(std::iter::once(b'\n')))
             .collect();
-        (dict, input)
+        (AnyDictionary::Base(Box::new(dict)), input)
     }
 
     #[test]
     fn gpu_compression_matches_cpu_byte_for_byte() {
         let (dict, input) = fixture();
+        let AnyDictionary::Base(base) = &dict else {
+            unreachable!()
+        };
         let mut cpu_out = Vec::new();
-        Compressor::new(&dict).compress_buffer(&input, &mut cpu_out);
-        let run = compress(&dict, &input, &GpuOptions::default());
+        Compressor::new(base).compress_buffer(&input, &mut cpu_out);
+        let run = compress(&dict, &input, &GpuOptions::default()).unwrap();
         assert_eq!(run.output, cpu_out);
         assert_eq!(run.lines, 64);
         assert!(run.report.total.instructions > 0);
         // And matches the parallel CPU engine too (transitivity check).
-        let (par, _) = compress_parallel(&dict, &input, SpAlgorithm::BackwardDp, 4);
+        let (par, _) = compress_parallel_dyn(&dict, &input, 4);
         assert_eq!(run.output, par);
     }
 
     #[test]
     fn gpu_round_trip() {
         let (dict, input) = fixture();
-        let z = compress(&dict, &input, &GpuOptions::default());
+        let z = compress(&dict, &input, &GpuOptions::default()).unwrap();
         let back = decompress(&dict, &z.output, &GpuOptions::default()).unwrap();
         // Dictionary was trained with preprocessing on, so the round trip
         // returns the preprocessed (still-valid) form.
@@ -235,7 +220,8 @@ mod tests {
                 workers: 1,
                 preprocess: None,
             },
-        );
+        )
+        .unwrap();
         let b = compress(
             &dict,
             &input,
@@ -243,7 +229,8 @@ mod tests {
                 workers: 7,
                 preprocess: None,
             },
-        );
+        )
+        .unwrap();
         assert_eq!(a.output, b.output);
         assert_eq!(
             a.report, b.report,
@@ -254,7 +241,7 @@ mod tests {
     #[test]
     fn device_time_is_memory_bound_for_decompression() {
         let (dict, input) = fixture();
-        let z = compress(&dict, &input, &GpuOptions::default());
+        let z = compress(&dict, &input, &GpuOptions::default()).unwrap();
         let run = decompress(&dict, &z.output, &GpuOptions::default()).unwrap();
         let kt = simt::A100_LIKE.kernel_time(&run.report);
         // Decompression is lookups + copies: traffic, not arithmetic.
@@ -269,18 +256,6 @@ mod tests {
         let (dict, _) = fixture();
         let r = decompress(&dict, b"\x01\x02\n", &GpuOptions::default());
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn any_dictionary_staging_matches_concrete_path() {
-        let (dict, input) = fixture();
-        let any = AnyDictionary::Base(Box::new(dict.clone()));
-        let via_any = compress_any(&any, &input, &GpuOptions::default()).unwrap();
-        let via_concrete = compress(&dict, &input, &GpuOptions::default());
-        assert_eq!(via_any.output, via_concrete.output);
-        assert_eq!(via_any.report, via_concrete.report);
-        let back = decompress_any(&any, &via_any.output, &GpuOptions::default()).unwrap();
-        assert_eq!(back.out_bytes, via_any.in_bytes);
     }
 
     #[test]
@@ -300,7 +275,7 @@ mod tests {
         .train(lines.iter().copied())
         .unwrap();
         let any = AnyDictionary::Wide(Box::new(wide));
-        let err = compress_any(&any, &input, &GpuOptions::default()).unwrap_err();
+        let err = compress(&any, &input, &GpuOptions::default()).unwrap_err();
         assert!(matches!(err, ZsmilesError::Unsupported { .. }), "{err}");
         assert!(DeviceDict::stage(&any).is_err());
     }

@@ -8,7 +8,7 @@
 
 use molgen::Dataset;
 use simt::{A100_LIKE, SCRATCH_FS};
-use zsmiles_core::DictBuilder;
+use zsmiles_core::{AnyDictionary, DictBuilder};
 use zsmiles_gpu::{compress, decompress, GpuOptions};
 
 fn main() {
@@ -22,7 +22,8 @@ fn main() {
     );
 
     // ---- compression kernel ----------------------------------------------
-    let run = compress(&dict, deck.as_bytes(), &GpuOptions::default());
+    let dict = AnyDictionary::Base(Box::new(dict));
+    let run = compress(&dict, deck.as_bytes(), &GpuOptions::default()).expect("compress");
     let kt = A100_LIKE.kernel_time(&run.report);
     let pt = A100_LIKE.pipeline_time(&run.report, run.in_bytes, run.out_bytes, &SCRATCH_FS);
     println!(

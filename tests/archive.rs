@@ -4,7 +4,7 @@
 //! out-of-core [`ArchiveReader`] over a real file.
 
 use proptest::prelude::*;
-use zsmiles_core::engine::{AnyDictionary, DynEngine};
+use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::source::{ArchiveSource, CountingSource, FileSource, InMemorySource};
 use zsmiles_core::{Archive, ArchiveReader, DictBuilder, WideDictBuilder, ZsmilesError};
 
@@ -173,46 +173,42 @@ fn counting_source_proves_get_touches_only_metadata_and_one_line() {
     }
 }
 
-/// `Box<dyn>` workers minted through the `DynEngine` facade produce
-/// byte-identical streams to the concrete engines, both flavours.
+/// Parallel encode and decode through `AnyDictionary` produce the bytes
+/// of the serial concrete compressors, both flavours, and its encoder
+/// round-trips single lines.
 #[test]
-fn dyn_engine_boxed_workers_match_concrete_engines() {
+fn any_dictionary_parallel_matches_concrete_compressors() {
     let deck = molgen::Dataset::generate_mixed(200, 77);
     for wide_size in [0usize, 48] {
         let dict = dict_for(&deck, wide_size);
 
-        // Concrete path: the statically-dispatched parallel engine.
-        let (concrete, cstats) = match &dict {
-            AnyDictionary::Base(d) => zsmiles_core::compress_parallel_engine(
-                &zsmiles_core::BaseEngine::new(d),
-                deck.as_bytes(),
-                3,
-            ),
-            AnyDictionary::Wide(d) => zsmiles_core::compress_parallel_engine(
-                &zsmiles_core::WideEngine::new(d),
-                deck.as_bytes(),
-                3,
-            ),
+        // Concrete path: the flavour's own serial compressor.
+        let mut concrete = Vec::new();
+        let cstats = match &dict {
+            AnyDictionary::Base(d) => {
+                zsmiles_core::Compressor::new(d).compress_buffer(deck.as_bytes(), &mut concrete)
+            }
+            AnyDictionary::Wide(d) => {
+                zsmiles_core::WideCompressor::new(d).compress_buffer(deck.as_bytes(), &mut concrete)
+            }
         };
 
-        // Dyn path: Box<dyn LineEncoder> workers behind &dyn DynEngine.
-        let engine: &dyn DynEngine = dict.as_dyn();
-        let (dynamic, dstats) = zsmiles_core::compress_parallel_dyn(engine, deck.as_bytes(), 3);
-        assert_eq!(dynamic, concrete, "wide={wide_size}");
-        assert_eq!(dstats.lines, cstats.lines);
+        // The one codec value, on three workers.
+        let (parallel, pstats) = dict.compress_parallel(deck.as_bytes(), 3);
+        assert_eq!(parallel, concrete, "wide={wide_size}");
+        assert_eq!(pstats.lines, cstats.lines);
 
-        // And the dyn decode round-trips to the original deck.
-        let (back, _) = zsmiles_core::decompress_parallel_dyn(engine, &dynamic, 2).unwrap();
+        // And the parallel decode round-trips to the original deck.
+        let (back, _) = dict.decompress_parallel(&parallel, 2).unwrap();
         assert_eq!(back, deck.as_bytes(), "wide={wide_size}");
 
-        // Serial boxed workers too: encode+decode one line at a time.
-        let mut enc = engine.boxed_encoder();
-        let mut dec = engine.boxed_decoder();
+        // One line at a time too.
+        let mut enc = dict.encoder();
         for i in [0usize, 42, 199] {
             let mut z = Vec::new();
-            enc.encode_line(deck.line(i), &mut z);
+            enc.compress_line(deck.line(i), &mut z);
             let mut out = Vec::new();
-            dec.decode_line(&z, &mut out).unwrap();
+            dict.decompress_line(&z, &mut out).unwrap();
             assert_eq!(out, deck.line(i), "wide={wide_size} line {i}");
         }
     }

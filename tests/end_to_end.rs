@@ -4,9 +4,9 @@
 
 use molgen::{profiles, Dataset};
 use zsmiles_core::dict::format as dict_format;
-use zsmiles_core::{
-    compress_parallel, Compressor, Decompressor, DictBuilder, LineIndex, SpAlgorithm,
-};
+use zsmiles_core::engine::PreprocessStage;
+use zsmiles_core::sp::{encode_line, SpScratch};
+use zsmiles_core::{AnyDictionary, Compressor, Decompressor, DictBuilder, LineIndex};
 
 fn deck() -> Dataset {
     Dataset::generate_mixed(1_500, 0xE2E)
@@ -129,18 +129,29 @@ fn serial_parallel_and_gpu_agree() {
 
     let mut serial = Vec::new();
     Compressor::new(&dict).compress_buffer(ds.as_bytes(), &mut serial);
-    let (par, _) = compress_parallel(&dict, ds.as_bytes(), SpAlgorithm::BackwardDp, 4);
+    let any = AnyDictionary::Base(Box::new(dict.clone()));
+    let (par, _) = any.compress_parallel(ds.as_bytes(), 4);
     assert_eq!(serial, par, "parallel == serial");
 
-    let gpu = zsmiles_gpu::compress(&dict, ds.as_bytes(), &zsmiles_gpu::GpuOptions::default());
+    let gpu =
+        zsmiles_gpu::compress(&any, ds.as_bytes(), &zsmiles_gpu::GpuOptions::default()).unwrap();
     assert_eq!(serial, gpu.output, "simulated device == serial");
 
-    // Dijkstra engine agrees as well.
-    let mut dijkstra = Vec::new();
-    Compressor::new(&dict)
-        .with_algorithm(SpAlgorithm::Dijkstra)
-        .compress_buffer(ds.as_bytes(), &mut dijkstra);
-    assert_eq!(serial, dijkstra, "dijkstra == dp");
+    // The reference sweep over the dense automaton (the paper's Dijkstra
+    // in its settle order) agrees as well, on the preprocessed lines.
+    let mut reference = Vec::new();
+    let mut scratch = SpScratch::new();
+    let mut pp = PreprocessStage::new(dict.preprocessed());
+    for line in ds.iter() {
+        encode_line(
+            dict.automaton(),
+            pp.apply(line).0,
+            &mut scratch,
+            &mut reference,
+        );
+        reference.push(b'\n');
+    }
+    assert_eq!(serial, reference, "reference sweep == kernel");
 }
 
 #[test]

@@ -260,6 +260,7 @@ fn wide_hostile_lines_round_trip_exactly() {
 #[test]
 fn gpu_sim_rejects_bad_input_like_cpu() {
     let (dict, _, _) = fixture();
+    let dict = zsmiles_core::AnyDictionary::Base(Box::new(dict));
     let r = zsmiles_gpu::decompress(&dict, b"\x01\x01\n", &zsmiles_gpu::GpuOptions::default());
     assert!(r.is_err());
 }
@@ -270,10 +271,11 @@ fn oversized_lines_rejected_cleanly_by_gpu_kernel() {
     // limit. Assert the contract boundary is enforced by a panic guard in
     // debug (assert!) — here we stay just inside and verify success.
     let (dict, _, _) = fixture();
+    let dict = zsmiles_core::AnyDictionary::Base(Box::new(dict));
     let long_line = vec![b'C'; zsmiles_gpu::MAX_LINE];
     let mut input = long_line.clone();
     input.push(b'\n');
-    let run = zsmiles_gpu::compress(&dict, &input, &zsmiles_gpu::GpuOptions::default());
+    let run = zsmiles_gpu::compress(&dict, &input, &zsmiles_gpu::GpuOptions::default()).unwrap();
     assert_eq!(run.lines, 1);
     let back =
         zsmiles_gpu::decompress(&dict, &run.output, &zsmiles_gpu::GpuOptions::default()).unwrap();

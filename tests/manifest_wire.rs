@@ -71,7 +71,9 @@ const FIELD_VALUES: [u64; 4] = [0, 1, 1 << 63, u64::MAX];
 /// Seeded text mutations of one manifest: truncation at every offset,
 /// then bit flips, inserted and deleted bytes at random offsets, then
 /// every numeric field (line counts, byte sizes, CRCs, the generation)
-/// set to each of [`FIELD_VALUES`].
+/// set to each of [`FIELD_VALUES`], then every row that is not a comment
+/// repeated (named "duplicate row r"; the fuzz requires each to be
+/// refused).
 fn mutants(raw: &[u8], seed: u64, random: usize) -> Vec<(String, Vec<u8>)> {
     let mut rng = TestRng::from_seed(seed);
     let mut out = Vec::new();
@@ -115,6 +117,15 @@ fn mutants(raw: &[u8], seed: u64, random: usize) -> Vec<(String, Vec<u8>)> {
                 out.push((format!("row {r} field {f} = {v}"), m));
             }
         }
+    }
+    for (r, row) in rows.iter().enumerate() {
+        if row.starts_with('#') {
+            continue;
+        }
+        let mut rows = rows.clone();
+        rows.insert(r, row);
+        let m = format!("{}\n", rows.join("\n")).into_bytes();
+        out.push((format!("duplicate row {r}"), m));
     }
     out
 }
@@ -199,7 +210,12 @@ fn mutated_manifests_error_or_open_to_the_source_deck() {
         for (what, m) in mutants(raw, 0x25E + k as u64, 100) {
             let what = format!("{name}: {what}");
             cases += 1;
-            if parse_mutant(&what, &m) {
+            let accepted = parse_mutant(&what, &m);
+            assert!(
+                !(accepted && what.contains(": duplicate row")),
+                "{what}: a repeated row was accepted"
+            );
+            if accepted {
                 parsed += 1;
                 std::fs::write(&path, &m).unwrap();
                 opened += open_mutant(&what, &path, &want);
@@ -242,4 +258,52 @@ fn line_counts_summing_past_u64_are_a_format_error() {
     let fits = text.replace(" 2 10 0", " 0 10 0");
     let m = ShardManifest::read_from(fits.as_bytes()).unwrap();
     assert_eq!(m.total_lines(), u64::MAX);
+}
+
+/// Regression: a repeated `flavor` or `lines` row was taken silently, the
+/// last one winning, while a repeated `generation` row was an error. Over
+/// the fixture's shards, a manifest holding `lines 7`, `lines 300`,
+/// `flavor wide` and `flavor base` opened as a 300-line base deck.
+#[test]
+fn repeated_flavor_or_lines_rows_are_a_format_error() {
+    let dir = tmpdir("repeated");
+    let raw = String::from_utf8(fixture_deck(&dir)).unwrap();
+    let shard_rows: String = raw
+        .lines()
+        .filter(|l| l.starts_with("shard "))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let path = dir.join("repeated.zsm");
+    for (header, want) in [
+        (
+            "lines 7\nlines 300\nflavor wide\nflavor base\n",
+            "duplicate 'lines'",
+        ),
+        (
+            "flavor wide\nflavor base\nlines 7\nlines 300\n",
+            "duplicate 'flavor'",
+        ),
+        ("flavor base\nlines 300\nlines 300\n", "duplicate 'lines'"),
+        (
+            "flavor base\nflavor base\nlines 300\n",
+            "duplicate 'flavor'",
+        ),
+    ] {
+        let text = format!("#zsmiles-shards v1\n{header}{shard_rows}");
+        let err = ShardManifest::read_from(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, ZsmilesError::ManifestFormat { reason } if reason.contains(want)),
+            "{header:?}: got {err}"
+        );
+        std::fs::write(&path, &text).unwrap();
+        assert!(ShardedReader::open(&path).is_err(), "{header:?} opened");
+    }
+    // Each row once: the 300-line base deck.
+    std::fs::write(
+        &path,
+        format!("#zsmiles-shards v1\nflavor base\nlines 300\n{shard_rows}"),
+    )
+    .unwrap();
+    assert_eq!(ShardedReader::open(&path).unwrap().len(), 300);
+    std::fs::remove_dir_all(dir).ok();
 }

@@ -87,18 +87,17 @@ proptest! {
         }
     }
 
-    /// Both shortest-path engines agree on arbitrary input.
+    /// The production kernel (the reverse automaton) agrees with the
+    /// reference sweep over the node trie on arbitrary input.
     #[test]
     fn engines_agree(line in arb_line()) {
         use zsmiles_core::sp::{encode_line, SpScratch};
-        use zsmiles_core::SpAlgorithm;
         let dict = test_dict();
-        let mut s1 = SpScratch::new();
-        let mut s2 = SpScratch::new();
+        let mut s = SpScratch::new();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        let ca = encode_line(dict.trie(), &line, SpAlgorithm::BackwardDp, &mut s1, &mut a);
-        let cb = encode_line(dict.trie(), &line, SpAlgorithm::Dijkstra, &mut s2, &mut b);
+        let (ca, _) = Compressor::new(&dict).with_preprocess(false).compress_line(&line, &mut a);
+        let cb = encode_line(dict.trie(), &line, &mut s, &mut b);
         prop_assert_eq!(ca, cb);
         prop_assert_eq!(a, b);
     }
@@ -117,8 +116,7 @@ proptest! {
             }
         }
         let mut scratch = zsmiles_core::sp::SpScratch::new();
-        let optimal = zsmiles_core::sp::encode_cost(
-            trie, &line, zsmiles_core::SpAlgorithm::BackwardDp, &mut scratch);
+        let optimal = zsmiles_core::sp::encode_cost(trie, &line, &mut scratch);
         prop_assert!(optimal <= greedy, "optimal {} > greedy {}", optimal, greedy);
     }
 
