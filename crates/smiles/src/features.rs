@@ -1,5 +1,13 @@
-//! The counting pass: the streaming grammar with a builder that keeps
-//! only the counts a ligand score reads, never a molecular graph.
+//! The counting pass: the grammar of [`crate::parser`] with a builder
+//! that keeps only the counts a ligand score reads, never a molecular
+//! graph.
+//!
+//! Each atom adds its element's heteroatom and halogen bits from a table
+//! indexed by atomic number. Rings are the circuit rank `bonds +
+//! components − atoms`: every dot-separated fragment is a tree of chain
+//! bonds, so only ring closures matter, and a closure either closes a
+//! ring or joins two fragments' components. A union-find over fragments,
+//! touched only by closures between different fragments, tells which.
 //!
 //! [`FeatureCounter::count`] returns the same `Result` as
 //! [`crate::parser::parse`] for every line, and on success the counts
@@ -41,62 +49,85 @@ impl FeatureCounter {
     /// Count the features of one SMILES line.
     pub fn count(&mut self, line: &[u8]) -> Result<FeatureCounts, SmilesError> {
         self.tally.counts = FeatureCounts::default();
-        self.tally.root.clear();
+        self.tally.joined.clear();
         self.parser.build(line, &mut self.tally)?;
         Ok(self.tally.counts)
     }
 }
 
-/// The counting builder. `root` is a union-find over the atoms: a bond
-/// whose ends already share a root closes a ring, any other bond joins
-/// two components, so the rings counted are `bonds + components − atoms`.
+/// Bit set in [`ELEMENT_BITS`] for a heteroatom.
+const HETERO: u8 = 1;
+/// Bit set in [`ELEMENT_BITS`] for a halogen.
+const HALOGEN: u8 = 2;
+
+/// Heteroatom and halogen bits by atomic number; index 0 is the
+/// wildcard, a heteroatom.
+const ELEMENT_BITS: [u8; 256] = {
+    let mut table = [HETERO; 256];
+    table[1] = 0; // H
+    table[6] = 0; // C
+    table[9] = HETERO | HALOGEN; // F
+    table[17] = HETERO | HALOGEN; // Cl
+    table[35] = HETERO | HALOGEN; // Br
+    table[53] = HETERO | HALOGEN; // I
+    table
+};
+
+/// The counting builder. `joined` is a union-find over the line's
+/// fragments, grown only as far as a closure between two fragments
+/// reaches: a fragment past its end is its own root.
 #[derive(Debug, Default)]
 struct Tally {
     counts: FeatureCounts,
-    root: Vec<u32>,
+    joined: Vec<u32>,
 }
 
 impl Tally {
-    /// Representative of `x`'s component, halving the path on the way.
+    /// Representative of fragment `x`'s component, halving the path on
+    /// the way.
     fn find(&mut self, mut x: u32) -> u32 {
-        loop {
-            let up = self.root[x as usize];
+        while let Some(&up) = self.joined.get(x as usize) {
             if up == x {
-                return x;
+                break;
             }
-            let next = self.root[up as usize];
-            self.root[x as usize] = next;
+            let next = self.joined[up as usize];
+            self.joined[x as usize] = next;
             x = next;
         }
+        x
     }
 }
 
 impl Builder for Tally {
     #[inline]
     fn add_atom(&mut self, atom: AtomKind) {
+        let z = match atom.element() {
+            Element::Z(z) => z,
+            Element::Wildcard => 0,
+        };
+        let bits = ELEMENT_BITS[z as usize];
         let c = &mut self.counts;
-        self.root.push(c.atoms);
         c.atoms += 1;
         c.aromatic += atom.aromatic() as u32;
-        match atom.element() {
-            // H, C
-            Element::Z(1 | 6) => {}
-            // F, Cl, Br, I
-            Element::Z(9 | 17 | 35 | 53) => {
-                c.halogen += 1;
-                c.hetero += 1;
-            }
-            _ => c.hetero += 1,
-        }
+        c.hetero += ((bits & HETERO) != 0) as u32;
+        c.halogen += ((bits & HALOGEN) != 0) as u32;
     }
 
     #[inline]
-    fn add_bond(&mut self, a: u32, b: u32, _sym: Option<BondSym>, _ring: bool) {
-        let (ra, rb) = (self.find(a), self.find(b));
+    fn chain_bond(&mut self, _a: u32, _b: u32, _sym: Option<BondSym>) {}
+
+    #[inline]
+    fn ring_bond(&mut self, _a: u32, _b: u32, _sym: Option<BondSym>, [fa, fb]: [u32; 2]) {
+        let (ra, rb) = (self.find(fa), self.find(fb));
         if ra == rb {
             self.counts.rings += 1;
         } else {
-            self.root[rb as usize] = ra;
+            let reach = ra.max(rb) as usize + 1;
+            if self.joined.len() < reach {
+                let from = self.joined.len() as u32;
+                self.joined.extend(from..reach as u32);
+            }
+            self.joined[rb as usize] = ra;
         }
     }
 }

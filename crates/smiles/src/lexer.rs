@@ -5,6 +5,14 @@
 //! (ring pairing, branch balance) — that is the parser's job. Every token is
 //! returned with the byte [`Span`] it came from, which the preprocessor uses
 //! to rewrite ring IDs in place without touching any other byte.
+//!
+//! Most bytes of a SMILES line are whole tokens by themselves. The
+//! crate-private byte-class table says which: a bare organic atom, a bond
+//! symbol, `(`, `)`, `.` or a ring digit. Two scanners read it instead of
+//! building a token per byte: the grammar loop in [`crate::parser`]
+//! dispatches on it and lexes only the other bytes (bracket atoms, `%nn`,
+//! the `se`/`as` traps, bad bytes) with [`Lexer::next_token`], and
+//! [`Lexer::next_ring`] steps over every one-byte token but the digits.
 
 use crate::element::{parse_bracket_symbol, Element};
 use crate::error::{SmilesError, Span};
@@ -17,17 +25,90 @@ pub struct Spanned {
     pub span: Span,
 }
 
-/// Bytes [`Lexer::next_ring`] steps over without lexing: each always
-/// starts a complete one-byte, non-ring token (a branch, a dot, a bond,
-/// `*`, a one-letter organic atom) or the two-byte `Cl` / `Br`. `s` is
-/// not here: a following `e` makes it an error.
+/// What a byte starts, as far as it can tell alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ByteClass {
+    /// A bare organic atom: `*`, `B C N O P S F I` or aromatic
+    /// `b c n o p`. A `C` followed by `l` is [`CHLORINE`] and a `B`
+    /// followed by `r` is [`BROMINE`] instead: neither `C` nor `B` is
+    /// ever the second byte of a token, so the pair decides.
+    Atom(BareAtom),
+    Bond(BondSym),
+    /// `(`
+    Open,
+    /// `)`
+    Close,
+    /// `.`
+    Dot,
+    /// A one-digit ring bond, `0`–`9`.
+    Digit,
+    /// A byte only [`Lexer::next_token`] can read: `[`, `%`, `s` (a
+    /// following `e` makes it an error), `a`, any other letter and every
+    /// byte that starts no token.
+    Lex,
+}
+
+/// The bare two-letter atoms.
+pub(crate) const CHLORINE: BareAtom = organic(17, false);
+pub(crate) const BROMINE: BareAtom = organic(35, false);
+
+/// A bare atom of atomic number `z`.
+const fn organic(z: u8, aromatic: bool) -> BareAtom {
+    BareAtom {
+        element: Element::Z(z),
+        aromatic,
+    }
+}
+
+/// The byte-class table.
+pub(crate) const BYTE_CLASS: [ByteClass; 256] = {
+    let mut table = [ByteClass::Lex; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            b'*' => ByteClass::Atom(BareAtom {
+                element: Element::Wildcard,
+                aromatic: false,
+            }),
+            b'B' => ByteClass::Atom(organic(5, false)),
+            b'C' => ByteClass::Atom(organic(6, false)),
+            b'N' => ByteClass::Atom(organic(7, false)),
+            b'O' => ByteClass::Atom(organic(8, false)),
+            b'F' => ByteClass::Atom(organic(9, false)),
+            b'P' => ByteClass::Atom(organic(15, false)),
+            b'S' => ByteClass::Atom(organic(16, false)),
+            b'I' => ByteClass::Atom(organic(53, false)),
+            b'b' => ByteClass::Atom(organic(5, true)),
+            b'c' => ByteClass::Atom(organic(6, true)),
+            b'n' => ByteClass::Atom(organic(7, true)),
+            b'o' => ByteClass::Atom(organic(8, true)),
+            b'p' => ByteClass::Atom(organic(15, true)),
+            b'-' => ByteClass::Bond(BondSym::Single),
+            b'=' => ByteClass::Bond(BondSym::Double),
+            b'#' => ByteClass::Bond(BondSym::Triple),
+            b'$' => ByteClass::Bond(BondSym::Quadruple),
+            b':' => ByteClass::Bond(BondSym::Aromatic),
+            b'/' => ByteClass::Bond(BondSym::Up),
+            b'\\' => ByteClass::Bond(BondSym::Down),
+            b'(' => ByteClass::Open,
+            b')' => ByteClass::Close,
+            b'.' => ByteClass::Dot,
+            b'0'..=b'9' => ByteClass::Digit,
+            _ => ByteClass::Lex,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// Bytes [`Lexer::next_ring`] steps over without lexing: every one-byte
+/// token of the byte-class table but the ring digits.
 const STEP_OVER: [bool; 256] = {
     let mut table = [false; 256];
-    let bytes = b"()./-=#$:\\*BCNOPSFIbcnop";
-    let mut i = 0;
-    while i < bytes.len() {
-        table[bytes[i] as usize] = true;
-        i += 1;
+    let mut b = 0;
+    while b < 256 {
+        table[b] = !matches!(BYTE_CLASS[b], ByteClass::Digit | ByteClass::Lex);
+        b += 1;
     }
     table
 };
@@ -41,6 +122,11 @@ pub struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     pub fn new(input: &'a [u8]) -> Self {
         Lexer { input, pos: 0 }
+    }
+
+    /// A lexer over `input` whose next token starts at byte `pos`.
+    pub(crate) fn resume(input: &'a [u8], pos: usize) -> Self {
+        Lexer { input, pos }
     }
 
     /// Current byte offset (start of the next token).
@@ -152,7 +238,9 @@ impl<'a> Lexer<'a> {
             // `pos`. Neither `C` nor `B` is ever the second byte of a
             // token, so an `l` after a stepped-over `C` (an `r` after a
             // `B`) always completes `Cl` (`Br`). A scan resumes after a
-            // digit, `]` or `s`, never after a `C` or `B`. The two bytes
+            // digit, `]` or `s`, or where the grammar finishes lexing a
+            // line past its first error: after a bond, branch, dot or
+            // ring bond. Never after a `C` or `B`. The two bytes
             // are compared as one `u16`: testing them one at a time made
             // preprocessing about 10% slower (80 000-line deck, 2-vCPU
             // Xeon).
@@ -185,16 +273,14 @@ impl<'a> Lexer<'a> {
         // Per OpenSMILES, the *only* two-letter bare symbols are Cl and Br;
         // everything else is one letter. This is what makes "Sc" parse as
         // sulfur + aromatic carbon rather than scandium.
-        if (b0 == b'C' && self.input.get(self.pos + 1) == Some(&b'l'))
-            || (b0 == b'B' && self.input.get(self.pos + 1) == Some(&b'r'))
-        {
-            let e =
-                Element::from_symbol(&self.input[self.pos..self.pos + 2]).expect("Cl/Br in table");
+        let two = match (b0, self.input.get(self.pos + 1)) {
+            (b'C', Some(b'l')) => Some(CHLORINE),
+            (b'B', Some(b'r')) => Some(BROMINE),
+            _ => None,
+        };
+        if let Some(atom) = two {
             self.pos += 2;
-            return Ok(Token::Atom(BareAtom {
-                element: e,
-                aromatic: false,
-            }));
+            return Ok(Token::Atom(atom));
         }
         match Element::from_symbol(&[b0]) {
             Some(e) if e.in_organic_subset() => {
@@ -605,6 +691,53 @@ mod tests {
     #[test]
     fn empty_line_tokenizes_to_nothing() {
         assert!(tokenize(b"").unwrap().is_empty());
+    }
+
+    /// Every byte the table calls a one-byte token lexes as that token
+    /// whatever follows it, but for the `Cl`/`Br` pairs; `next_ring`
+    /// steps over the same bytes as before the table existed.
+    #[test]
+    fn byte_class_table_agrees_with_next_token() {
+        for b in 0..=255u8 {
+            let class = BYTE_CLASS[b as usize];
+            for next in [
+                None,
+                Some(b'l'),
+                Some(b'r'),
+                Some(b'e'),
+                Some(b'C'),
+                Some(b'1'),
+            ] {
+                let line: Vec<u8> = std::iter::once(b).chain(next).collect();
+                let got = Lexer::new(&line).next_token();
+                let want = match class {
+                    ByteClass::Atom(_) if (b, next) == (b'C', Some(b'l')) => Token::Atom(CHLORINE),
+                    ByteClass::Atom(_) if (b, next) == (b'B', Some(b'r')) => Token::Atom(BROMINE),
+                    ByteClass::Atom(a) => Token::Atom(a),
+                    ByteClass::Bond(sym) => Token::Bond(sym),
+                    ByteClass::Open => Token::BranchOpen,
+                    ByteClass::Close => Token::BranchClose,
+                    ByteClass::Dot => Token::Dot,
+                    ByteClass::Digit => Token::Ring {
+                        id: (b - b'0') as u16,
+                        form: RingForm::Digit,
+                    },
+                    ByteClass::Lex => continue,
+                };
+                let st = got.unwrap().unwrap();
+                assert_eq!(st.token, want, "{:?}", String::from_utf8_lossy(&line));
+                let len = if matches!(want, Token::Atom(a) if a == CHLORINE || a == BROMINE) {
+                    2
+                } else {
+                    1
+                };
+                assert_eq!(st.span, Span::new(0, len));
+            }
+        }
+        let stepped: Vec<u8> = (0..=255u8).filter(|&b| STEP_OVER[b as usize]).collect();
+        let mut before = b"()./-=#$:\\*BCNOPSFIbcnop".to_vec();
+        before.sort();
+        assert_eq!(stepped, before);
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! This crate owns everything about the SMILES notation itself, independent
 //! of compression:
 //!
-//! * [`lexer`] — byte-level tokenizer with spans;
-//! * [`parser`] — the grammar: one loop that pulls tokens from the lexer,
-//!   checks the structure, and reports atoms and bonds to a builder
+//! * [`lexer`] — byte-level tokenizer with spans, and the byte-class
+//!   table that says which bytes are whole tokens by themselves;
+//! * [`parser`] — the grammar: one loop over the line's bytes that
+//!   dispatches on that table, lexes only what it must, checks the
+//!   structure, and reports atoms and bonds to a builder
 //!   ([`graph::Molecule`], or the counting builder below);
 //! * [`features`] — the counting pass: per-molecule atom, aromatic,
 //!   heteroatom, halogen and ring counts without a graph;

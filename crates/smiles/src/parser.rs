@@ -1,5 +1,16 @@
-//! SMILES grammar: one loop that pulls tokens from the [`Lexer`] and
-//! reports each atom and bond it accepts to a builder.
+//! SMILES grammar: one loop over the line's bytes that reports each
+//! atom and bond it accepts to a builder.
+//!
+//! The loop dispatches on the lexer's byte-class table. A byte that is a
+//! whole token by itself (a bare organic atom, with the `Cl`/`Br` pair
+//! check, a bond symbol, `(`, `)`, `.`, a ring digit) goes straight to
+//! the grammar method for its kind; only bracket atoms, `%nn`, the
+//! `se`/`as` traps and bad bytes are lexed into a token first, by
+//! [`Lexer::next_token`], and reach the same methods through one thin
+//! match. The line's scalar state (attachment point, pending bond, atom,
+//! fragment and open-ring counts) is a local of that loop; only the
+//! branch stack, the open ring bonds and the ring-bond pairs persist in
+//! the [`Parser`], so a warmed parser does not allocate.
 //!
 //! The parser enforces the structural rules the lexer cannot see:
 //! branch balance, ring-bond pairing (first occurrence opens, second
@@ -15,16 +26,21 @@
 
 use crate::error::{SmilesError, Span};
 use crate::graph::{AtomKind, Molecule};
-use crate::lexer::{Lexer, Spanned};
+use crate::lexer::{ByteClass, Lexer, Spanned, BROMINE, BYTE_CLASS, CHLORINE};
 use crate::token::{BondSym, Token};
 
 /// Receives what the grammar accepts, in line order. Atoms are numbered
 /// from 0 in the order they are added; a bond names two added atoms.
 pub(crate) trait Builder {
     fn add_atom(&mut self, atom: AtomKind);
-    /// A bond between atoms `a` and `b`; `sym` is `None` when implicit,
-    /// `ring` marks a ring closure.
-    fn add_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>, ring: bool);
+    /// The bond from atom `a` to the atom just added, `b`, written by
+    /// adjacency; `sym` is `None` when implicit.
+    fn chain_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>);
+    /// A ring closure from the atom `a` that opened it to `b`.
+    /// `fragments` numbers the dot-separated fragments (from 0) that `a`
+    /// and `b` lie in: each fragment is connected by its chain bonds, so
+    /// only a closure can join two.
+    fn ring_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>, fragments: [u32; 2]);
 }
 
 impl Builder for Molecule {
@@ -32,45 +48,65 @@ impl Builder for Molecule {
         Molecule::add_atom(self, atom);
     }
 
-    fn add_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>, ring: bool) {
-        Molecule::add_bond(self, a, b, sym, ring);
+    fn chain_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>) {
+        self.add_bond(a, b, sym, false);
+    }
+
+    fn ring_bond(&mut self, a: u32, b: u32, sym: Option<BondSym>, _fragments: [u32; 2]) {
+        self.add_bond(a, b, sym, true);
     }
 }
 
 /// Chain parent of the first atom of each dot-separated fragment.
 const NO_ATOM: u32 = u32::MAX;
 
+/// An atom that bonds can attach to, with what a ring closure onto it
+/// must not repeat.
+#[derive(Debug, Clone, Copy)]
+struct Attach {
+    atom: u32,
+    /// The atom its chain bond came from, or [`NO_ATOM`].
+    parent: u32,
+    /// Ring closures made before the atom was added: no earlier one can
+    /// have joined it.
+    closures_before: u32,
+}
+
 /// An open ring-bond half waiting for its partner digit.
 #[derive(Debug, Clone, Copy)]
 struct OpenRing {
-    atom: u32,
+    at: Attach,
     bond: Option<BondSym>,
+    fragment: u32,
 }
 
-/// The grammar's state. Its buffers are kept between lines, so a warmed
-/// parser driving an allocation-free builder does not allocate.
+/// The grammar's buffers, kept between lines.
 #[derive(Debug)]
 pub struct Parser {
     /// Attachment point to restore at each `)`, with its `(` byte position.
-    branches: Vec<(u32, usize)>,
+    branches: Vec<(Attach, usize)>,
     /// Open ring-bond halves by ID. `%nn` and single digits share the
-    /// 100 IDs: the value is what matters, not the spelling.
+    /// 100 IDs: the value is what matters, not the spelling. Every slot
+    /// is empty between lines.
     rings: [Option<OpenRing>; 100],
-    open_rings: usize,
-    /// For each atom, the atom its chain bond came from, or [`NO_ATOM`].
-    chain_parent: Vec<u32>,
     /// Atom pairs joined by ring closures so far, smaller index first.
     ring_bonds: Vec<(u32, u32)>,
+}
+
+/// The grammar's state within one line.
+#[derive(Debug, Default)]
+struct LineState {
     atoms: u32,
     /// The attachment point for the next atom or ring digit.
-    prev: Option<u32>,
+    prev: Option<Attach>,
     /// A bond symbol waiting for its next atom or ring digit, with its
     /// byte position.
     pending_bond: Option<(BondSym, usize)>,
     /// Set right after `(`, to detect `()`.
     branch_just_opened: bool,
-    /// Byte position of the last token, when that token was a dot.
-    trailing_dot: Option<usize>,
+    open_rings: u32,
+    /// Dot-separated fragments before the current one.
+    fragment: u32,
 }
 
 impl Default for Parser {
@@ -84,14 +120,7 @@ impl Parser {
         Parser {
             branches: Vec::new(),
             rings: [None; 100],
-            open_rings: 0,
-            chain_parent: Vec::new(),
             ring_bonds: Vec::new(),
-            atoms: 0,
-            prev: None,
-            pending_bond: None,
-            branch_just_opened: false,
-            trailing_dot: None,
         }
     }
 
@@ -109,125 +138,208 @@ impl Parser {
         line: &[u8],
         out: &mut B,
     ) -> Result<(), SmilesError> {
-        self.reset();
-        let mut lexer = Lexer::new(line);
-        while let Some(st) = lexer.next_token()? {
-            if let Err(grammar) = self.accept(st, out) {
+        self.branches.clear();
+        self.ring_bonds.clear();
+        let mut st = LineState::default();
+        let result = self.run(line, &mut st, out);
+        if st.open_rings > 0 {
+            self.rings = [None; 100];
+        }
+        result
+    }
+
+    #[inline]
+    fn run<B: Builder>(
+        &mut self,
+        line: &[u8],
+        st: &mut LineState,
+        out: &mut B,
+    ) -> Result<(), SmilesError> {
+        let mut pos = 0;
+        while let Some(&b) = line.get(pos) {
+            let at = pos;
+            pos += 1;
+            let class = BYTE_CLASS[b as usize];
+            // The commonest classes, bare atoms and branches, get branches
+            // of their own: one jump table over all seven classes made
+            // counting about 10% slower on a mixed deck (2-vCPU Xeon).
+            let step = if let ByteClass::Atom(atom) = class {
+                let atom = match (b, line.get(pos)) {
+                    (b'C', Some(b'l')) => {
+                        pos += 1;
+                        CHLORINE
+                    }
+                    (b'B', Some(b'r')) => {
+                        pos += 1;
+                        BROMINE
+                    }
+                    _ => atom,
+                };
+                self.atom(st, AtomKind::Bare(atom), out);
+                continue;
+            } else if class == ByteClass::Open {
+                self.open(st, at)
+            } else if class == ByteClass::Close {
+                self.close(st, at)
+            } else {
+                match class {
+                    ByteClass::Bond(sym) => Self::bond(st, sym, at),
+                    ByteClass::Dot => self.dot(st, at),
+                    ByteClass::Digit => self.ring(st, (b - b'0') as u16, Span::new(at, pos), out),
+                    ByteClass::Lex => {
+                        let mut lexer = Lexer::resume(line, at);
+                        let token = lexer.next_token()?.expect("a byte is left");
+                        pos = lexer.pos();
+                        self.accept(st, token, out)
+                    }
+                    ByteClass::Atom(_) | ByteClass::Open | ByteClass::Close => {
+                        unreachable!("taken above")
+                    }
+                }
+            };
+            if let Err(grammar) = step {
                 // Finish lexing: a lexical error later in the line wins.
-                while lexer.next_token()?.is_some() {}
+                let mut lexer = Lexer::resume(line, pos);
+                while lexer.next_ring()?.is_some() {}
                 return Err(grammar);
             }
         }
-        self.finish()
+        self.finish(st, line)
     }
 
-    fn reset(&mut self) {
-        self.branches.clear();
-        if self.open_rings > 0 {
-            self.rings = [None; 100];
-            self.open_rings = 0;
+    /// A lexed token to the grammar method for its kind.
+    fn accept<B: Builder>(
+        &mut self,
+        st: &mut LineState,
+        token: Spanned,
+        out: &mut B,
+    ) -> Result<(), SmilesError> {
+        let at = token.span.start;
+        match token.token {
+            Token::Atom(a) => {
+                self.atom(st, AtomKind::Bare(a), out);
+                Ok(())
+            }
+            Token::Bracket(b) => {
+                self.atom(st, AtomKind::Bracket(b), out);
+                Ok(())
+            }
+            Token::Bond(sym) => Self::bond(st, sym, at),
+            Token::Ring { id, .. } => self.ring(st, id, token.span, out),
+            Token::BranchOpen => self.open(st, at),
+            Token::BranchClose => self.close(st, at),
+            Token::Dot => self.dot(st, at),
         }
-        self.chain_parent.clear();
-        self.ring_bonds.clear();
-        self.atoms = 0;
-        self.prev = None;
-        self.pending_bond = None;
-        self.branch_just_opened = false;
-        self.trailing_dot = None;
     }
 
-    /// One grammar step: the token `st` extends the line or is an error.
     #[inline]
-    fn accept<B: Builder>(&mut self, st: Spanned, out: &mut B) -> Result<(), SmilesError> {
-        let at = st.span.start;
-        self.trailing_dot = None;
-        match st.token {
-            Token::Atom(a) => self.atom(AtomKind::Bare(a), out),
-            Token::Bracket(b) => self.atom(AtomKind::Bracket(b), out),
-            Token::Bond(sym) => {
-                if self.pending_bond.is_some() || self.prev.is_none() {
-                    return Err(SmilesError::DanglingBond { at });
-                }
-                self.pending_bond = Some((sym, at));
+    fn atom<B: Builder>(&self, st: &mut LineState, kind: AtomKind, out: &mut B) {
+        // A bond symbol is only accepted after an atom, and a dot refuses
+        // a pending one, so a pending bond always has an atom to follow.
+        debug_assert!(st.prev.is_some() || st.pending_bond.is_none());
+        let idx = st.atoms;
+        st.atoms += 1;
+        out.add_atom(kind);
+        let parent = match st.prev {
+            Some(p) => {
+                out.chain_bond(p.atom, idx, st.pending_bond.take().map(|(s, _)| s));
+                p.atom
             }
-            Token::Ring { id, .. } => self.ring(id, st.span, out)?,
-            Token::BranchOpen => {
-                let cur = self.prev.ok_or(SmilesError::BranchWithoutAtom { at })?;
-                if self.pending_bond.is_some() {
-                    // "C=(C)" is not legal: the bond belongs inside.
-                    return Err(SmilesError::DanglingBond { at });
-                }
-                self.branches.push((cur, at));
-                self.branch_just_opened = true;
-                return Ok(());
-            }
-            Token::BranchClose => {
-                let (restore, open_at) = self
-                    .branches
-                    .pop()
-                    .ok_or(SmilesError::UnmatchedBranchClose { at })?;
-                if self.branch_just_opened {
-                    return Err(SmilesError::EmptyBranch {
-                        span: Span::new(open_at, st.span.end),
-                    });
-                }
-                if let Some((_, at)) = self.pending_bond.take() {
-                    return Err(SmilesError::DanglingBond { at });
-                }
-                self.prev = Some(restore);
-            }
-            Token::Dot => {
-                if !self.branches.is_empty() || self.prev.is_none() {
-                    return Err(SmilesError::MisplacedDot { at });
-                }
-                if let Some((_, at)) = self.pending_bond.take() {
-                    return Err(SmilesError::DanglingBond { at });
-                }
-                self.prev = None;
-                self.trailing_dot = Some(at);
-            }
+            None => NO_ATOM,
+        };
+        st.prev = Some(Attach {
+            atom: idx,
+            parent,
+            closures_before: self.ring_bonds.len() as u32,
+        });
+        st.branch_just_opened = false;
+    }
+
+    #[inline]
+    fn bond(st: &mut LineState, sym: BondSym, at: usize) -> Result<(), SmilesError> {
+        if st.pending_bond.is_some() || st.prev.is_none() {
+            return Err(SmilesError::DanglingBond { at });
         }
-        self.branch_just_opened = false;
+        st.pending_bond = Some((sym, at));
+        st.branch_just_opened = false;
         Ok(())
     }
 
     #[inline]
-    fn atom<B: Builder>(&mut self, kind: AtomKind, out: &mut B) {
-        // A bond symbol is only accepted after an atom, and a dot refuses
-        // a pending one, so a pending bond always has an atom to follow.
-        debug_assert!(self.prev.is_some() || self.pending_bond.is_none());
-        let idx = self.atoms;
-        self.atoms += 1;
-        out.add_atom(kind);
-        if let Some(p) = self.prev {
-            let sym = self.pending_bond.take().map(|(s, _)| s);
-            out.add_bond(p, idx, sym, false);
+    fn open(&mut self, st: &mut LineState, at: usize) -> Result<(), SmilesError> {
+        let cur = st.prev.ok_or(SmilesError::BranchWithoutAtom { at })?;
+        if st.pending_bond.is_some() {
+            // "C=(C)" is not legal: the bond belongs inside.
+            return Err(SmilesError::DanglingBond { at });
         }
-        self.chain_parent.push(self.prev.unwrap_or(NO_ATOM));
-        self.prev = Some(idx);
+        self.branches.push((cur, at));
+        st.branch_just_opened = true;
+        Ok(())
     }
 
-    fn ring<B: Builder>(&mut self, id: u16, span: Span, out: &mut B) -> Result<(), SmilesError> {
-        let cur = self
+    #[inline]
+    fn close(&mut self, st: &mut LineState, at: usize) -> Result<(), SmilesError> {
+        let (restore, open_at) = self
+            .branches
+            .pop()
+            .ok_or(SmilesError::UnmatchedBranchClose { at })?;
+        if st.branch_just_opened {
+            return Err(SmilesError::EmptyBranch {
+                span: Span::new(open_at, at + 1),
+            });
+        }
+        if let Some((_, at)) = st.pending_bond.take() {
+            return Err(SmilesError::DanglingBond { at });
+        }
+        st.prev = Some(restore);
+        Ok(())
+    }
+
+    #[inline]
+    fn dot(&mut self, st: &mut LineState, at: usize) -> Result<(), SmilesError> {
+        // After `(` the branch stack is not empty, so `branch_just_opened`
+        // is already clear when a dot is accepted.
+        if !self.branches.is_empty() || st.prev.is_none() {
+            return Err(SmilesError::MisplacedDot { at });
+        }
+        if let Some((_, at)) = st.pending_bond.take() {
+            return Err(SmilesError::DanglingBond { at });
+        }
+        st.prev = None;
+        st.fragment += 1;
+        Ok(())
+    }
+
+    #[inline]
+    fn ring<B: Builder>(
+        &mut self,
+        st: &mut LineState,
+        id: u16,
+        span: Span,
+        out: &mut B,
+    ) -> Result<(), SmilesError> {
+        let cur = st
             .prev
             .ok_or(SmilesError::RingWithoutAtom { at: span.start })?;
+        let bond = st.pending_bond.take().map(|(s, _)| s);
+        st.branch_just_opened = false;
         let slot = &mut self.rings[id as usize];
         let Some(open) = slot.take() else {
             // Opening half.
             *slot = Some(OpenRing {
-                atom: cur,
-                bond: self.pending_bond.take().map(|(s, _)| s),
+                at: cur,
+                bond,
+                fragment: st.fragment,
             });
-            self.open_rings += 1;
+            st.open_rings += 1;
             return Ok(());
         };
         // Closing half.
-        self.open_rings -= 1;
-        if open.atom == cur {
+        st.open_rings -= 1;
+        if open.at.atom == cur.atom {
             return Err(SmilesError::RingSelfBond { id, span });
         }
-        let close_bond = self.pending_bond.take().map(|(s, _)| s);
-        let sym = match (open.bond, close_bond) {
+        let sym = match (open.bond, bond) {
             (Some(a), Some(b)) if a != b => {
                 // Directional bonds may legitimately differ (/ on one
                 // side, \ on the other).
@@ -242,28 +354,36 @@ impl Parser {
             (None, b) => b,
         };
         // A chain parent always precedes its atom, so only the later atom
-        // of the pair can have a chain bond to the earlier one.
-        let pair = (open.atom.min(cur), open.atom.max(cur));
-        if self.chain_parent[pair.1 as usize] == pair.0 || self.ring_bonds.contains(&pair) {
+        // of the pair can have a chain bond to the earlier one, and only
+        // the closures made since it was added can have joined the two.
+        let (first, last) = if open.at.atom < cur.atom {
+            (open.at, cur)
+        } else {
+            (cur, open.at)
+        };
+        let pair = (first.atom, last.atom);
+        let since = &self.ring_bonds[last.closures_before as usize..];
+        if last.parent == first.atom || since.contains(&pair) {
             return Err(SmilesError::DuplicateRingBond { id, span });
         }
         self.ring_bonds.push(pair);
-        out.add_bond(open.atom, cur, sym, true);
+        out.ring_bond(open.at.atom, cur.atom, sym, [open.fragment, st.fragment]);
         Ok(())
     }
 
-    /// The end-of-line checks, once every token has been accepted.
-    fn finish(&self) -> Result<(), SmilesError> {
-        if self.atoms == 0 {
+    /// The end-of-line checks, once every byte has been accepted.
+    #[inline]
+    fn finish(&self, st: &LineState, line: &[u8]) -> Result<(), SmilesError> {
+        if st.atoms == 0 {
             return Err(SmilesError::EmptyInput);
         }
-        if let Some((_, at)) = self.pending_bond {
+        if let Some((_, at)) = st.pending_bond {
             return Err(SmilesError::DanglingBond { at });
         }
         if let Some(&(_, at)) = self.branches.first() {
             return Err(SmilesError::UnclosedBranch { at });
         }
-        if self.open_rings > 0 {
+        if st.open_rings > 0 {
             let id = self
                 .rings
                 .iter()
@@ -271,9 +391,12 @@ impl Parser {
                 .expect("count says one is open") as u16;
             return Err(SmilesError::UnclosedRing { id });
         }
-        // "C." — the dot needed a following atom.
-        if let Some(at) = self.trailing_dot {
-            return Err(SmilesError::MisplacedDot { at });
+        // "C." — the dot needed a following atom. Only an atom or a `)`
+        // sets the attachment point a dot clears, and after a dot the
+        // branch stack is empty, so a line with atoms that ends without
+        // one ended in its dot.
+        if st.prev.is_none() {
+            return Err(SmilesError::MisplacedDot { at: line.len() - 1 });
         }
         Ok(())
     }

@@ -266,10 +266,12 @@ fn arb_alphabet_line() -> impl Strategy<Value = Vec<u8>> {
 
 /// Mostly well-formed lines: atoms with optional bond symbols, nested
 /// branches, dots at depth 0, and ring IDs from a pool of three toggled
-/// open and shut, everything still open closed at the end. Repeated
-/// toggles at one atom give self-bonds and duplicate ring bonds.
+/// open and shut, everything still open closed at the end. Three closing
+/// toggles in four first add two atoms, so that lines of up to 160 items
+/// still parse often; the rest, and repeated toggles at one atom, give
+/// self-bonds and duplicate ring bonds.
 fn arb_structured_line() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec((0u8..10, 0u16..100), 1..48).prop_map(|items| {
+    proptest::collection::vec((0u8..10, 0u16..100), 1..160).prop_map(|items| {
         let atoms = [
             "C", "c", "N", "n", "O", "Cl", "Br", "F", "[nH]", "[C@H]", "*", "S",
         ];
@@ -301,6 +303,9 @@ fn arb_structured_line() -> impl Strategy<Value = Vec<u8>> {
                 }
                 7..=9 => {
                     let id = n % 3;
+                    if open[id] && !n.is_multiple_of(4) {
+                        line.extend_from_slice(b"CC");
+                    }
                     if n.is_multiple_of(5) {
                         line.push(b'=');
                     }
@@ -344,7 +349,10 @@ proptest! {
     }
 }
 
-/// Rings across dots, duplicate ring bonds and late lexical errors.
+/// Rings across dots, duplicate ring bonds, late lexical errors, the
+/// ends of the byte-class loop (two-letter atoms and traps at the end of
+/// a line, `%nn` against digits, every ring ID at once) and lines long
+/// enough to exercise the counters' widths.
 #[test]
 fn named_cases_match_the_oracle() {
     for line in [
@@ -365,9 +373,70 @@ fn named_cases_match_the_oracle() {
         "[NH4+].[Cl-]",
         "%01",
         "",
+        // Lines ending in a one-byte atom that may start a pair, in
+        // `s`, in `Cl`/`Br`, and in the `se` trap.
+        "CC",
+        "CB",
+        "Cs",
+        "CCl",
+        "CBr",
+        "Cse",
+        "C",
+        "B",
+        "s",
+        "Cl",
+        "Br",
+        "se",
+        "CC(Cl)Br",
+        "BrCCl",
+        "ClBr",
+        "Bl",
+        "Cr",
+        // A grammar error, then a lexical one later in the line.
+        "C(C)=.se",
+        "CC)[Xx]",
+        "C=(C)as",
+        "C..%1",
+        "C11[C",
+        // `%nn` and single digits share the IDs.
+        "C9CC%09",
+        "C%09CC9",
+        "C%99CC%99",
+        "C%99",
+        "C%9",
+        // Fragments joined three ways by closures across dots.
+        "C1.C2.C3.C123",
+        "C1.C1C2.C2",
+        "C12.C1.C2",
+        "C1.C2.C3.C123.C4C4",
+        "C12.C13.C23",
     ] {
         check(line.as_bytes());
     }
+
+    // All 100 ring IDs open at once on atom 0, then closed one per atom
+    // (after a spacer, so that no closure repeats the chain bond), or
+    // left open.
+    let ids: Vec<String> = (0..100)
+        .map(|id| {
+            if id < 10 {
+                id.to_string()
+            } else {
+                format!("%{id}")
+            }
+        })
+        .collect();
+    let opened = format!("C{}C", ids.concat());
+    let closed: String = ids.iter().map(|id| format!("C{id}")).collect();
+    check(format!("{opened}{closed}").as_bytes());
+    check(opened.as_bytes());
+    check(format!("{opened}{}", &closed[..closed.len() / 2]).as_bytes());
+
+    // Long lines: a 70 000-atom chain, 20 000 three-membered rings, and
+    // 20 000 fragments joined pairwise across their dots.
+    check("C".repeat(70_000).as_bytes());
+    check("C1CC1".repeat(20_000).as_bytes());
+    check(vec!["C1.C1"; 10_000].join(".").as_bytes());
 }
 
 /// The structured lines parse often, and both generators reach the

@@ -2,6 +2,7 @@
 
 use crate::args::Args;
 use molgen::{profiles, stats, Dataset};
+use std::io::Write;
 use std::path::Path;
 use std::time::Instant;
 use zsmiles_core::engine::AnyDictionary;
@@ -13,6 +14,29 @@ use zsmiles_core::{
     AtomicFileSink, BlockCache, CountingSource, Decompressor, FileSource, LineIndex, Prepopulation,
     RankStrategy, Selection, TrainOptions, WriterOptions,
 };
+
+/// The error a command stops with when the reader of its stdout has
+/// gone (`zsmiles screen ... | head`). The binary exits 0 on it without
+/// a message, as a stage of a pipeline should.
+pub const STDOUT_CLOSED: &str = "stdout closed by its reader";
+
+/// A failed write to stdout as a command error; a closed pipe is
+/// [`STDOUT_CLOSED`].
+fn stdout_error(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        STDOUT_CLOSED.to_string()
+    } else {
+        e.to_string()
+    }
+}
+
+/// `println!` that returns the failed write from the command instead of
+/// panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
 
 const USAGE: &str =
     "usage: zsmiles <gen|train|compress|decompress|pack|unpack|check|get|serve|query|screen|stats|inspect> [flags]
@@ -119,7 +143,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         "stats" => cmd_stats(&args),
         "inspect" => cmd_inspect(&args),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             Ok(())
         }
         other => Err(format!("unknown command '{other}'\n{USAGE}")),
@@ -140,7 +164,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     };
     ds.save(Path::new(out)).map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
-        println!(
+        outln!(
             "wrote {} lines ({} bytes) to {}",
             ds.len(),
             ds.total_bytes(),
@@ -245,7 +269,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let dict = train_dictionary(args, &corpus)?;
     dict.save(Path::new(output)).map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
-        println!(
+        outln!(
             "trained {} from {} of {} lines ({} selection, seed {}) in {:.2?} -> {}",
             describe_dict(&dict),
             corpus.len(),
@@ -280,7 +304,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     }
     if !args.get_bool("--quiet") {
-        println!(
+        outln!(
             "{} lines, {} -> {} bytes (ratio {:.3}) in {:.2?} [{} pp-failures]",
             cstats.lines,
             cstats.in_bytes,
@@ -323,7 +347,7 @@ fn cmd_decompress(args: &Args) -> Result<(), String> {
     let dt = t0.elapsed();
     std::fs::write(output, &out).map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
-        println!("{} -> {} bytes in {:.2?}", data.len(), out.len(), dt);
+        outln!("{} -> {} bytes in {:.2?}", data.len(), out.len(), dt);
     }
     Ok(())
 }
@@ -410,7 +434,7 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
             dict.save(Path::new(path)).map_err(|e| e.to_string())?;
         }
         if !args.get_bool("--quiet") {
-            println!(
+            outln!(
                 "fitted {} to the deck ({} of {} lines sampled, seed {})",
                 describe_dict(&dict),
                 corpus.len(),
@@ -454,7 +478,7 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
         if !args.get_bool("--quiet") {
             let manifest = std::fs::metadata(output).map_err(|e| e.to_string())?.len();
             let on_disk = manifest + info.shards.iter().map(|s| s.file_bytes).sum::<u64>();
-            println!(
+            outln!(
                 "packed {} lines, {} -> {} payload bytes (ratio {:.3}) into {} shard(s), \
                  {} bytes on disk with the manifest (stored ratio {:.3} of {} input bytes), \
                  {} dictionary, in {:.2?}",
@@ -483,7 +507,7 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
     let (sink, info) = w.finish().map_err(|e| e.to_string())?;
     sink.commit().map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
-        println!(
+        outln!(
             "packed {} lines, {} -> {} payload bytes (ratio {:.3}), {} bytes on disk \
              (stored ratio {:.3} of {} input bytes), {} dictionary, in {:.2?}",
             info.stats.lines,
@@ -521,7 +545,7 @@ fn cmd_unpack(args: &Args) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
-        println!(
+        outln!(
             "unpacked {} lines, {} -> {} bytes in {:.2?}",
             dstats.lines,
             dstats.in_bytes,
@@ -562,7 +586,7 @@ fn cmd_check(args: &Args) -> Result<(), String> {
             eprintln!("quarantined: {file} -> {file}.quarantined");
         }
     }
-    println!("{}", report.to_json());
+    outln!("{}", report.to_json());
     if report.is_ok() {
         Ok(())
     } else {
@@ -614,13 +638,11 @@ fn cmd_get(args: &Args) -> Result<(), String> {
                 .checked_add(count)
                 .ok_or_else(|| "line number overflows".to_string())?;
             let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
-            use std::io::Write;
             // A consecutive run is a batched per-shard range fetch.
             for smiles in reader.get_range(line_no..end).map_err(|e| e.to_string())? {
-                writeln!(stdout, "{}", String::from_utf8_lossy(&smiles))
-                    .map_err(|e| e.to_string())?;
+                writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
             }
-            stdout.flush().map_err(|e| e.to_string())?;
+            stdout.flush().map_err(stdout_error)?;
             if args.get_bool("--verbose") {
                 eprintln!(
                     "sharded deck: {} lines across {} shard(s)",
@@ -655,15 +677,14 @@ fn cmd_get(args: &Args) -> Result<(), String> {
         // only, not the metadata reads (or the CRC scan).
         let base = reader.source().cache_counters();
         let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
-        use std::io::Write;
         for k in 0..count {
             let i = line_no
                 .checked_add(k)
                 .ok_or_else(|| "line number overflows".to_string())?;
             let smiles = reader.get(i).map_err(|e| e.to_string())?;
-            writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(|e| e.to_string())?;
+            writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
         }
-        stdout.flush().map_err(|e| e.to_string())?;
+        stdout.flush().map_err(stdout_error)?;
         if args.get_bool("--verbose") {
             let fetched = match (base, reader.source().cache_counters()) {
                 (Some((h0, m0)), Some((h, m))) => Some((h - h0, m - m0)),
@@ -680,7 +701,7 @@ fn cmd_get(args: &Args) -> Result<(), String> {
     let input = args.require("--input")?;
     let dict = load_dict(args)?;
     let smiles = get_loose_line(Path::new(input), &dict, line_no)?;
-    println!("{}", String::from_utf8_lossy(&smiles));
+    outln!("{}", String::from_utf8_lossy(&smiles));
     Ok(())
 }
 
@@ -768,7 +789,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
             if args.get_bool("--verify") {
                 reader.verify().map_err(|e| e.to_string())?;
             }
-            println!(
+            outln!(
                 "sharded archive: {} lines | {} payload bytes | {} shard(s) | {} dictionary \
                  | preprocess {}",
                 reader.len(),
@@ -778,18 +799,21 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
                 reader.dictionary().preprocessed(),
             );
             let shards = || (0..reader.shard_count()).filter_map(|s| reader.shard_reader(s));
-            println!("{}", index_footprint(shards()));
-            println!("{}", index_in_memory(shards()));
+            outln!("{}", index_footprint(shards()));
+            outln!("{}", index_in_memory(shards()));
             if args.get_bool("--verbose") {
-                println!(
+                outln!(
                     "  {:<24} {:>10} {:>12} {:>9}  index",
-                    "shard", "lines", "bytes", "crc32"
+                    "shard",
+                    "lines",
+                    "bytes",
+                    "crc32"
                 );
                 for (i, s) in reader.manifest().shards().iter().enumerate() {
                     let index = reader
                         .shard_reader(i)
                         .map_or("quarantined".into(), |r| index_footprint([r]));
-                    println!(
+                    outln!(
                         "  {:<24} {:>10} {:>12} {:>9}  {}",
                         s.file,
                         s.lines,
@@ -798,7 +822,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
                         index,
                     );
                 }
-                println!(
+                outln!(
                     "  open transferred {} metadata bytes, payload untouched",
                     reader.metadata_bytes(),
                 );
@@ -814,17 +838,17 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         if args.get_bool("--verify") {
             reader.verify().map_err(|e| e.to_string())?;
         }
-        println!(
+        outln!(
             "archive: {} lines | {} payload bytes | {} dictionary | preprocess {}",
             reader.len(),
             reader.payload_bytes(),
             reader.flavor().name(),
             reader.dictionary().preprocessed(),
         );
-        println!("{}", index_footprint([&reader]));
-        println!("{}", index_in_memory([&reader]));
+        outln!("{}", index_footprint([&reader]));
+        outln!("{}", index_in_memory([&reader]));
         if args.get_bool("--verbose") {
-            println!(
+            outln!(
                 "reads: {} bytes of {} transferred in {} read(s) ({} bytes of metadata)",
                 reader.source().bytes_read(),
                 file_bytes,
@@ -837,7 +861,7 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
     let dict = load_dict(args)?;
     match &dict {
         AnyDictionary::Base(dict) => {
-            println!(
+            outln!(
                 "dictionary: {} patterns + {} identity codes | prepopulation {} | \
                  preprocess {} | Lmin {} Lmax {} | longest pattern {}",
                 dict.pattern_entries().count(),
@@ -852,12 +876,12 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
                 if !args.get_bool("--dict-stats") {
                     let data = std::fs::read(input).map_err(|e| e.to_string())?;
                     let report = zsmiles_core::dict::analysis::analyze(dict, &data);
-                    print!("{}", report.summary(dict));
+                    write!(std::io::stdout(), "{}", report.summary(dict)).map_err(stdout_error)?;
                 }
             }
         }
         AnyDictionary::Wide(dict) => {
-            println!(
+            outln!(
                 "wide dictionary: {} one-byte + {} two-byte codes | prepopulation {} | \
                  preprocess {} | Lmin {} Lmax {} | longest pattern {}",
                 dict.base_len(),
@@ -882,22 +906,22 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 fn print_dict_stats(args: &Args, dict: &AnyDictionary) -> Result<(), String> {
     use zsmiles_core::dict::analysis;
     let stats = analysis::dict_stats(dict);
-    println!(
+    outln!(
         "symbols: {} ({} identity + {} patterns) | longest pattern {}",
         stats.symbols(),
         stats.identity,
         stats.patterns,
         stats.max_len,
     );
-    println!("pattern length histogram:");
+    outln!("pattern length histogram:");
     let peak = stats.histogram_rows().map(|(_, n)| n).max().unwrap_or(1);
     for (len, n) in stats.histogram_rows() {
         let bar = "#".repeat((n * 40).div_ceil(peak.max(1)));
-        println!("  len {len:>2} {n:>5}  {bar}");
+        outln!("  len {len:>2} {n:>5}  {bar}");
     }
-    println!("matcher layouts:");
+    outln!("matcher layouts:");
     for layout in analysis::matcher_layouts(dict) {
-        println!(
+        outln!(
             "  {:<13} {:>6} states x {:>3} classes | {:>9} bytes ({:.1} B/state)",
             layout.name,
             layout.states,
@@ -911,7 +935,7 @@ fn print_dict_stats(args: &Args, dict: &AnyDictionary) -> Result<(), String> {
     };
     let data = std::fs::read(input).map_err(|e| e.to_string())?;
     let cov = analysis::coverage(dict, &data).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "coverage over {input}: {} lines, {} -> {} bytes (ratio {:.3}), {} escapes",
         cov.lines,
         cov.in_bytes,
@@ -919,20 +943,20 @@ fn print_dict_stats(args: &Args, dict: &AnyDictionary) -> Result<(), String> {
         cov.ratio(),
         cov.escapes,
     );
-    println!(
+    outln!(
         "patterns used: {} of {} ({} dead on this deck)",
         cov.total_patterns - cov.dead_patterns,
         cov.total_patterns,
         cov.dead_patterns,
     );
-    println!("top symbols by input bytes covered:");
+    outln!("top symbols by input bytes covered:");
     for (code, pat, uses, covered) in cov.hits.iter().take(10) {
         let code_hex: String = code.iter().map(|b| format!("{b:02x}")).collect();
         let printable: String = pat
             .iter()
             .map(|&b| if b.is_ascii_graphic() { b as char } else { '?' })
             .collect();
-        println!("  0x{code_hex:<4} {printable:<16} {uses:>9} uses {covered:>11} B");
+        outln!("  0x{code_hex:<4} {printable:<16} {uses:>9} uses {covered:>11} B");
     }
     Ok(())
 }
@@ -959,7 +983,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let handle = Server::start(Path::new(path), addr, opts).map_err(|e| e.to_string())?;
     let health = handle.health();
-    println!(
+    // The server outlives its launcher's interest in stdout: a reader
+    // that reads the address and hangs up must not stop it, so these
+    // writes may fail.
+    let _ = writeln!(
+        std::io::stdout(),
         "serving {path} ({} lines, generation {}) on {}{}",
         handle.stats().lines,
         handle.generation(),
@@ -973,11 +1001,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             )
         }
     );
-    use std::io::Write;
     std::io::stdout().flush().ok();
     handle.wait();
     if !args.get_bool("--quiet") {
-        println!("server stopped");
+        let _ = writeln!(std::io::stdout(), "server stopped");
     }
     Ok(())
 }
@@ -988,7 +1015,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     let mut client = QueryClient::connect(addr).map_err(|e| e.to_string())?;
     if args.get_bool("--stats") {
         let s = client.stats().map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "generation {} | {} lines | {} shard(s) | {} request(s) served | {} flip(s) | \
              {} active connection(s) | {} retired block(s)",
             s.generation,
@@ -1003,7 +1030,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     }
     if args.get_bool("--health") {
         let h = client.health().map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "{} | generation {} | {} shard(s), {} quarantined | {} line(s) unavailable",
             if h.ok { "ok" } else { "degraded" },
             h.generation,
@@ -1024,13 +1051,13 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = args.get("--flip") {
         let generation = client.flip(path).map_err(|e| e.to_string())?;
-        println!("flipped to generation {generation}");
+        outln!("flipped to generation {generation}");
         return Ok(());
     }
     if args.get_bool("--shutdown") {
         client.shutdown().map_err(|e| e.to_string())?;
         if !args.get_bool("--quiet") {
-            println!("server shutting down");
+            outln!("server shutting down");
         }
         return Ok(());
     }
@@ -1041,7 +1068,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         let pattern = args.require("--pattern")?;
         let hits = client.top_hits(k, pattern).map_err(|e| e.to_string())?;
         let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
-        use std::io::Write;
         for h in &hits {
             writeln!(
                 stdout,
@@ -1050,9 +1076,9 @@ fn cmd_query(args: &Args) -> Result<(), String> {
                 h.score(),
                 String::from_utf8_lossy(&h.smiles)
             )
-            .map_err(|e| e.to_string())?;
+            .map_err(stdout_error)?;
         }
-        return stdout.flush().map_err(|e| e.to_string());
+        return stdout.flush().map_err(stdout_error);
     }
     let depth = args.get_usize("--depth", 1)?.max(1);
     let lines = if let Some(list) = args.get("--many") {
@@ -1080,11 +1106,10 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         client.get_range(line, end).map_err(|e| e.to_string())?
     };
     let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
-    use std::io::Write;
     for smiles in lines {
-        writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(|e| e.to_string())?;
+        writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
     }
-    stdout.flush().map_err(|e| e.to_string())
+    stdout.flush().map_err(stdout_error)
 }
 
 fn cmd_screen(args: &Args) -> Result<(), String> {
@@ -1109,7 +1134,7 @@ fn cmd_screen(args: &Args) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
     }
     if !args.get_bool("--quiet") {
-        println!(
+        outln!(
             "screened {} ligands against pocket {:#x} in {:.2?} (mean score {:.2})",
             ds.len(),
             pocket.seed(),
@@ -1117,7 +1142,7 @@ fn cmd_screen(args: &Args) -> Result<(), String> {
             scores.mean()
         );
         for (i, s) in scores.top_k(top) {
-            println!("#{i:>8}  {s:9.2}  {}", String::from_utf8_lossy(ds.line(i)));
+            outln!("#{i:>8}  {s:9.2}  {}", String::from_utf8_lossy(ds.line(i)));
         }
     }
     Ok(())
@@ -1126,7 +1151,7 @@ fn cmd_screen(args: &Args) -> Result<(), String> {
 fn cmd_stats(args: &Args) -> Result<(), String> {
     let input = args.require("--input")?;
     let ds = Dataset::load(Path::new(input)).map_err(|e| e.to_string())?;
-    println!("{}", stats(&ds).summary());
+    outln!("{}", stats(&ds).summary());
     Ok(())
 }
 

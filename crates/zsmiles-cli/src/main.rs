@@ -21,6 +21,8 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match zsmiles_cli::run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
+        // `zsmiles screen ... | head`: the reader has all it wanted.
+        Err(e) if e == zsmiles_cli::commands::STDOUT_CLOSED => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("zsmiles: {e}");
             ExitCode::FAILURE

@@ -237,6 +237,13 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
+    /// How many of `n` announced entries, each at least `each` bytes
+    /// on the wire, the rest of the body can hold: the capacity to
+    /// reserve, so a hostile count costs no more than its frame.
+    fn room_for(&self, n: usize, each: usize) -> usize {
+        n.min((self.body.len() - self.at) / each)
+    }
+
     fn finish(self, what: &str) -> Result<(), ZsmilesError> {
         if self.at != self.body.len() {
             return Err(protocol(format!(
@@ -331,7 +338,7 @@ impl Request {
                         "get_many asks for {n} lines; the cap is {MAX_BATCH_LINES}"
                     )));
                 }
-                let mut lines = Vec::with_capacity(n);
+                let mut lines = Vec::with_capacity(c.room_for(n, 8));
                 for _ in 0..n {
                     lines.push(c.u64("get_many line number")?);
                 }
@@ -441,7 +448,7 @@ impl Response {
                         "response carries {n} lines; the cap is {MAX_BATCH_LINES}"
                     )));
                 }
-                let mut lines = Vec::with_capacity(n);
+                let mut lines = Vec::with_capacity(c.room_for(n, 4));
                 for _ in 0..n {
                     let len = c.u32("line length")? as usize;
                     lines.push(c.take(len, "line bytes")?.to_vec());
@@ -482,7 +489,7 @@ impl Response {
                         "response carries {n} hits; the cap is {MAX_BATCH_LINES}"
                     )));
                 }
-                let mut rows = Vec::with_capacity(n);
+                let mut rows = Vec::with_capacity(c.room_for(n, 20));
                 for _ in 0..n {
                     let index = c.u64("hit index")?;
                     let score_bits = c.u64("hit score bits")?;
