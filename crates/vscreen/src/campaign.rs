@@ -2,18 +2,18 @@
 //!
 //! [`screen`] and [`screen_parallel`] produce a [`ScoreTable`] for a deck
 //! against one pocket (ligand-pocket pairs are independent — the
-//! embarrassing parallelism the paper notes in §I). [`top_hits`] closes the
-//! loop: it pulls exactly the winning lines back out of a compressed
-//! [`Archive`] — the sampling workflow the random-access requirement
-//! exists for. [`StorageModel`] does the paper's cold-storage arithmetic.
+//! embarrassing parallelism the paper notes in §I). [`top_hits`] and
+//! [`top_hits_cold`] close the loop: they pull exactly the winning lines
+//! back out of a compressed deck, in memory or on disk — the sampling
+//! workflow the random-access requirement exists for. [`StorageModel`]
+//! does the paper's cold-storage arithmetic.
 
-use crate::archive::Archive;
 use crate::pocket::Pocket;
 use crate::score::ScoreTable;
 use molgen::Dataset;
 use smiles::FeatureCounter;
 use std::cell::RefCell;
-use zsmiles_core::ZsmilesError;
+use zsmiles_core::{Archive, ShardedReader, ZsmilesError};
 
 /// Score an unparseable line poorly instead of failing the campaign: real
 /// decks contain the odd malformed row and a screen must not stop for it.
@@ -103,39 +103,37 @@ pub struct Hit {
 }
 
 /// Select the `k` best ligands from `scores` and fetch exactly those lines
-/// from the archive — k random-access reads, not a decompression pass.
-/// The fetch is batched ([`Archive::fetch_many`]): one decoder worker
-/// serves the whole hit list instead of being re-minted per hit.
+/// from an in-memory archive — k random-access reads, not a
+/// decompression pass.
 pub fn top_hits(
     archive: &Archive,
     scores: &ScoreTable,
     k: usize,
 ) -> Result<Vec<Hit>, ZsmilesError> {
-    let ranked = scores.top_k(k);
-    let indices: Vec<usize> = ranked.iter().map(|&(i, _)| i).collect();
-    let fetched = archive.fetch_many(&indices)?;
-    Ok(ranked
-        .into_iter()
-        .zip(fetched)
-        .map(|((index, score), smiles)| Hit {
-            index,
-            score,
-            smiles,
-        })
-        .collect())
+    fetch_top(scores, k, |indices| archive.get_many(indices))
 }
 
-/// [`top_hits`] against a deck that lives *on disk* — single `.zsa` or
-/// sharded `.zsm`, sniffed at open: k hit fetches touch k compressed
-/// lines in whichever shard owns them, never the deck.
+/// [`top_hits`] against a deck that lives *on disk* — a `.zsm` manifest
+/// or a bare `.zsa`, both opened by [`ShardedReader::open`]: k hit
+/// fetches touch k compressed lines in whichever shard owns them, never
+/// the deck.
 pub fn top_hits_cold(
-    deck: &crate::archive::ColdArchive,
+    deck: &ShardedReader,
     scores: &ScoreTable,
     k: usize,
 ) -> Result<Vec<Hit>, ZsmilesError> {
+    fetch_top(scores, k, |indices| deck.get_many(indices))
+}
+
+/// Rank the `k` best lines and pair each with its line from `fetch`.
+fn fetch_top(
+    scores: &ScoreTable,
+    k: usize,
+    fetch: impl FnOnce(&[usize]) -> Result<Vec<Vec<u8>>, ZsmilesError>,
+) -> Result<Vec<Hit>, ZsmilesError> {
     let ranked = scores.top_k(k);
     let indices: Vec<usize> = ranked.iter().map(|&(i, _)| i).collect();
-    let fetched = deck.fetch_many(&indices)?;
+    let fetched = fetch(&indices)?;
     Ok(ranked
         .into_iter()
         .zip(fetched)
@@ -173,10 +171,154 @@ impl StorageModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zsmiles_core::DictBuilder;
+    use zsmiles_core::engine::AnyDictionary;
+    use zsmiles_core::{DictBuilder, Dictionary};
 
     fn fixture() -> (Dataset, Pocket) {
         (Dataset::generate_mixed(400, 3), Pocket::from_seed(5))
+    }
+
+    /// `deck` packed in memory with `dict`.
+    fn pack(dict: &Dictionary, deck: &[u8]) -> Archive {
+        Archive::pack(AnyDictionary::Base(Box::new(dict.clone())), deck, 1)
+    }
+
+    /// A 300-line deck packed with a dictionary trained on it.
+    fn setup() -> (Dataset, Archive) {
+        let deck = Dataset::generate_mixed(300, 11);
+        let dict = DictBuilder::default().train(deck.iter()).unwrap();
+        let archive = pack(&dict, deck.as_bytes());
+        (deck, archive)
+    }
+
+    #[test]
+    fn archive_preserves_line_count_and_compresses() {
+        let (deck, archive) = setup();
+        assert_eq!(archive.len(), deck.len());
+        let ratio = archive.stats().unwrap().ratio();
+        assert!(ratio < 0.7, "ratio {ratio}");
+        assert!(!archive.is_empty());
+    }
+
+    #[test]
+    fn fetch_returns_the_right_molecule() {
+        let (deck, archive) = setup();
+        for i in [0usize, 1, 7, 150, 299] {
+            let got = archive.get(i).unwrap();
+            // Preprocessing renumbers ring IDs; compare molecules.
+            assert_eq!(
+                smiles::parser::parse(&got).unwrap().signature(),
+                smiles::parser::parse(deck.line(i)).unwrap().signature(),
+                "line {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn random_access_touches_only_the_requested_lines() {
+        let (_, archive) = setup();
+        let total: usize = archive.payload().len();
+        let touched: usize = [3usize, 42, 260]
+            .iter()
+            .map(|&i| archive.compressed_line(i).unwrap().len())
+            .sum();
+        assert!(
+            touched * 10 < total,
+            "3 lines should be far less than the archive ({touched} vs {total})"
+        );
+    }
+
+    #[test]
+    fn batched_fetches_match_singles() {
+        let (_, archive) = setup();
+        let singles: Vec<Vec<u8>> = (40..60).map(|i| archive.get(i).unwrap()).collect();
+        assert_eq!(archive.get_range(40..60).unwrap(), singles);
+        let scattered = [7usize, 299, 0, 150, 150];
+        let many = archive.get_many(&scattered).unwrap();
+        for (&i, got) in scattered.iter().zip(&many) {
+            assert_eq!(got, &archive.get(i).unwrap(), "index {i}");
+        }
+        assert!(archive.get_range(290..301).is_err());
+        assert!(archive.get_many(&[300]).is_err());
+    }
+
+    #[test]
+    fn empty_deck_builds_empty_archive() {
+        let deck = Dataset::generate_mixed(50, 1);
+        let dict = DictBuilder::default().train(deck.iter()).unwrap();
+        let archive = pack(&dict, b"");
+        assert!(archive.is_empty());
+        assert_eq!(archive.len(), 0);
+    }
+
+    #[test]
+    fn cold_archive_is_layout_blind() {
+        let deck = Dataset::generate_mixed(300, 19);
+        let dict = DictBuilder {
+            preprocess: false,
+            ..Default::default()
+        }
+        .train(deck.iter())
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("vscreen_cold_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+
+        // One deck, both layouts.
+        let single_path = dir.join("deck.zsa");
+        pack(&dict, deck.as_bytes()).save(&single_path).unwrap();
+        let manifest_path = dir.join("deck.zsm");
+        let mut w = zsmiles_core::ShardedWriter::create(
+            &manifest_path,
+            AnyDictionary::Base(Box::new(dict.clone())),
+            zsmiles_core::ShardPolicy::by_lines(80),
+            zsmiles_core::WriterOptions::default(),
+        )
+        .unwrap();
+        w.write(deck.as_bytes()).unwrap();
+        let info = w.finish().unwrap();
+        assert_eq!(info.shards.len(), 4);
+
+        let single = ShardedReader::open(&single_path).unwrap();
+        let sharded = ShardedReader::open(&manifest_path).unwrap();
+        assert_eq!(single.shard_count(), 1);
+        assert_eq!(sharded.shard_count(), 4);
+        assert_eq!(single.len(), sharded.len());
+        for i in [0usize, 79, 80, 299] {
+            assert_eq!(single.get(i).unwrap(), sharded.get(i).unwrap());
+            assert_eq!(single.get(i).unwrap(), deck.line(i));
+        }
+        assert_eq!(
+            single.get_range(70..90).unwrap(),
+            sharded.get_range(70..90).unwrap()
+        );
+        single.verify().unwrap();
+        sharded.verify().unwrap();
+
+        // The hit-sampling workflow runs identically over either layout.
+        let scores = screen(&deck, &Pocket::from_seed(3));
+        let hot = top_hits(&pack(&dict, deck.as_bytes()), &scores, 7).unwrap();
+        let a = top_hits_cold(&single, &scores, 7).unwrap();
+        let b = top_hits_cold(&sharded, &scores, 7).unwrap();
+        assert_eq!(a, hot);
+        assert_eq!(b, hot);
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn archive_survives_a_disk_round_trip_as_one_file() {
+        let (deck, archive) = setup();
+        let path = std::env::temp_dir().join(format!("vscreen_archive_{}.zsa", std::process::id()));
+        archive.save(&path).unwrap();
+        // Reopen with no dictionary or sidecar at hand: self-describing.
+        let reopened = Archive::open(&path).unwrap();
+        assert_eq!(reopened.len(), deck.len());
+        let got = reopened.get(42).unwrap();
+        assert_eq!(
+            smiles::parser::parse(&got).unwrap().signature(),
+            smiles::parser::parse(deck.line(42)).unwrap().signature()
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -215,7 +357,7 @@ mod tests {
         let (deck, pocket) = fixture();
         let scores = screen(&deck, &pocket);
         let dict = DictBuilder::default().train(deck.iter()).unwrap();
-        let archive = Archive::build(&dict, deck.as_bytes());
+        let archive = pack(&dict, deck.as_bytes());
         let hits = top_hits(&archive, &scores, 10).unwrap();
         assert_eq!(hits.len(), 10);
         // Best-first ordering, and every SMILES matches its deck line.
@@ -237,7 +379,7 @@ mod tests {
         let (deck, pocket) = fixture();
         let scores = screen(&deck, &pocket);
         let dict = DictBuilder::default().train(deck.iter()).unwrap();
-        let archive = Archive::build(&dict, deck.as_bytes());
+        let archive = pack(&dict, deck.as_bytes());
         let hits = top_hits(&archive, &scores, deck.len() + 50).unwrap();
         assert_eq!(hits.len(), deck.len());
     }

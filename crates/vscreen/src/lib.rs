@@ -13,34 +13,40 @@
 //!
 //! This crate implements all three at laptop scale against the real
 //! `zsmiles-core` codec: a deterministic docking *surrogate* (feature-based
-//! scoring — chemistry-shaped, reproducible, no force field), scored decks,
-//! and compressed archives with O(1) line access. The examples and the
-//! `scale` harness build on it.
+//! scoring — chemistry-shaped, reproducible, no force field) and scored
+//! decks. Archiving is `zsmiles-core`'s own: a [`zsmiles_core::Archive`]
+//! in memory, or a deck on disk — a `.zsm` manifest or a bare `.zsa` —
+//! opened by [`zsmiles_core::ShardedReader`], both with O(1) line access.
+//! The examples and the `scale` harness build on it.
 //!
 //! ```
 //! use molgen::Dataset;
-//! use vscreen::{Archive, Pocket, screen};
-//! use zsmiles_core::DictBuilder;
+//! use vscreen::{Pocket, screen};
+//! use zsmiles_core::engine::AnyDictionary;
+//! use zsmiles_core::{Archive, DictBuilder};
 //!
 //! let deck = Dataset::generate_mixed(200, 42);
 //! let pocket = Pocket::from_seed(7);
 //! let scores = screen(&deck, &pocket);
 //!
 //! let dict = DictBuilder::default().train(deck.iter()).unwrap();
-//! let archive = Archive::build(&dict, deck.as_bytes());
+//! let archive = Archive::pack(AnyDictionary::Base(Box::new(dict)), deck.as_bytes(), 1);
 //! let hits = vscreen::top_hits(&archive, &scores, 5).unwrap();
 //! assert_eq!(hits.len(), 5);
-//! assert!(archive.ratio() < 1.0);
+//! assert!(archive.stats().unwrap().ratio() < 1.0);
 //! ```
 
-pub mod archive;
 pub mod campaign;
 pub mod filter;
 pub mod pocket;
 pub mod score;
 pub mod wire;
 
-pub use archive::{Archive, ColdArchive};
+/// The on-disk deck [`top_hits_cold`] samples. This name is kept only
+/// for the benchmark harness under `perfbench/`; it is
+/// [`zsmiles_core::ShardedReader`] itself.
+pub use zsmiles_core::ShardedReader as ColdArchive;
+
 pub use campaign::{
     score_line, screen, screen_parallel, top_hits, top_hits_cold, Hit, Scorer, StorageModel,
 };

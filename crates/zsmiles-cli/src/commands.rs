@@ -7,12 +7,12 @@ use std::path::Path;
 use std::time::Instant;
 use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::serve::{Executor, QueryClient, ServeOptions, Server};
-use zsmiles_core::shard::{is_manifest, ShardPolicy, ShardedReader, ShardedWriter};
+use zsmiles_core::shard::{ShardPolicy, ShardedReader, ShardedWriter};
 use zsmiles_core::train::{BaseBuilder, DictBuilder as _, TrainCorpus, WideBuilder};
 use zsmiles_core::{
     check_deck, quarantine_shards, repair_deck, ArchiveReader, ArchiveSource, ArchiveWriter,
-    AtomicFileSink, BlockCache, CountingSource, Decompressor, FileSource, LineIndex, Prepopulation,
-    RankStrategy, Selection, TrainOptions, WriterOptions,
+    AtomicFileSink, BlockCache, Decompressor, LineIndex, Prepopulation, RankStrategy, Selection,
+    TrainOptions, WriterOptions,
 };
 
 /// The error a command stops with when the reader of its stdout has
@@ -532,7 +532,7 @@ fn cmd_unpack(args: &Args) -> Result<(), String> {
     // Out-of-core: payload is read in bounded chunks straight from disk,
     // so unpacking a multi-GB archive never holds it in memory. A .zsm
     // manifest streams shard by shard through the same call.
-    let reader = zsmiles_core::DeckReader::open(Path::new(input)).map_err(|e| e.to_string())?;
+    let reader = ShardedReader::open(Path::new(input)).map_err(|e| e.to_string())?;
     if args.get_bool("--verify") {
         reader.verify().map_err(|e| e.to_string())?;
     }
@@ -625,74 +625,48 @@ fn read_path_report(bytes_mapped: u64, counters: Option<(u64, u64)>) -> String {
 fn cmd_get(args: &Args) -> Result<(), String> {
     let line_no = args.get_usize("--line", 0)?;
 
-    // Sharded layout: the manifest routes global line numbers across
-    // shards; only the owning shard's metadata + line ranges are read.
+    // Either layout through one reader: a .zsm manifest routes global
+    // line numbers across its shards, a bare .zsa is a one-shard deck.
+    // Only metadata plus the requested byte ranges are read — a probe
+    // into a multi-GB deck never allocates the payload. Files are mmapped
+    // where the platform allows (each fetch is a zero-syscall copy from
+    // the mapping); otherwise positioned reads go through the shared
+    // block cache.
     if let Some(path) = args.get("--archive") {
-        if is_manifest(Path::new(path)).map_err(|e| e.to_string())? {
-            let reader = ShardedReader::open(Path::new(path)).map_err(|e| e.to_string())?;
-            if args.get_bool("--verify") {
-                reader.verify().map_err(|e| e.to_string())?;
-            }
-            let count = args.get_usize("--count", 1)?.max(1);
-            let end = line_no
-                .checked_add(count)
-                .ok_or_else(|| "line number overflows".to_string())?;
-            let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
-            // A consecutive run is a batched per-shard range fetch.
-            for smiles in reader.get_range(line_no..end).map_err(|e| e.to_string())? {
-                writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
-            }
-            stdout.flush().map_err(stdout_error)?;
-            if args.get_bool("--verbose") {
+        let reader = ShardedReader::open(Path::new(path)).map_err(|e| e.to_string())?;
+        if args.get_bool("--verify") {
+            // Opt-in integrity pass: one sequential CRC scan per file.
+            // Without it a fetch touches only metadata + the lines read.
+            reader.verify().map_err(|e| e.to_string())?;
+        }
+        let count = args.get_usize("--count", 1)?.max(1);
+        let end = line_no
+            .checked_add(count)
+            .ok_or_else(|| "line number overflows".to_string())?;
+        // Snapshot after open/verify so the report covers line fetches
+        // only, not the metadata reads (or the CRC scan).
+        let base = reader.cache_counters();
+        let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
+        // A consecutive run is one batched range fetch per file.
+        for smiles in reader.get_range(line_no..end).map_err(|e| e.to_string())? {
+            writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
+        }
+        stdout.flush().map_err(stdout_error)?;
+        if args.get_bool("--verbose") {
+            if !reader.is_single_file() {
                 eprintln!(
                     "sharded deck: {} lines across {} shard(s)",
                     reader.len(),
                     reader.shard_count(),
                 );
-                eprintln!(
-                    "{}",
-                    read_path_report(reader.bytes_mapped(), reader.cache_counters())
-                );
             }
-            return Ok(());
-        }
-    }
-
-    // Single-file path: everything needed is inside the container, and
-    // the reader fetches only metadata plus the requested byte ranges — a
-    // probe into a multi-GB archive never allocates the payload. The
-    // archive is mmapped where the platform allows (each fetch is a
-    // zero-syscall copy from the mapping); otherwise positioned reads go
-    // through the shared block cache, which turns a `--count` loop of
-    // per-line fetches into one block transfer per neighbourhood.
-    if let Some(path) = args.get("--archive") {
-        let reader = ArchiveReader::open_auto(Path::new(path)).map_err(|e| e.to_string())?;
-        if args.get_bool("--verify") {
-            // Opt-in integrity pass: one sequential CRC scan of the file.
-            // Without it a fetch touches only metadata + the lines read.
-            reader.verify().map_err(|e| e.to_string())?;
-        }
-        let count = args.get_usize("--count", 1)?.max(1);
-        // Snapshot after open/verify so the report covers line fetches
-        // only, not the metadata reads (or the CRC scan).
-        let base = reader.source().cache_counters();
-        let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
-        for k in 0..count {
-            let i = line_no
-                .checked_add(k)
-                .ok_or_else(|| "line number overflows".to_string())?;
-            let smiles = reader.get(i).map_err(|e| e.to_string())?;
-            writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
-        }
-        stdout.flush().map_err(stdout_error)?;
-        if args.get_bool("--verbose") {
-            let fetched = match (base, reader.source().cache_counters()) {
+            let fetched = match (base, reader.cache_counters()) {
                 (Some((h0, m0)), Some((h, m))) => Some((h - h0, m - m0)),
                 _ => None,
             };
             eprintln!(
                 "{} over {count} line fetch(es)",
-                read_path_report(reader.source().bytes_mapped(), fetched)
+                read_path_report(reader.bytes_mapped(), fetched)
             );
         }
         return Ok(());
@@ -784,75 +758,48 @@ fn index_in_memory<'a, S: ArchiveSource + 'a>(
 
 fn cmd_inspect(args: &Args) -> Result<(), String> {
     if let Some(path) = args.get("--archive") {
-        if is_manifest(Path::new(path)).map_err(|e| e.to_string())? {
-            let reader = ShardedReader::open(Path::new(path)).map_err(|e| e.to_string())?;
-            if args.get_bool("--verify") {
-                reader.verify().map_err(|e| e.to_string())?;
-            }
-            outln!(
-                "sharded archive: {} lines | {} payload bytes | {} shard(s) | {} dictionary \
-                 | preprocess {}",
-                reader.len(),
-                reader.payload_bytes(),
-                reader.shard_count(),
-                reader.flavor().name(),
-                reader.dictionary().preprocessed(),
-            );
-            let shards = || (0..reader.shard_count()).filter_map(|s| reader.shard_reader(s));
-            outln!("{}", index_footprint(shards()));
-            outln!("{}", index_in_memory(shards()));
-            if args.get_bool("--verbose") {
-                outln!(
-                    "  {:<24} {:>10} {:>12} {:>9}  index",
-                    "shard",
-                    "lines",
-                    "bytes",
-                    "crc32"
-                );
-                for (i, s) in reader.manifest().shards().iter().enumerate() {
-                    let index = reader
-                        .shard_reader(i)
-                        .map_or("quarantined".into(), |r| index_footprint([r]));
-                    outln!(
-                        "  {:<24} {:>10} {:>12} {:>9}  {}",
-                        s.file,
-                        s.lines,
-                        s.file_bytes,
-                        format!("{:08x}", s.crc32),
-                        index,
-                    );
-                }
-                outln!(
-                    "  open transferred {} metadata bytes, payload untouched",
-                    reader.metadata_bytes(),
-                );
-            }
-            return Ok(());
-        }
-        // Metered out-of-core open: the counting source records exactly
-        // what inspecting costs (metadata only, payload untouched).
-        let source =
-            CountingSource::new(FileSource::open(Path::new(path)).map_err(|e| e.to_string())?);
-        let file_bytes = zsmiles_core::ArchiveSource::len(&source);
-        let reader = ArchiveReader::from_source(source).map_err(|e| e.to_string())?;
+        let reader = ShardedReader::open(Path::new(path)).map_err(|e| e.to_string())?;
         if args.get_bool("--verify") {
             reader.verify().map_err(|e| e.to_string())?;
         }
+        let (layout, shard_count) = if reader.is_single_file() {
+            ("", String::new())
+        } else {
+            ("sharded ", format!(" | {} shard(s)", reader.shard_count()))
+        };
         outln!(
-            "archive: {} lines | {} payload bytes | {} dictionary | preprocess {}",
+            "{layout}archive: {} lines | {} payload bytes{shard_count} | {} dictionary | preprocess {}",
             reader.len(),
             reader.payload_bytes(),
             reader.flavor().name(),
             reader.dictionary().preprocessed(),
         );
-        outln!("{}", index_footprint([&reader]));
-        outln!("{}", index_in_memory([&reader]));
+        let shards = || (0..reader.shard_count()).filter_map(|s| reader.shard_reader(s));
+        outln!("{}", index_footprint(shards()));
+        outln!("{}", index_in_memory(shards()));
         if args.get_bool("--verbose") {
             outln!(
-                "reads: {} bytes of {} transferred in {} read(s) ({} bytes of metadata)",
-                reader.source().bytes_read(),
-                file_bytes,
-                reader.source().reads(),
+                "  {:<24} {:>10} {:>12} {:>9}  index",
+                "shard",
+                "lines",
+                "bytes",
+                "crc32"
+            );
+            for (i, s) in reader.manifest().shards().iter().enumerate() {
+                let index = reader
+                    .shard_reader(i)
+                    .map_or("quarantined".into(), |r| index_footprint([r]));
+                outln!(
+                    "  {:<24} {:>10} {:>12} {:>9}  {}",
+                    s.file,
+                    s.lines,
+                    s.file_bytes,
+                    format!("{:08x}", s.crc32),
+                    index,
+                );
+            }
+            outln!(
+                "  open transferred {} metadata bytes, payload untouched",
                 reader.metadata_bytes(),
             );
         }

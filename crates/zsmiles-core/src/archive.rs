@@ -47,7 +47,7 @@
 
 use crate::compress::CompressStats;
 use crate::decompress::DecompressStats;
-use crate::engine::{AnyDictionary, DictFlavor};
+use crate::engine::{AnyDictionary, DictFlavor, MAX_DICT_BYTES};
 use crate::error::ZsmilesError;
 use crate::index::LineIndex;
 use std::io::Write;
@@ -108,6 +108,13 @@ pub(crate) fn parse_layout(
     let flavor = DictFlavor::from_tag(header[8])
         .ok_or_else(|| bad(format!("unknown dictionary flavor tag {}", header[8])))?;
     let dict_len = u64::from_le_bytes(header[16..24].try_into().unwrap());
+    // Bounded before anything is read: an out-of-core open allocates
+    // `dict_len` bytes for the dictionary, and the header is untrusted.
+    if dict_len > MAX_DICT_BYTES as u64 {
+        return Err(bad(format!(
+            "dict_len {dict_len} exceeds the largest dictionary ({MAX_DICT_BYTES} bytes)"
+        )));
+    }
     let payload_len = u64::from_le_bytes(header[24..32].try_into().unwrap());
     let index_len = u64::from_le_bytes(footer[0..8].try_into().unwrap());
     let stored_crc = u32::from_le_bytes(footer[8..12].try_into().unwrap());
@@ -363,7 +370,7 @@ impl Archive {
             )));
         }
         let payload = bytes[payload_start..index_start].to_vec();
-        let index = LineIndex::read_from(&bytes[index_start..index_end])?;
+        let index = LineIndex::read_from_bytes(&bytes[index_start..index_end])?;
         // The stored index must describe this exact payload — a foreign or
         // buggy writer can produce a CRC-consistent container whose index
         // points past the payload, which would turn get() into a slice

@@ -30,7 +30,7 @@
 use crate::error::ZsmilesError;
 use crate::reader::ArchiveReader;
 use crate::shard::{check_shard_meta, is_manifest, ShardManifest, ShardMeta};
-use crate::source::{ArchiveSource, AutoSource};
+use crate::source::AutoSource;
 use std::path::{Path, PathBuf};
 
 /// One checked container (a single `.zsa`, or one shard of a `.zsm`).
@@ -300,9 +300,7 @@ pub fn repair_deck(path: &Path, report: &CheckReport) -> Result<RepairOutcome, Z
         }
         // Internally sound, row wrong: re-derive the row from the file.
         let reader = ArchiveReader::from_source(AutoSource::open(&dir.join(&row.file))?)?;
-        row.lines = reader.len() as u64;
-        row.file_bytes = reader.source().len();
-        row.crc32 = reader.container_crc();
+        *row = ShardMeta::of(std::mem::take(&mut row.file), &reader);
         outcome.rows_rewritten.push(check.file.clone());
     }
     if !outcome.rows_rewritten.is_empty() {

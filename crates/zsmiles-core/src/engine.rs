@@ -161,6 +161,15 @@ pub(crate) fn decode_buffer(
 // AnyDictionary
 // ---------------------------------------------------------------------------
 
+/// The most bytes [`AnyDictionary::write`] can emit: every one- and
+/// two-byte code holding a [`crate::dict::MAX_PATTERN_LEN`]-byte pattern
+/// with every byte of code and pattern escaped as a 4-byte `\xNN`, plus a
+/// tab and a newline per entry and 4 KiB for the header lines. A `.zsa`
+/// whose header claims a longer dictionary is refused before it is read.
+pub const MAX_DICT_BYTES: usize = (crate::codec::CODE_SPACE_SIZE + crate::wide::MAX_WIDE_ENTRIES)
+    * (4 * (2 + crate::dict::MAX_PATTERN_LEN) + 2)
+    + 4096;
+
 /// Either dictionary flavour, for callers that learn the flavour at run
 /// time (file magic, `.zsa` header tags). Boxed payloads: the two types
 /// differ in size and this enum travels on stack frames.
@@ -481,5 +490,53 @@ mod tests {
         let mut back = Vec::new();
         codec.decompress_line(&z, &mut back).unwrap();
         assert_eq!(back, b"COc1cc(C=O)ccc1O");
+    }
+
+    #[test]
+    fn the_largest_dictionaries_fit_max_dict_bytes() {
+        use crate::codec::{Prepopulation, CODE_SPACE_SIZE};
+        use crate::dict::MAX_PATTERN_LEN;
+        use crate::wide::{MAX_WIDE_ENTRIES, PAGE_BYTES};
+        // Distinct full-length patterns of bytes that all escape to
+        // `\xNN`, enough for every code of either flavour.
+        let patterns: Vec<Vec<u8>> = (0..CODE_SPACE_SIZE + MAX_WIDE_ENTRIES)
+            .map(|k| {
+                let mut p = vec![0x01u8; MAX_PATTERN_LEN];
+                p[..2].copy_from_slice(&(k as u16 | 0x8080).to_be_bytes());
+                p
+            })
+            .collect();
+        let base = Dictionary::from_patterns(
+            Prepopulation::None,
+            &patterns[..CODE_SPACE_SIZE],
+            1,
+            MAX_PATTERN_LEN,
+            true,
+        )
+        .unwrap();
+        // The page bytes are not one-byte codes in the wide flavour.
+        let wide = WideDictionary::from_patterns(
+            Prepopulation::None,
+            &patterns[..CODE_SPACE_SIZE - PAGE_BYTES.len() + MAX_WIDE_ENTRIES],
+            1,
+            MAX_PATTERN_LEN,
+            true,
+            MAX_WIDE_ENTRIES,
+        )
+        .unwrap();
+        for dict in [
+            AnyDictionary::Base(Box::new(base)),
+            AnyDictionary::Wide(Box::new(wide)),
+        ] {
+            let mut bytes = Vec::new();
+            dict.write(&mut bytes).unwrap();
+            assert!(
+                bytes.len() > MAX_DICT_BYTES / 2 || dict.flavor() == DictFlavor::Base,
+                "{} bytes: the wide dictionary fills most of the bound",
+                bytes.len()
+            );
+            assert!(bytes.len() <= MAX_DICT_BYTES, "{} bytes", bytes.len());
+            assert_eq!(AnyDictionary::read(&bytes).unwrap().flavor(), dict.flavor());
+        }
     }
 }

@@ -508,7 +508,22 @@ impl LineIndex {
     /// trailing-newline flag), which is exact for buffers without
     /// interior blank lines — the invariant every compressed payload
     /// satisfies.
-    pub fn read_from<R: Read>(mut r: R) -> Result<LineIndex, ZsmilesError> {
+    pub fn read_from<R: Read>(r: R) -> Result<LineIndex, ZsmilesError> {
+        LineIndex::read_reserving(r, MAX_PREALLOC_LINES)
+    }
+
+    /// [`LineIndex::read_from`] over an index section a container holds
+    /// in memory. Every wire version spends at least one byte a line, so
+    /// room is reserved for no more lines than `bytes` could describe:
+    /// a corrupted count cannot make the open reserve more than the
+    /// container holds.
+    pub(crate) fn read_from_bytes(bytes: &[u8]) -> Result<LineIndex, ZsmilesError> {
+        LineIndex::read_reserving(bytes, bytes.len().min(MAX_PREALLOC_LINES))
+    }
+
+    /// The parser behind both entry points, reserving room for at most
+    /// `max_lines` lines before reading them.
+    fn read_reserving<R: Read>(mut r: R, max_lines: usize) -> Result<LineIndex, ZsmilesError> {
         let mut head = [0u8; HEAD_LEN];
         r.read_exact(&mut head[..8])?;
         let version = match &head[..8] {
@@ -526,7 +541,7 @@ impl LineIndex {
         r.read_exact(&mut head[8..])?;
         let field = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
         let (n, total) = (field(8), field(16));
-        let mut idx = LineIndex::with_capacity(n.min(MAX_PREALLOC_LINES as u64) as usize);
+        let mut idx = LineIndex::with_capacity(n.min(max_lines as u64) as usize);
         match version {
             4 => read_v4(&mut r, &head, n, total, &mut idx)?,
             3 => read_v3(&mut r, n, total, &mut idx)?,

@@ -64,8 +64,8 @@
 //!   deck bytes incrementally, compresses bounded batches on the
 //!   persistent worker pool, grows the line index in place, and
 //!   finalizes header/CRC/footer without ever materializing the payload;
-//! * [`serve`] — the long-lived query service: a TCP server holding
-//!   [`shard::DeckReader`]s open and answering `get` / `get_range` /
+//! * [`serve`] — the long-lived query service: a TCP server holding a
+//!   [`shard::ShardedReader`] open and answering `get` / `get_range` /
 //!   `get_many` / `stats` from many concurrent clients over a
 //!   length-prefixed binary protocol, with atomic *generation flips* —
 //!   the served deck swaps to a new dataset generation in one pointer
@@ -73,9 +73,9 @@
 //!   deck's blocks are forgotten from the block cache;
 //! * [`shard`] — sharded multi-file archives: a readable `.zsm` manifest
 //!   plus N complete `.zsa` shards ([`shard::ShardedWriter`] cuts by
-//!   line/byte budget, [`shard::ShardedReader`] routes global line
-//!   numbers across shards, [`shard::DeckReader`] dispatches either
-//!   layout behind one read surface);
+//!   line/byte budget); [`shard::ShardedReader`] is the one deck reader:
+//!   it routes global line numbers across a manifest's shards, and opens
+//!   a bare `.zsa` as a one-shard deck;
 //! * [`index`] — the exact per-line byte-range table, standalone (`.zsx`
 //!   sidecar) or embedded in a container;
 //! * [`topk`] — bounded best-k selection over per-line scores under one

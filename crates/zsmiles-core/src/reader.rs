@@ -30,7 +30,10 @@
 //! [`FileSource`], bytes via [`crate::source::InMemorySource`] or
 //! `&[u8]`, or any caller-provided positioned-read backend (an mmap, an
 //! object store). Decoding goes through [`AnyDictionary`], so none of
-//! this code knows which code width the archive uses.
+//! this code knows which code width the archive uses. Decks on disk are
+//! read through [`crate::shard::ShardedReader`], which holds one
+//! `ArchiveReader` over a [`crate::source::AutoSource`] per file, a bare
+//! `.zsa` included.
 //!
 //! # Integrity
 //!
@@ -45,7 +48,7 @@ use crate::decompress::DecompressStats;
 use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
 use crate::index::{LineIndex, Ranges};
-use crate::source::{ArchiveSource, AutoSource, FileSource};
+use crate::source::{ArchiveSource, FileSource};
 use std::io::Write;
 use std::ops::Range;
 use std::path::Path;
@@ -84,19 +87,12 @@ impl ArchiveReader<FileSource> {
     }
 }
 
-impl ArchiveReader<AutoSource> {
-    /// Open a `.zsa` file behind the platform's best read path: a
-    /// zero-syscall mmap where available, shared-block-cache positioned
-    /// I/O otherwise (see [`AutoSource`]). This is what
-    /// [`crate::shard::DeckReader::open`] uses.
-    pub fn open_auto(path: &Path) -> Result<ArchiveReader<AutoSource>, ZsmilesError> {
-        ArchiveReader::from_source(AutoSource::open(path)?)
-    }
-}
-
 impl<S: ArchiveSource> ArchiveReader<S> {
     /// Open a container served by `source`, loading only its metadata
-    /// sections (header, footer, dictionary, line index).
+    /// sections (header, footer, dictionary, line index). The header's
+    /// `dict_len` is bounded by [`crate::engine::MAX_DICT_BYTES`] before
+    /// the dictionary is read, so an untrusted header cannot make the
+    /// open reserve more than that for it.
     pub fn from_source(source: S) -> Result<ArchiveReader<S>, ZsmilesError> {
         let total = source.len();
         if total < (HEADER_LEN + FOOTER_LEN) as u64 {
@@ -118,7 +114,7 @@ impl<S: ArchiveSource> ArchiveReader<S> {
             )));
         }
         let index_bytes = source.read_range(layout.index_start, layout.index_len as usize)?;
-        let index = LineIndex::read_from(index_bytes.as_slice())?;
+        let index = LineIndex::read_from_bytes(&index_bytes)?;
         // The index must describe exactly the payload section. Its own
         // parser already guarantees every stored range lies inside
         // `total_bytes()`, so this one comparison makes every later

@@ -3,8 +3,8 @@
 //! Virtual screening at campaign scale is a *query-serving* problem, not
 //! a storage problem: many workers want random access into the same
 //! compressed deck at once. This module is the long-lived process that
-//! answers them — it holds [`crate::shard::DeckReader`]s open over
-//! `.zsa` / `.zsm` decks and serves `get` / `get_range` / `get_many` /
+//! answers them — it holds a [`crate::shard::ShardedReader`] open over a
+//! `.zsm` deck or a bare `.zsa` (a one-shard deck) and serves `get` / `get_range` / `get_many` /
 //! `stats` / `top_hits` requests from many simultaneous clients over a
 //! small length-prefixed binary protocol on TCP. No async runtime, no
 //! new crates: a `poll(2)`-driven event loop plus a small fixed worker
@@ -45,13 +45,14 @@
 //! # Generation flips
 //!
 //! The server's deck is a *generation*: the `.zsm` manifest's optional
-//! `generation` row (v2 manifests; v1 reads as generation 0). A `flip`
+//! `generation` row (v2 manifests; v1 manifests and bare `.zsa` files
+//! read as generation 0). A `flip`
 //! request atomically replaces the served deck — the new deck opens
 //! *before* the swap, the swap itself is one `RwLock` write, and every
 //! request that already snapshotted the old generation drains on it
 //! unharmed. When the last in-flight reference drops, the retired deck's
 //! blocks are forgotten from its [`crate::cache::BlockCache`]
-//! ([`crate::shard::DeckReader::retire_cached_blocks`]) so a flipped-away
+//! ([`crate::shard::ShardedReader::retire_cached_blocks`]) so a flipped-away
 //! dataset stops competing for cache budget. A flip that declares a
 //! generation not newer than the current one is rejected; a deck that
 //! declares none (generation 0) is assigned `current + 1`.

@@ -29,7 +29,7 @@ use super::protocol::{
 };
 use crate::cache::BlockCache;
 use crate::error::ZsmilesError;
-use crate::shard::{DeckOptions, DeckReader};
+use crate::shard::{DeckOptions, ShardedReader};
 use crate::topk::TopK;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -179,7 +179,7 @@ pub(super) fn default_workers() -> usize {
 /// reports how many into the server's `retired_blocks` counter.
 pub(super) struct Generation {
     pub(super) number: u64,
-    pub(super) deck: DeckReader,
+    pub(super) deck: ShardedReader,
     retired_sink: Arc<AtomicU64>,
 }
 
@@ -433,11 +433,11 @@ pub(super) fn open_deck(
     path: &Path,
     options: &DeckOptions,
     degraded: bool,
-) -> Result<DeckReader, ZsmilesError> {
+) -> Result<ShardedReader, ZsmilesError> {
     if degraded {
-        DeckReader::open_degraded(path, options)
+        ShardedReader::open_degraded_with(path, options)
     } else {
-        DeckReader::open_with(path, options)
+        ShardedReader::open_with(path, options)
     }
 }
 
@@ -609,7 +609,7 @@ pub struct Server;
 
 impl Server {
     /// Open the deck at `deck_path` (either layout; see
-    /// [`DeckReader::open`]), bind `addr` (use port 0 for an ephemeral
+    /// [`ShardedReader::open`]), bind `addr` (use port 0 for an ephemeral
     /// port) and start serving. Returns a [`ServeHandle`] immediately;
     /// serving happens on background threads.
     pub fn start<A: ToSocketAddrs>(

@@ -28,17 +28,20 @@
 //!   [`crate::parallel::WorkerPool`] — shard cuts are decided by the
 //!   policy alone and manifest rows are stitched in shard order, so the
 //!   output stays byte-identical to a serial pack.
-//! * [`ShardedReader`] opens the manifest, cross-checks every shard
-//!   against its manifest entry (flavor, line count, file size, stored
-//!   CRC, identical embedded dictionary) *without touching any payload*,
-//!   and serves the [`crate::reader::ArchiveReader`] read surface —
-//!   `get` / `get_range` / `get_many` / batched [`ShardedReader::lines`]
-//!   / streaming [`ShardedReader::unpack_to`] — by routing global line
-//!   numbers across shards with a binary search on the manifest's
-//!   cumulative line table.
-//! * [`DeckReader`] is the run-time dispatch: point it at a `.zsa` or a
-//!   `.zsm` and every caller (CLI, screening code) works unchanged
-//!   against either layout.
+//! * [`ShardedReader`] is the one deck reader. It opens the manifest,
+//!   cross-checks every shard against its manifest entry (flavor, line
+//!   count, file size, stored CRC, identical embedded dictionary)
+//!   *without touching any payload*, and serves the
+//!   [`crate::reader::ArchiveReader`] read surface — `get` / `get_range`
+//!   / `get_many` / batched [`ShardedReader::lines`] / streaming
+//!   [`ShardedReader::unpack_to`] — by routing global line numbers
+//!   across shards with a binary search on the manifest's cumulative
+//!   line table. Pointed at a bare `.zsa` it opens a one-shard deck
+//!   whose manifest row is the container's own metadata, so every caller
+//!   (CLI, server, screening code) works unchanged against either
+//!   layout.
+//! * [`DeckReader`] wraps that reader in the layout enum the benchmark
+//!   harness matches on, and does nothing else.
 //!
 //! Line numbering is global and identical to a single-file pack of the
 //! same deck: shard cuts happen between lines, per-line encoding is
@@ -65,7 +68,7 @@ use std::sync::Arc;
 /// I/O otherwise). Supplying a `cache` forces every file through cached
 /// positioned I/O on that specific [`BlockCache`] — the serving layer uses
 /// this so a retired generation's blocks can be dropped deterministically
-/// ([`DeckReader::retire_cached_blocks`]) without touching the global
+/// ([`ShardedReader::retire_cached_blocks`]) without touching the global
 /// cache other readers share.
 #[derive(Debug, Clone, Default)]
 pub struct DeckOptions {
@@ -118,6 +121,19 @@ pub struct ShardMeta {
     pub file_bytes: u64,
     /// The shard container's stored CRC32 (its footer value).
     pub crc32: u32,
+}
+
+impl ShardMeta {
+    /// The row an opened container `file` earns from its own metadata:
+    /// line count, file size and footer CRC. No payload byte is read.
+    pub(crate) fn of<S: ArchiveSource>(file: String, reader: &ArchiveReader<S>) -> ShardMeta {
+        ShardMeta {
+            file,
+            lines: reader.len() as u64,
+            file_bytes: reader.source().len(),
+            crc32: reader.container_crc(),
+        }
+    }
 }
 
 /// The parsed shard table of a `.zsm` file.
@@ -345,7 +361,8 @@ impl ShardManifest {
 }
 
 /// Whether `path` starts with the `.zsm` manifest magic (any version) —
-/// the sniff [`DeckReader::open`] uses to dispatch between layouts.
+/// the sniff [`ShardedReader::open`] uses to tell a manifest from a bare
+/// `.zsa`.
 pub fn is_manifest(path: &Path) -> Result<bool, ZsmilesError> {
     let mut f = std::fs::File::open(path)?;
     let mut head = [0u8; MANIFEST_MAGIC_PREFIX.len()];
@@ -925,10 +942,11 @@ pub struct QuarantinedShard {
     pub reason: String,
 }
 
-/// A sharded archive opened for random access: the manifest plus one
+/// A deck opened for random access, either layout: the manifest plus one
 /// out-of-core [`ArchiveReader`] per shard (metadata only — no payload is
 /// resident). Global line numbers route across shards by binary search on
-/// the cumulative line table.
+/// the cumulative line table. A bare `.zsa` opens as a one-shard deck of
+/// generation 0 whose one manifest row comes from the container itself.
 ///
 /// A reader from [`ShardedReader::open`] is fully healthy: every shard
 /// passed its cross-checks or the open failed. A reader from
@@ -948,6 +966,8 @@ pub struct ShardedReader {
     /// Index of the first healthy shard — where `dictionary()` reads
     /// from (shard 0 itself may be quarantined).
     dict_shard: usize,
+    /// Opened from a bare `.zsa` rather than a `.zsm` manifest.
+    single_file: bool,
 }
 
 /// The per-shard integrity cross-checks both open modes run: flavor,
@@ -994,21 +1014,22 @@ pub(crate) fn check_shard_meta(
 }
 
 impl ShardedReader {
-    /// Open a `.zsm` manifest and every shard it lists, cross-checking
-    /// each shard's flavor, line count, file size, stored CRC and
-    /// embedded dictionary against the manifest — all from metadata; no
-    /// payload byte is read. Any failing shard fails the open.
-    pub fn open(manifest_path: &Path) -> Result<ShardedReader, ZsmilesError> {
-        ShardedReader::open_with(manifest_path, &DeckOptions::default())
+    /// Open a deck: a `.zsm` manifest and every shard it lists, or a bare
+    /// `.zsa` as a one-shard deck (sniffed by [`is_manifest`]). Each
+    /// shard's flavor, line count, file size, stored CRC and embedded
+    /// dictionary are cross-checked against the manifest — all from
+    /// metadata; no payload byte is read. Any failing shard fails the
+    /// open. Archive files are served through [`AutoSource`]: a
+    /// zero-syscall mmap where the platform has one, shared-block-cache
+    /// positioned I/O otherwise.
+    pub fn open(path: &Path) -> Result<ShardedReader, ZsmilesError> {
+        ShardedReader::open_with(path, &DeckOptions::default())
     }
 
     /// [`ShardedReader::open`] with explicit [`DeckOptions`] (e.g. a
     /// private [`BlockCache`] for deterministic retirement).
-    pub fn open_with(
-        manifest_path: &Path,
-        options: &DeckOptions,
-    ) -> Result<ShardedReader, ZsmilesError> {
-        ShardedReader::open_inner(manifest_path, options, false)
+    pub fn open_with(path: &Path, options: &DeckOptions) -> Result<ShardedReader, ZsmilesError> {
+        ShardedReader::open_inner(path, options, false)
     }
 
     /// Open a deck *around* its damage: shards that fail to open or fail
@@ -1016,29 +1037,38 @@ impl ShardedReader {
     /// and their lines answer [`ZsmilesError::ShardUnavailable`]. The
     /// global line numbering is unchanged — line `i` means the same
     /// ligand it always did, served or not. Fails only when no shard at
-    /// all is servable (there is then no dictionary to decode with).
-    pub fn open_degraded(manifest_path: &Path) -> Result<ShardedReader, ZsmilesError> {
-        ShardedReader::open_degraded_with(manifest_path, &DeckOptions::default())
+    /// all is servable (there is then no dictionary to decode with). A
+    /// bare `.zsa` is the whole deck, so it fails as [`ShardedReader::open`]
+    /// does: there is nothing to quarantine it down to.
+    pub fn open_degraded(path: &Path) -> Result<ShardedReader, ZsmilesError> {
+        ShardedReader::open_degraded_with(path, &DeckOptions::default())
     }
 
     /// [`ShardedReader::open_degraded`] with explicit [`DeckOptions`].
     pub fn open_degraded_with(
-        manifest_path: &Path,
+        path: &Path,
         options: &DeckOptions,
     ) -> Result<ShardedReader, ZsmilesError> {
-        ShardedReader::open_inner(manifest_path, options, true)
+        ShardedReader::open_inner(path, options, true)
     }
 
     fn open_inner(
-        manifest_path: &Path,
+        path: &Path,
         options: &DeckOptions,
         degraded: bool,
     ) -> Result<ShardedReader, ZsmilesError> {
-        let manifest = ShardManifest::load(manifest_path)?;
-        let dir = manifest_path
-            .parent()
-            .map(Path::to_path_buf)
-            .unwrap_or_default();
+        let single_file = !is_manifest(path)?;
+        // A bare `.zsa` opens once, here, with its own error; its one
+        // manifest row is its own metadata, so the loop below adopts it.
+        let (manifest, mut bare) = if single_file {
+            let reader = ArchiveReader::from_source(options.open_source(path)?)?;
+            let file = path.file_name().unwrap_or_default().to_string_lossy();
+            let row = ShardMeta::of(file.into_owned(), &reader);
+            (ShardManifest::new(reader.flavor(), vec![row]), Some(reader))
+        } else {
+            (ShardManifest::load(path)?, None)
+        };
+        let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
         let mut readers: Vec<Option<ArchiveReader<AutoSource>>> =
             Vec::with_capacity(manifest.shards().len());
         let mut quarantined = Vec::new();
@@ -1049,25 +1079,28 @@ impl ShardedReader {
         let mut first_dict: Option<(String, Vec<u8>)> = None;
         let mut dict_shard = None;
         for (index, meta) in manifest.shards().iter().enumerate() {
-            let opened = options
-                .open_source(&dir.join(&meta.file))
-                .and_then(ArchiveReader::from_source)
-                .and_then(|reader| {
-                    check_shard_meta(&reader, meta, manifest.flavor())?;
-                    let mut dict_bytes = Vec::new();
-                    reader.dictionary().write(&mut dict_bytes)?;
-                    match &first_dict {
-                        None => first_dict = Some((meta.file.clone(), dict_bytes)),
-                        Some((ref_file, first)) if *first != dict_bytes => {
-                            return Err(bad(format!(
-                                "shard {}: embedded dictionary differs from shard {ref_file}",
-                                meta.file
-                            )))
-                        }
-                        Some(_) => {}
+            let opened = match bare.take() {
+                Some(reader) => Ok(reader),
+                None => options
+                    .open_source(&dir.join(&meta.file))
+                    .and_then(ArchiveReader::from_source),
+            }
+            .and_then(|reader| {
+                check_shard_meta(&reader, meta, manifest.flavor())?;
+                let mut dict_bytes = Vec::new();
+                reader.dictionary().write(&mut dict_bytes)?;
+                match &first_dict {
+                    None => first_dict = Some((meta.file.clone(), dict_bytes)),
+                    Some((ref_file, first)) if *first != dict_bytes => {
+                        return Err(bad(format!(
+                            "shard {}: embedded dictionary differs from shard {ref_file}",
+                            meta.file
+                        )))
                     }
-                    Ok(reader)
-                });
+                    Some(_) => {}
+                }
+                Ok(reader)
+            });
             match opened {
                 Ok(reader) => {
                     dict_shard.get_or_insert(index);
@@ -1093,7 +1126,7 @@ impl ShardedReader {
         let Some(dict_shard) = dict_shard else {
             return Err(bad(format!(
                 "every shard of {} is unservable ({} quarantined); nothing to serve",
-                manifest_path.display(),
+                path.display(),
                 quarantined.len()
             )));
         };
@@ -1109,6 +1142,7 @@ impl ShardedReader {
             quarantined,
             starts,
             dict_shard,
+            single_file,
         })
     }
 
@@ -1162,9 +1196,15 @@ impl ShardedReader {
     }
 
     /// The dataset generation stamped on the manifest (0 for v1
-    /// manifests, which predate the row).
+    /// manifests, which predate the row, and for a bare `.zsa`).
     pub fn generation(&self) -> u64 {
         self.manifest.generation()
+    }
+
+    /// Whether the deck was opened from a bare `.zsa` (its one manifest
+    /// row synthesised from the container) rather than a `.zsm` file.
+    pub fn is_single_file(&self) -> bool {
+        self.single_file
     }
 
     /// Drop every block this deck's shards hold in their block cache
@@ -1397,214 +1437,40 @@ impl Iterator for ShardedLines<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Layout dispatch
+// Layout enum
 // ---------------------------------------------------------------------------
 
-/// Either archive layout behind one read surface: a single `.zsa` file or
-/// a `.zsm` manifest with shards, sniffed from the file's first bytes.
-/// Every consumer that accepts "an archive path" (the CLI's `get` /
-/// `unpack` / `inspect`, screening hit fetches) opens through this and
-/// works unchanged against both.
+/// A [`ShardedReader`] tagged with the layout it was opened from. It
+/// exists only for the benchmark harness under `perfbench/`, which
+/// matches on these variants; everything else opens [`ShardedReader`]
+/// directly, and every read goes through [`Deref`](std::ops::Deref).
 #[derive(Debug)]
 pub enum DeckReader {
-    Single(Box<ArchiveReader<AutoSource>>),
+    /// A bare `.zsa`, open as a one-shard deck.
+    Single(Box<ShardedReader>),
+    /// A `.zsm` manifest and its shards.
     Sharded(Box<ShardedReader>),
 }
 
 impl DeckReader {
-    /// Open `path` as whichever layout it is. Archive files are served
-    /// through [`AutoSource`]: a zero-syscall mmap where the platform has
-    /// one, shared-block-cache positioned I/O otherwise.
+    /// [`ShardedReader::open`], tagged with the layout.
     pub fn open(path: &Path) -> Result<DeckReader, ZsmilesError> {
-        DeckReader::open_with(path, &DeckOptions::default())
-    }
-
-    /// [`DeckReader::open`] with explicit [`DeckOptions`] (e.g. a private
-    /// [`BlockCache`] so a retiring generation's blocks can be dropped
-    /// deterministically).
-    pub fn open_with(path: &Path, options: &DeckOptions) -> Result<DeckReader, ZsmilesError> {
-        if is_manifest(path)? {
-            Ok(DeckReader::Sharded(Box::new(ShardedReader::open_with(
-                path, options,
-            )?)))
+        let reader = Box::new(ShardedReader::open(path)?);
+        Ok(if reader.is_single_file() {
+            DeckReader::Single(reader)
         } else {
-            Ok(DeckReader::Single(Box::new(ArchiveReader::from_source(
-                options.open_source(path)?,
-            )?)))
-        }
+            DeckReader::Sharded(reader)
+        })
     }
+}
 
-    /// [`DeckReader::open`] that survives damaged shards: a `.zsm` deck
-    /// opens through [`ShardedReader::open_degraded_with`] (bad shards
-    /// quarantined, the rest served), a single `.zsa` opens normally —
-    /// one file is the whole deck, so there is nothing to degrade to.
-    pub fn open_degraded(path: &Path, options: &DeckOptions) -> Result<DeckReader, ZsmilesError> {
-        if is_manifest(path)? {
-            Ok(DeckReader::Sharded(Box::new(
-                ShardedReader::open_degraded_with(path, options)?,
-            )))
-        } else {
-            Ok(DeckReader::Single(Box::new(ArchiveReader::from_source(
-                options.open_source(path)?,
-            )?)))
-        }
-    }
+impl std::ops::Deref for DeckReader {
+    type Target = ShardedReader;
 
-    /// Whether any shard was quarantined at open (always false for
-    /// single-file decks and healthy opens).
-    pub fn is_degraded(&self) -> bool {
+    #[inline]
+    fn deref(&self) -> &ShardedReader {
         match self {
-            DeckReader::Single(_) => false,
-            DeckReader::Sharded(r) => r.is_degraded(),
-        }
-    }
-
-    /// The quarantined shards (empty unless opened degraded over damage).
-    pub fn quarantined(&self) -> &[QuarantinedShard] {
-        match self {
-            DeckReader::Single(_) => &[],
-            DeckReader::Sharded(r) => r.quarantined(),
-        }
-    }
-
-    /// Lines currently answering [`ZsmilesError::ShardUnavailable`].
-    pub fn unavailable_lines(&self) -> u64 {
-        match self {
-            DeckReader::Single(_) => 0,
-            DeckReader::Sharded(r) => r.unavailable_lines(),
-        }
-    }
-
-    /// The dataset generation this deck declares: the manifest's
-    /// `generation` row for sharded decks, 0 for single-file archives
-    /// and v1 manifests (which have no such row).
-    pub fn generation(&self) -> u64 {
-        match self {
-            DeckReader::Single(_) => 0,
-            DeckReader::Sharded(r) => r.generation(),
-        }
-    }
-
-    /// Drop every block this deck holds in its block cache (no-op for
-    /// mmap-backed files); returns how many blocks were released.
-    pub fn retire_cached_blocks(&self) -> u64 {
-        match self {
-            DeckReader::Single(r) => r.source().retire_cached_blocks(),
-            DeckReader::Sharded(r) => r.retire_cached_blocks(),
-        }
-    }
-
-    /// Bytes of address space mapped across the deck's files (0 when the
-    /// platform fell back to cached file I/O).
-    pub fn bytes_mapped(&self) -> u64 {
-        match self {
-            DeckReader::Single(r) => r.source().bytes_mapped(),
-            DeckReader::Sharded(r) => r.bytes_mapped(),
-        }
-    }
-
-    /// Aggregate `(hits, misses)` against the shared block cache;
-    /// `None` when every file is mmap-backed.
-    pub fn cache_counters(&self) -> Option<(u64, u64)> {
-        match self {
-            DeckReader::Single(r) => r.source().cache_counters(),
-            DeckReader::Sharded(r) => r.cache_counters(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            DeckReader::Single(r) => r.len(),
-            DeckReader::Sharded(r) => r.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn flavor(&self) -> DictFlavor {
-        match self {
-            DeckReader::Single(r) => r.flavor(),
-            DeckReader::Sharded(r) => r.flavor(),
-        }
-    }
-
-    pub fn dictionary(&self) -> &AnyDictionary {
-        match self {
-            DeckReader::Single(r) => r.dictionary(),
-            DeckReader::Sharded(r) => r.dictionary(),
-        }
-    }
-
-    /// Number of `.zsa` files behind this deck (1 for the single layout).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            DeckReader::Single(_) => 1,
-            DeckReader::Sharded(r) => r.shard_count(),
-        }
-    }
-
-    /// Compressed payload bytes (not resident).
-    pub fn payload_bytes(&self) -> u64 {
-        match self {
-            DeckReader::Single(r) => r.payload_bytes(),
-            DeckReader::Sharded(r) => r.payload_bytes(),
-        }
-    }
-
-    /// Metadata bytes transferred at open.
-    pub fn metadata_bytes(&self) -> u64 {
-        match self {
-            DeckReader::Single(r) => r.metadata_bytes(),
-            DeckReader::Sharded(r) => r.metadata_bytes(),
-        }
-    }
-
-    pub fn get(&self, i: usize) -> Result<Vec<u8>, ZsmilesError> {
-        match self {
-            DeckReader::Single(r) => r.get(i),
-            DeckReader::Sharded(r) => r.get(i),
-        }
-    }
-
-    pub fn compressed_line(&self, i: usize) -> Result<Vec<u8>, ZsmilesError> {
-        match self {
-            DeckReader::Single(r) => r.compressed_line(i),
-            DeckReader::Sharded(r) => r.compressed_line(i),
-        }
-    }
-
-    pub fn get_range(&self, lines: Range<usize>) -> Result<Vec<Vec<u8>>, ZsmilesError> {
-        match self {
-            DeckReader::Single(r) => r.get_range(lines),
-            DeckReader::Sharded(r) => r.get_range(lines),
-        }
-    }
-
-    pub fn get_many(&self, indices: &[usize]) -> Result<Vec<Vec<u8>>, ZsmilesError> {
-        match self {
-            DeckReader::Single(r) => r.get_many(indices),
-            DeckReader::Sharded(r) => r.get_many(indices),
-        }
-    }
-
-    pub fn unpack_to<W: Write>(
-        &self,
-        w: W,
-        threads: usize,
-        chunk_bytes: usize,
-    ) -> Result<crate::decompress::DecompressStats, ZsmilesError> {
-        match self {
-            DeckReader::Single(r) => r.unpack_to(w, threads, chunk_bytes),
-            DeckReader::Sharded(r) => r.unpack_to(w, threads, chunk_bytes),
-        }
-    }
-
-    pub fn verify(&self) -> Result<(), ZsmilesError> {
-        match self {
-            DeckReader::Single(r) => r.verify(),
-            DeckReader::Sharded(r) => r.verify(),
+            DeckReader::Single(r) | DeckReader::Sharded(r) => r,
         }
     }
 }
@@ -1806,8 +1672,6 @@ mod tests {
 
         let sharded = ShardedReader::open(&dir.join("deck.zsm")).unwrap();
         assert_eq!(sharded.generation(), 42);
-        let deck = DeckReader::open(&dir.join("deck.zsm")).unwrap();
-        assert_eq!(deck.generation(), 42);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2085,21 +1949,30 @@ mod tests {
     }
 
     #[test]
-    fn deck_reader_dispatches_both_layouts() {
+    fn one_reader_opens_both_layouts() {
         let dir = tmpdir("dispatch");
         // Sharded.
         pack_sharded(&dir, false, ShardPolicy::by_lines(33));
-        let sharded = DeckReader::open(&dir.join("deck.zsm")).unwrap();
-        assert!(matches!(sharded, DeckReader::Sharded(_)));
+        let sharded = ShardedReader::open(&dir.join("deck.zsm")).unwrap();
+        assert!(!sharded.is_single_file());
         assert_eq!(sharded.shard_count(), 4);
-        // Single file of the same deck.
+        // Single file of the same deck: one shard, its row its own
+        // metadata, generation 0.
         let single_path = dir.join("deck.zsa");
         Archive::pack(dict(false), &deck_bytes(), 1)
             .save(&single_path)
             .unwrap();
-        let single = DeckReader::open(&single_path).unwrap();
-        assert!(matches!(single, DeckReader::Single(_)));
+        let single = ShardedReader::open(&single_path).unwrap();
+        assert!(single.is_single_file());
         assert_eq!(single.shard_count(), 1);
+        assert_eq!(single.generation(), 0);
+        let row = &single.manifest().shards()[0];
+        assert_eq!(row.file, "deck.zsa");
+        assert_eq!(row.lines, 120);
+        assert_eq!(
+            row.file_bytes,
+            std::fs::metadata(&single_path).unwrap().len()
+        );
 
         assert_eq!(sharded.len(), single.len());
         assert_eq!(sharded.flavor(), single.flavor());
@@ -2122,10 +1995,16 @@ mod tests {
         sharded.verify().unwrap();
         single.verify().unwrap();
 
-        // Neither layout: a typed error, not a panic.
+        // Neither layout: the container's typed error, not a panic, from
+        // both opens.
         let junk = dir.join("junk.bin");
         std::fs::write(&junk, b"neither layout at all").unwrap();
-        assert!(DeckReader::open(&junk).is_err());
+        for err in [
+            ShardedReader::open(&junk).unwrap_err(),
+            ShardedReader::open_degraded(&junk).unwrap_err(),
+        ] {
+            assert!(matches!(err, ZsmilesError::ArchiveFormat { .. }), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -21,14 +21,14 @@
 //!   sharded LRU [`crate::cache::BlockCache`]: aligned blocks keyed
 //!   `(archive_id, block)`, shared safely by concurrent readers.
 //! * [`AutoSource`] — the policy in one place: mmap when the platform
-//!   has it, cached positioned I/O otherwise. [`crate::shard::DeckReader`]
-//!   opens archives through it by default.
+//!   has it, cached positioned I/O otherwise. [`crate::shard::ShardedReader`]
+//!   (so the CLI and the server) and [`crate::check::check_deck`] open
+//!   every archive file through it.
 //! * [`InMemorySource`] — an owned byte buffer, for archives already in
 //!   memory. `&[u8]` implements the trait too, for zero-copy views.
 //! * [`CountingSource`] — a transparent wrapper that counts read calls
 //!   and bytes transferred; it is how the test suite *proves* `get(line)`
-//!   touches only metadata plus one line's range, and how the CLI reports
-//!   bytes-read in `inspect --archive` verbose mode.
+//!   touches only metadata plus one line's range.
 
 use crate::cache::BlockCache;
 use crate::error::ZsmilesError;
@@ -541,10 +541,10 @@ impl<S: ArchiveSource> ArchiveSource for CachedSource<S> {
 /// platform supports it, shared-cache positioned I/O everywhere else
 /// (including filesystems where `mmap` itself fails at run time).
 ///
-/// [`crate::shard::DeckReader::open`] and
-/// [`crate::reader::ArchiveReader::open_auto`] build on this; the CLI
-/// surfaces which mode is live via [`AutoSource::bytes_mapped`] and
-/// [`AutoSource::cache_counters`] in `--verbose` reports.
+/// [`crate::shard::ShardedReader::open`] builds on this for every file of
+/// a deck; the CLI surfaces which mode is live via
+/// [`AutoSource::bytes_mapped`] and [`AutoSource::cache_counters`] in
+/// `--verbose` reports.
 #[derive(Debug)]
 pub enum AutoSource {
     /// Zero-syscall reads from a live mapping.

@@ -1,6 +1,7 @@
 //! Out-of-core writing: stream a deck through the `ArchiveWriter` in
 //! bounded memory, then shard the same deck into a `.zsm` manifest and
-//! read it back through the layout-blind `DeckReader`.
+//! read both back through the one deck reader, `ShardedReader` (a bare
+//! `.zsa` opens as a one-shard deck).
 //!
 //! ```console
 //! cargo run --release --example streaming_shard_writer
@@ -8,7 +9,7 @@
 
 use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::{
-    ArchiveWriter, CountingSink, DeckReader, DictBuilder, FileSink, ShardPolicy, ShardedWriter,
+    ArchiveWriter, CountingSink, DictBuilder, FileSink, ShardPolicy, ShardedReader, ShardedWriter,
     WriterOptions,
 };
 
@@ -63,9 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pack.stats.ratio(),
     );
 
-    // One read surface for either layout, dispatched by file magic.
+    // One reader for either layout, told apart by file magic.
     for name in ["deck.zsa", "deck.zsm"] {
-        let reader = DeckReader::open(&dir.join(name))?;
+        let reader = ShardedReader::open(&dir.join(name))?;
         let line = reader.get(31_415)?;
         println!(
             "{name}: {} shard(s), get(31415) = {}",

@@ -18,8 +18,9 @@
 //! ```
 
 use molgen::Dataset;
-use vscreen::{ro5_filter, screen_parallel, top_hits, Archive, Pocket, ScoreTable, StorageModel};
-use zsmiles_core::DictBuilder;
+use vscreen::{ro5_filter, screen_parallel, top_hits, Pocket, ScoreTable, StorageModel};
+use zsmiles_core::engine::AnyDictionary;
+use zsmiles_core::{Archive, DictBuilder};
 
 fn main() {
     const DECK: usize = 20_000;
@@ -50,14 +51,15 @@ fn main() {
 
     // 3. Cold-storage archive: shared dictionary + compressed deck + index.
     let dict = DictBuilder::default().train(deck.iter()).expect("train");
-    let archive = Archive::build(&dict, deck.as_bytes());
+    let archive = Archive::pack(AnyDictionary::Base(Box::new(dict)), deck.as_bytes(), 1);
+    let ratio = archive.stats().expect("packed in this process").ratio();
     let storage = StorageModel::MARCONI100;
     println!(
         "archive: ratio {:.3} — a {:.0} TB campaign would shrink to {:.1} TB ({:.1} TB saved)",
-        archive.ratio(),
+        ratio,
         storage.raw_tb,
-        storage.compressed_tb(archive.ratio()),
-        storage.saved_tb(archive.ratio()),
+        storage.compressed_tb(ratio),
+        storage.saved_tb(ratio),
     );
 
     // 4. Scored output as a readable side table (the campaign's product).
@@ -81,7 +83,7 @@ fn main() {
         let hits = top_hits(&archive, table, TOP_K).expect("fetch hits");
         let mut bytes_touched = 0usize;
         for hit in &hits {
-            bytes_touched += archive.compressed_line(hit.index).len();
+            bytes_touched += archive.compressed_line(hit.index).expect("hit line").len();
             smiles::validate::full_check(&hit.smiles).expect("hit is valid SMILES");
             println!(
                 "  #{:>6}  score {:7.2}  {}",
@@ -94,8 +96,8 @@ fn main() {
             "  bytes read: {} of {} ({:.4}% of the archive) — the random-access \
              property the paper designs for",
             bytes_touched,
-            archive.as_bytes().len(),
-            bytes_touched as f64 / archive.as_bytes().len() as f64 * 100.0
+            archive.payload().len(),
+            bytes_touched as f64 / archive.payload().len() as f64 * 100.0
         );
     }
 }

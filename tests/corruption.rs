@@ -283,7 +283,7 @@ fn unfinished_pack_publishes_nothing() {
         reader.verify().unwrap();
     }
     assert!(
-        zsmiles_core::DeckReader::open(&zsm).is_err(),
+        zsmiles_core::ShardedReader::open(&zsm).is_err(),
         "the deck must not open without its manifest"
     );
 

@@ -6,8 +6,11 @@
 
 use molgen::Dataset;
 use textcomp::{line_codec_ratio, smaz::Smaz};
-use vscreen::{screen, screen_parallel, top_hits, Archive, Pocket, StorageModel};
-use zsmiles_core::{Compressor, DictBuilder, WideCompressor, WideDecompressor, WideDictBuilder};
+use vscreen::{screen, screen_parallel, top_hits, Pocket, StorageModel};
+use zsmiles_core::engine::AnyDictionary;
+use zsmiles_core::{
+    Archive, Compressor, DictBuilder, WideCompressor, WideDecompressor, WideDictBuilder,
+};
 
 fn deck() -> Dataset {
     Dataset::generate_mixed(1_200, 0xE87)
@@ -124,7 +127,7 @@ fn campaign_on_a_wide_archive_equivalent() {
     assert_eq!(scores, screen(&ds, &pocket));
 
     let dict = DictBuilder::default().train(ds.iter()).unwrap();
-    let archive = Archive::build(&dict, ds.as_bytes());
+    let archive = Archive::pack(AnyDictionary::Base(Box::new(dict)), ds.as_bytes(), 1);
     let hits = top_hits(&archive, &scores, 25).unwrap();
     assert_eq!(hits.len(), 25);
 
@@ -139,9 +142,10 @@ fn campaign_on_a_wide_archive_equivalent() {
 
     // Storage arithmetic is consistent with the measured ratio.
     let m = StorageModel::MARCONI100;
-    let saved = m.saved_tb(archive.ratio());
+    let ratio = archive.stats().unwrap().ratio();
+    let saved = m.saved_tb(ratio);
     assert!(saved > 0.0 && saved < m.raw_tb);
-    assert!((m.compressed_tb(archive.ratio()) + saved - m.raw_tb).abs() < 1e-9);
+    assert!((m.compressed_tb(ratio) + saved - m.raw_tb).abs() < 1e-9);
 }
 
 #[test]

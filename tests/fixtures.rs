@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 use zsmiles::zsmiles_core::{
-    check_deck, AnyDictionary, Archive, ArchiveReader, Compressor, DeckReader, ShardedReader,
+    check_deck, AnyDictionary, Archive, ArchiveReader, Compressor, ShardMeta, ShardedReader,
 };
 
 fn dir() -> PathBuf {
@@ -41,10 +41,28 @@ fn v3_single_file_deck_reads_byte_identically() {
     let streamed: Vec<Vec<u8>> = reader.lines().map(Result::unwrap).collect();
     assert_eq!(streamed, want);
 
-    let deck = DeckReader::open(&path).unwrap();
+    // The one deck reader opens the bare file as a one-shard deck whose
+    // manifest row is the container's own metadata.
+    let deck = ShardedReader::open(&path).unwrap();
+    assert_eq!(deck.shard_count(), 1);
+    assert_eq!(
+        deck.manifest().shards(),
+        [ShardMeta {
+            file: "deck.zsa".into(),
+            lines: 300,
+            file_bytes: std::fs::metadata(&path).unwrap().len(),
+            crc32: reader.container_crc(),
+        }]
+    );
     for (i, line) in want.iter().enumerate() {
-        assert_eq!(&deck.get(i).unwrap(), line, "DeckReader line {i}");
+        assert_eq!(&deck.get(i).unwrap(), line, "ShardedReader line {i}");
     }
+    let streamed: Vec<Vec<u8>> = deck.lines().map(Result::unwrap).collect();
+    assert_eq!(streamed, want);
+    let mut unpacked = Vec::new();
+    deck.unpack_to(&mut unpacked, 2, 1024).unwrap();
+    assert_eq!(unpacked, std::fs::read(dir().join("deck.smi")).unwrap());
+    deck.verify().unwrap();
 
     let report = check_deck(&path).unwrap();
     assert!(report.is_ok(), "{}", report.to_json());
@@ -65,9 +83,9 @@ fn v3_sharded_deck_reads_byte_identically() {
     sharded.verify().unwrap();
     assert_eq!(sharded.get_range(0..want.len()).unwrap(), want);
 
-    let deck = DeckReader::open(&path).unwrap();
+    let deck = ShardedReader::open(&path).unwrap();
     for (i, line) in want.iter().enumerate() {
-        assert_eq!(&deck.get(i).unwrap(), line, "DeckReader line {i}");
+        assert_eq!(&deck.get(i).unwrap(), line, "ShardedReader line {i}");
     }
     let mut unpacked = Vec::new();
     deck.unpack_to(&mut unpacked, 2, 1024).unwrap();

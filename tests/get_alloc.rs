@@ -1,6 +1,7 @@
 //! A warmed random-access `get` makes exactly one heap allocation — the
 //! line it returns — on every read path: a sharded mmap deck, and a
-//! single archive over a file, a block cache and memory. `get_many(k)`
+//! single archive over a file, a block cache and memory, and opened as a
+//! one-shard deck (the CLI's `get`). `get_many(k)`
 //! makes `k + 1` (the outer list plus one per line), and every returned
 //! line carries at most one decode slot of spare capacity.
 //!
@@ -19,7 +20,7 @@ use zsmiles_core::dict::MAX_PATTERN_LEN;
 use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::source::{ArchiveSource, CachedSource, FileSource, InMemorySource};
 use zsmiles_core::{
-    Archive, ArchiveReader, BlockCache, DeckReader, DictBuilder, ShardPolicy, ShardedWriter,
+    Archive, ArchiveReader, BlockCache, DictBuilder, ShardPolicy, ShardedReader, ShardedWriter,
     WideDictBuilder, WriterOptions, ZsmilesError,
 };
 
@@ -157,6 +158,15 @@ fn warmed_single_archive_get_allocates_only_its_result() {
         ))
         .unwrap();
         assert_reader("cached", &deck, &cached);
+        // The bare file as a one-shard deck: the path `zsmiles get` takes.
+        let one_shard = ShardedReader::open(&path).unwrap();
+        assert_eq!(one_shard.shard_count(), 1);
+        assert_one_allocation_per_line(
+            "one-shard deck",
+            &deck,
+            |i| one_shard.get(i),
+            |is| one_shard.get_many(is),
+        );
         std::fs::remove_file(&path).ok();
     }
 }
@@ -177,8 +187,8 @@ fn warmed_sharded_deck_get_allocates_only_its_result() {
     w.write(deck.as_bytes()).unwrap();
     w.finish().unwrap();
 
-    let reader = DeckReader::open(&manifest).unwrap();
-    assert!(matches!(reader, DeckReader::Sharded(_)));
+    let reader = ShardedReader::open(&manifest).unwrap();
+    assert!(!reader.is_single_file());
     assert_eq!(reader.shard_count(), 5);
     if cfg!(all(unix, target_pointer_width = "64")) {
         assert!(reader.bytes_mapped() > 0, "the deck is served from mmap");

@@ -1,9 +1,10 @@
 //! The query service, end to end: wire-protocol framing survives
 //! arbitrary payloads and refuses arbitrary garbage with typed errors
 //! (never a panic or a hang), concurrent clients read byte-identical
-//! lines to a direct `DeckReader`, and a live generation flip is atomic —
-//! every response equals a direct read of *some* complete generation,
-//! and the retired generation's blocks leave the cache.
+//! lines to a direct read of the deck — a sharded `.zsm` or a bare `.zsa`
+//! — and a live generation flip is atomic — every response equals a
+//! direct read of *some* complete generation, and the retired
+//! generation's blocks leave the cache.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -15,7 +16,8 @@ use zsmiles_core::serve::protocol::{self, FrameRead, Request, Response};
 use zsmiles_core::serve::{Executor, QueryClient, ServeOptions, Server};
 use zsmiles_core::shard::ShardPolicy;
 use zsmiles_core::{
-    BlockCache, DeckOptions, DeckReader, DictBuilder, ShardedWriter, WriterOptions, ZsmilesError,
+    Archive, ArchiveReader, ArchiveSource, BlockCache, DeckOptions, DictBuilder, ShardedReader,
+    ShardedWriter, WriterOptions, ZsmilesError,
 };
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -24,10 +26,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Pack `deck` into a sharded `.zsm` at `dir/name`, optionally stamping
-/// a generation. Preprocess is off so reads are byte-exact.
-fn pack_deck(dir: &Path, name: &str, deck: &molgen::Dataset, generation: u64) -> PathBuf {
-    let dict = AnyDictionary::Base(Box::new(
+/// A dictionary trained on `deck`. Preprocess is off so reads are
+/// byte-exact.
+fn dict_for(deck: &molgen::Dataset) -> AnyDictionary {
+    AnyDictionary::Base(Box::new(
         DictBuilder {
             min_count: 2,
             preprocess: false,
@@ -35,11 +37,25 @@ fn pack_deck(dir: &Path, name: &str, deck: &molgen::Dataset, generation: u64) ->
         }
         .train(deck.iter())
         .unwrap(),
-    ));
+    ))
+}
+
+/// Pack `deck` into a bare `.zsa` at `dir/name`.
+fn pack_single(dir: &Path, name: &str, deck: &molgen::Dataset) -> PathBuf {
+    let path = dir.join(name);
+    Archive::pack(dict_for(deck), deck.as_bytes(), 1)
+        .save(&path)
+        .unwrap();
+    path
+}
+
+/// Pack `deck` into a sharded `.zsm` at `dir/name`, optionally stamping
+/// a generation.
+fn pack_deck(dir: &Path, name: &str, deck: &molgen::Dataset, generation: u64) -> PathBuf {
     let path = dir.join(name);
     let mut w = ShardedWriter::create(
         &path,
-        dict,
+        dict_for(deck),
         ShardPolicy::by_lines(64),
         WriterOptions::default(),
     )
@@ -210,8 +226,39 @@ fn hostile_frames_get_typed_errors_not_hangs() {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: 8 clients, byte-identity against a direct DeckReader
+// Concurrency: 8 clients, byte-identity against a direct read
 // ---------------------------------------------------------------------------
+
+/// The direct reads served answers must equal, byte for byte.
+trait DirectRead: Sync {
+    fn line(&self, i: usize) -> Vec<u8>;
+    fn range(&self, lines: std::ops::Range<usize>) -> Vec<Vec<u8>>;
+    fn many(&self, indices: &[usize]) -> Vec<Vec<u8>>;
+}
+
+impl DirectRead for ShardedReader {
+    fn line(&self, i: usize) -> Vec<u8> {
+        self.get(i).unwrap()
+    }
+    fn range(&self, lines: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        self.get_range(lines).unwrap()
+    }
+    fn many(&self, indices: &[usize]) -> Vec<Vec<u8>> {
+        self.get_many(indices).unwrap()
+    }
+}
+
+impl<S: ArchiveSource + Sync> DirectRead for ArchiveReader<S> {
+    fn line(&self, i: usize) -> Vec<u8> {
+        self.get(i).unwrap()
+    }
+    fn range(&self, lines: std::ops::Range<usize>) -> Vec<Vec<u8>> {
+        self.get_range(lines).unwrap()
+    }
+    fn many(&self, indices: &[usize]) -> Vec<Vec<u8>> {
+        self.get_many(indices).unwrap()
+    }
+}
 
 #[test]
 fn concurrent_clients_read_byte_identical_lines() {
@@ -223,25 +270,11 @@ fn concurrent_clients_read_byte_identical_lines_threaded() {
     run_concurrent_byte_identity(Executor::Threaded, "concurrent_threaded");
 }
 
-fn run_concurrent_byte_identity(executor: Executor, tag: &str) {
-    let dir = tmpdir(tag);
-    let deck = molgen::Dataset::generate_mixed(500, 123);
-    let zsm = pack_deck(&dir, "deck.zsm", &deck, 0);
-    let direct = DeckReader::open(&zsm).unwrap();
-    let handle = Server::start(
-        &zsm,
-        "127.0.0.1:0",
-        ServeOptions {
-            executor,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let addr = handle.addr();
-
+/// 8 clients each walk a 500-line deck served at `addr` with `GET`,
+/// `GET_RANGE` and `GET_MANY`, every answer equal to `direct`'s.
+fn read_concurrently(addr: std::net::SocketAddr, direct: &dyn DirectRead) {
     std::thread::scope(|scope| {
         for worker in 0..8u64 {
-            let direct = &direct;
             scope.spawn(move || {
                 let mut c = QueryClient::connect(addr).unwrap();
                 // A deterministic, worker-specific walk over the deck.
@@ -251,26 +284,76 @@ fn run_concurrent_byte_identity(executor: Executor, tag: &str) {
                     x ^= x >> 7;
                     x ^= x << 17;
                     let i = x % 500;
-                    assert_eq!(c.get(i).unwrap(), direct.get(i as usize).unwrap());
+                    assert_eq!(c.get(i).unwrap(), direct.line(i as usize));
                 }
                 // Batched surfaces agree too.
                 assert_eq!(
                     c.get_range(worker * 10, worker * 10 + 25).unwrap(),
-                    direct
-                        .get_range(worker as usize * 10..worker as usize * 10 + 25)
-                        .unwrap()
+                    direct.range(worker as usize * 10..worker as usize * 10 + 25)
                 );
                 let picks = [0u64, 499, 64, 63, 250, worker];
                 let idx: Vec<usize> = picks.iter().map(|&p| p as usize).collect();
-                assert_eq!(c.get_many(&picks).unwrap(), direct.get_many(&idx).unwrap());
+                assert_eq!(c.get_many(&picks).unwrap(), direct.many(&idx));
             });
         }
     });
+}
 
+fn run_concurrent_byte_identity(executor: Executor, tag: &str) {
+    let dir = tmpdir(tag);
+    let deck = molgen::Dataset::generate_mixed(500, 123);
+    let zsm = pack_deck(&dir, "deck.zsm", &deck, 0);
+    let direct = ShardedReader::open(&zsm).unwrap();
+    let handle = Server::start(
+        &zsm,
+        "127.0.0.1:0",
+        ServeOptions {
+            executor,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    read_concurrently(handle.addr(), &direct);
     let stats = handle.stats();
     assert_eq!(stats.generation, 0);
     assert_eq!(stats.lines, 500);
     assert!(stats.requests >= 8 * 62, "all requests counted");
+    handle.shutdown();
+
+    // A bare `.zsa` serves as a one-shard deck of generation 0, byte for
+    // byte what `ArchiveReader` reads from the file. On a private cache,
+    // a flip to a second bare `.zsa` serves generation 1 and retires the
+    // first deck's blocks.
+    let zsa_a = pack_single(&dir, "a.zsa", &deck);
+    let zsa_b = pack_single(&dir, "b.zsa", &molgen::Dataset::generate_mixed(500, 124));
+    let cache = Arc::new(BlockCache::new(4096, 4 << 20));
+    let handle = Server::start(
+        &zsa_a,
+        "127.0.0.1:0",
+        ServeOptions {
+            executor,
+            cache: Some(Arc::clone(&cache)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    read_concurrently(handle.addr(), &ArchiveReader::open(&zsa_a).unwrap());
+    let mut c = QueryClient::connect(handle.addr()).unwrap();
+    let stats = c.stats().unwrap();
+    assert_eq!((stats.generation, stats.lines, stats.shards), (0, 500, 1));
+    let health = c.health().unwrap();
+    assert!(health.ok, "{health:?}");
+    assert_eq!(health.generation, 0);
+    assert_eq!(health.total_shards, 1);
+    assert_eq!(health.quarantined_shards, 0);
+    assert_eq!(health.unavailable_lines, 0);
+    assert_eq!(cache.stats().retired, 0);
+    assert_eq!(c.flip(zsa_b.to_str().unwrap()).unwrap(), 1);
+    let retired = cache.stats().retired;
+    assert!(retired > 0, "the flip retired generation 0's blocks");
+    assert_eq!(handle.stats().retired_blocks, retired);
+    assert_eq!(c.health().unwrap().generation, 1);
+    read_concurrently(handle.addr(), &ArchiveReader::open(&zsa_b).unwrap());
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -300,8 +383,8 @@ fn run_flip_atomicity(executor: Executor, tag: &str) {
     let deck_b = molgen::Dataset::generate_mixed(300, 2);
     let zsm_a = pack_deck(&dir, "a.zsm", &deck_a, 1);
     let zsm_b = pack_deck(&dir, "b.zsm", &deck_b, 2);
-    let direct_a = DeckReader::open(&zsm_a).unwrap();
-    let direct_b = DeckReader::open(&zsm_b).unwrap();
+    let direct_a = ShardedReader::open(&zsm_a).unwrap();
+    let direct_b = ShardedReader::open(&zsm_b).unwrap();
 
     let handle = Server::start(
         &zsm_a,
@@ -418,7 +501,7 @@ fn flip_retires_old_generation_blocks_from_the_cache() {
     // The new generation still answers correctly from the same cache.
     assert_eq!(
         c.get(7).unwrap(),
-        DeckReader::open_with(
+        ShardedReader::open_with(
             &zsm_b,
             &DeckOptions {
                 cache: Some(Arc::clone(&cache))

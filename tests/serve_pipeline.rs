@@ -17,7 +17,7 @@ use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::serve::protocol::{self, ErrorCode, FrameRead, Request, Response};
 use zsmiles_core::serve::{ClientOptions, Executor, QueryClient, Screener, ServeOptions, Server};
 use zsmiles_core::shard::ShardPolicy;
-use zsmiles_core::{DeckReader, DictBuilder, ShardedWriter, WriterOptions, ZsmilesError};
+use zsmiles_core::{DictBuilder, ShardedReader, ShardedWriter, WriterOptions, ZsmilesError};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("zsmiles_it_pipe_{tag}_{}", std::process::id()));
@@ -234,8 +234,8 @@ fn flip_stays_atomic_under_256_pipelined_clients() {
     let deck_b = molgen::Dataset::generate_mixed(300, 12);
     let zsm_a = pack_deck(&dir, "a.zsm", &deck_a, 1);
     let zsm_b = pack_deck(&dir, "b.zsm", &deck_b, 2);
-    let direct_a = DeckReader::open(&zsm_a).unwrap();
-    let direct_b = DeckReader::open(&zsm_b).unwrap();
+    let direct_a = ShardedReader::open(&zsm_a).unwrap();
+    let direct_b = ShardedReader::open(&zsm_b).unwrap();
 
     let handle = Server::start(
         &zsm_a,

@@ -7,8 +7,9 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::{
-    Archive, ArchiveReader, ArchiveWriter, CountingSink, DeckReader, DictBuilder, InMemorySink,
-    ShardPolicy, ShardedReader, ShardedWriter, WideDictBuilder, WriterOptions,
+    Archive, ArchiveReader, ArchiveWriter, CountingSink, DeckReader, DictBuilder, FileSource,
+    InMemorySink, ShardPolicy, ShardedReader, ShardedWriter, WideDictBuilder, WriterOptions,
+    ZsmilesError,
 };
 
 fn dict_for(deck: &molgen::Dataset, wide_size: usize) -> AnyDictionary {
@@ -126,6 +127,23 @@ proptest! {
         let mut out = Vec::new();
         sharded.unpack_to(&mut out, 2, 512).unwrap();
         let (expect, _) = single.unpack(1).unwrap();
+        prop_assert_eq!(&out, &expect);
+
+        // The same pack as a bare `.zsa` opens as a one-shard deck that
+        // reads exactly as the in-memory archive.
+        single.save(&dir.join("deck.zsa")).unwrap();
+        let bare = ShardedReader::open(&dir.join("deck.zsa")).unwrap();
+        prop_assert_eq!(bare.shard_count(), 1);
+        prop_assert_eq!(bare.flavor(), single.flavor());
+        for i in 0..deck.len() {
+            prop_assert_eq!(bare.get(i).unwrap(), single.get(i).unwrap(), "bare line {}", i);
+        }
+        prop_assert_eq!(
+            bare.get_range(0..deck.len()).unwrap(),
+            single.get_range(0..deck.len()).unwrap()
+        );
+        let mut out = Vec::new();
+        bare.unpack_to(&mut out, 2, 512).unwrap();
         prop_assert_eq!(out, expect);
 
         std::fs::remove_dir_all(&dir).ok();
@@ -265,12 +283,85 @@ fn writer_packs_100k_lines_in_bounded_memory_and_shards_match_single_file() {
         .collect();
     assert_eq!(a, expect);
 
-    // The layout dispatch serves the same deck from either file.
+    // The layout enum serves the same deck from either file, tagged the
+    // way the benchmark harness matches on it.
     let via_manifest = DeckReader::open(&dir.join("deck.zsm")).unwrap();
+    assert!(matches!(via_manifest, DeckReader::Sharded(_)));
     assert_eq!(via_manifest.len(), LINES);
     assert_eq!(via_manifest.shard_count(), 10);
     assert_eq!(via_manifest.get(10_000).unwrap(), expected_lines[10_000]);
+    std::fs::write(dir.join("deck.zsa"), &single_bytes).unwrap();
+    let via_file = DeckReader::open(&dir.join("deck.zsa")).unwrap();
+    assert!(matches!(via_file, DeckReader::Single(_)));
+    assert_eq!(via_file.len(), LINES);
+    assert_eq!(via_file.shard_count(), 1);
+    assert_eq!(via_file.get(10_000).unwrap(), expected_lines[10_000]);
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An empty deck packed as a bare `.zsa` opens as an empty one-shard
+/// deck; a damaged bare `.zsa` fails the strict and the degraded open
+/// alike, with the container's own error — one file is the whole deck,
+/// so there is nothing to quarantine.
+#[test]
+fn bare_files_open_as_one_shard_decks_or_fail_as_containers() {
+    let dir = tmpdir("bare");
+    let deck = molgen::Dataset::generate_mixed(40, 77);
+    let empty = dir.join("empty.zsa");
+    Archive::pack(dict_for(&deck, 0), b"", 1)
+        .save(&empty)
+        .unwrap();
+    for reader in [
+        ShardedReader::open(&empty).unwrap(),
+        ShardedReader::open_degraded(&empty).unwrap(),
+    ] {
+        assert!(reader.is_empty());
+        assert_eq!(reader.shard_count(), 1);
+        assert!(!reader.is_degraded());
+        assert!(matches!(
+            reader.get(0).unwrap_err(),
+            ZsmilesError::LineOutOfRange { line: 0, len: 0 }
+        ));
+        assert_eq!(reader.lines().count(), 0);
+        let mut out = Vec::new();
+        reader.unpack_to(&mut out, 2, 512).unwrap();
+        assert!(out.is_empty());
+        reader.verify().unwrap();
+    }
+
+    let good = dir.join("deck.zsa");
+    Archive::pack(dict_for(&deck, 0), deck.as_bytes(), 1)
+        .save(&good)
+        .unwrap();
+    let bytes = std::fs::read(&good).unwrap();
+    let n = bytes.len();
+    let mut bad_magic = bytes.clone();
+    bad_magic[0] ^= 0x01;
+    let mut huge_dict = bytes.clone();
+    huge_dict[16..24].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+    let damaged = dir.join("damaged.zsa");
+    for (what, m) in [
+        ("truncated trailer", bytes[..n - 1].to_vec()),
+        ("truncated to the header", bytes[..40].to_vec()),
+        ("bad magic", bad_magic),
+        ("dict_len past the bound", huge_dict),
+    ] {
+        std::fs::write(&damaged, &m).unwrap();
+        let want = ArchiveReader::from_source(FileSource::open(&damaged).unwrap())
+            .unwrap_err()
+            .to_string();
+        for err in [
+            ShardedReader::open(&damaged).unwrap_err(),
+            ShardedReader::open_degraded(&damaged).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, ZsmilesError::ArchiveFormat { .. }),
+                "{what}: {err}"
+            );
+            assert_eq!(err.to_string(), want, "{what}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
