@@ -9,10 +9,11 @@ use zsmiles_core::engine::AnyDictionary;
 use zsmiles_core::serve::{Executor, QueryClient, ServeOptions, Server};
 use zsmiles_core::shard::{ShardPolicy, ShardedReader, ShardedWriter};
 use zsmiles_core::train::{BaseBuilder, DictBuilder as _, TrainCorpus, WideBuilder};
+use zsmiles_core::writer::{pump_lines, DEFAULT_WRITER_BATCH};
 use zsmiles_core::{
     check_deck, quarantine_shards, repair_deck, ArchiveReader, ArchiveSource, ArchiveWriter,
-    AtomicFileSink, BlockCache, Decompressor, LineIndex, Prepopulation, RankStrategy, Selection,
-    TrainOptions, WriterOptions,
+    AtomicFileSink, BlockCache, CompressStats, Decompressor, LineIndex, Prepopulation,
+    RankStrategy, Selection, TrainOptions, WriterOptions,
 };
 
 /// The error a command stops with when the reader of its stdout has
@@ -75,12 +76,14 @@ const USAGE: &str =
               (metadata only, never invents payload); --quarantine moves
               damaged shards aside to <name>.quarantined so `serve
               --degraded` keeps answering for the rest of the deck)
-  get        -i in.zsmi -d dict.dct --line K
-  get        --archive in.zsa|in.zsm --line K [--count N] [--verify] [--verbose]
-             (no dictionary or sidecar needed; reads only metadata + the
-              lines asked for; archives are mmapped where the platform
-              allows, else read through the shared block cache — --verbose
-              reports bytes mapped, or the cache hit rate and evictions)
+  get        (--archive in.zsa|in.zsm | -i in.zsmi -d dict.dct) --line K [--count N]
+             [--verify] [--verbose]
+             (reads only metadata + the lines asked for; a loose .zsmi is
+              indexed by its .zsx sidecar, or by one scan without one; files
+              are mmapped where the platform allows, else read through the
+              shared block cache — --verbose reports bytes mapped, or the
+              cache hit rate and evictions; a .zsmi stores no CRC, so
+              --verify on one is an error)
   serve      --archive in.zsa|in.zsm [--addr HOST:PORT] [--max-conns N] [--degraded]
              [--executor pooled|threaded] [--workers N] [--depth K]
              (holds the deck open and answers concurrent get/get_range/
@@ -115,8 +118,9 @@ const USAGE: &str =
   inspect    --archive in.zsa|in.zsm [--verbose] [--verify]
              (reports the line index's wire version and its bytes per
               line — per shard too under --verbose)
-Archive commands stream through the out-of-core reader and writer: a
-multi-GB deck is never loaded into memory, packing or reading; pass
+Archive and loose-file commands stream through the out-of-core reader
+and writer: a multi-GB deck is never loaded into memory, written or read
+(compress and decompress refuse an -o that names their -i); pass
 --verify to force a full CRC pass first. Wherever an archive path is
 accepted, a .zsm shard manifest works too (sniffed by magic, lines
 numbered globally across shards).
@@ -288,19 +292,41 @@ fn load_dict(args: &Args) -> Result<AnyDictionary, String> {
     AnyDictionary::load(Path::new(path)).map_err(|e| e.to_string())
 }
 
-fn cmd_compress(args: &Args) -> Result<(), String> {
+/// The `-i` and `-o` of a streaming command, refused when they name the
+/// same file: the output is created before the input is read, so it
+/// would truncate the input first.
+fn distinct_paths(args: &Args) -> Result<(&str, &str), String> {
     let input = args.require("--input")?;
     let output = args.require("--output")?;
+    if input != "-" && same_file(input, output) {
+        return Err(format!(
+            "refusing to write '{input}' onto itself: input and output are the same file"
+        ));
+    }
+    Ok((input, output))
+}
+
+fn cmd_compress(args: &Args) -> Result<(), String> {
+    let (input, output) = distinct_paths(args)?;
     let dict = load_dict(args)?;
     let threads = args.get_usize("--threads", 1)?;
-    let data = std::fs::read(input).map_err(|e| e.to_string())?;
+    let reader = open_input(input)?;
     let t0 = Instant::now();
-    let (out, cstats) = dict.compress_parallel(&data, threads);
-    let dt = t0.elapsed();
-    std::fs::write(output, &out).map_err(|e| e.to_string())?;
-    if args.get_bool("--index") {
-        let idx = LineIndex::build(&out);
-        idx.save(Path::new(&format!("{output}.zsx")))
+    let mut out = std::fs::File::create(output).map_err(|e| e.to_string())?;
+    let mut index = args.get_bool("--index").then(LineIndex::default);
+    let mut cstats = CompressStats::default();
+    pump_lines(reader, DEFAULT_WRITER_BATCH, |lines| {
+        let (z, s) = dict.compress_parallel(lines, threads);
+        if let Some(index) = index.as_mut() {
+            index.append_scan(&z);
+        }
+        cstats.merge(&s);
+        Ok(out.write_all(&z)?)
+    })
+    .map_err(|e| e.to_string())?;
+    if let Some(index) = index {
+        index
+            .save(Path::new(&format!("{output}.zsx")))
             .map_err(|e| e.to_string())?;
     }
     if !args.get_bool("--quiet") {
@@ -310,7 +336,7 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
             cstats.in_bytes,
             cstats.out_bytes,
             cstats.ratio(),
-            dt,
+            t0.elapsed(),
             cstats.preprocess_failures
         );
     }
@@ -318,43 +344,45 @@ fn cmd_compress(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_decompress(args: &Args) -> Result<(), String> {
-    let input = args.require("--input")?;
-    let output = args.require("--output")?;
+    let (input, output) = distinct_paths(args)?;
     let dict = load_dict(args)?;
     let threads = args.get_usize("--threads", 1)?;
-    let data = std::fs::read(input).map_err(|e| e.to_string())?;
-    let t0 = Instant::now();
-    let out = match &dict {
+    // The post-processing path is line by line (serial; the renumber is
+    // cheap next to I/O).
+    let mut postprocess = match &dict {
         AnyDictionary::Base(d) if args.get_bool("--postprocess") => {
-            // Post-processing path is line-by-line (serial; the renumber
-            // is cheap next to I/O).
-            let mut dc = Decompressor::new(d).with_postprocess(true);
-            let mut out = Vec::with_capacity(data.len() * 3);
-            dc.decompress_buffer(&data, &mut out)
-                .map_err(|e| e.to_string())?;
-            out
+            Some(Decompressor::new(d).with_postprocess(true))
         }
         AnyDictionary::Wide(_) if args.get_bool("--postprocess") => {
             return Err("--postprocess is not supported with wide dictionaries".into());
         }
-        dict => {
-            let (out, _) = dict
-                .decompress_parallel(&data, threads)
-                .map_err(|e| e.to_string())?;
-            out
-        }
+        _ => None,
     };
-    let dt = t0.elapsed();
-    std::fs::write(output, &out).map_err(|e| e.to_string())?;
+    let reader = open_input(input)?;
+    let t0 = Instant::now();
+    let mut out = std::fs::File::create(output).map_err(|e| e.to_string())?;
+    let (mut text, mut written) = (Vec::new(), 0);
+    let read = pump_lines(reader, DEFAULT_WRITER_BATCH, |lines| {
+        match postprocess.as_mut() {
+            Some(dc) => {
+                text.clear();
+                dc.decompress_buffer(lines, &mut text)?;
+            }
+            None => text = dict.decompress_parallel(lines, threads)?.0,
+        }
+        written += text.len();
+        Ok(out.write_all(&text)?)
+    })
+    .map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
-        outln!("{} -> {} bytes in {:.2?}", data.len(), out.len(), dt);
+        outln!("{read} -> {written} bytes in {:.2?}", t0.elapsed());
     }
     Ok(())
 }
 
-/// Open the deck to pack (a file, or stdin for `-`). Opened *before* the
-/// output is created, so a bad input path never truncates an existing
-/// archive.
+/// Open a streaming command's input (a file, or stdin for `-`). Opened
+/// *before* the output is created, so a bad input path never truncates
+/// an existing output.
 fn open_input(input: &str) -> Result<Box<dyn std::io::Read>, String> {
     if input == "-" {
         Ok(Box::new(std::io::stdin().lock()))
@@ -362,24 +390,6 @@ fn open_input(input: &str) -> Result<Box<dyn std::io::Read>, String> {
         Ok(Box::new(
             std::fs::File::open(input).map_err(|e| e.to_string())?,
         ))
-    }
-}
-
-/// Pump an opened input into `write` in bounded chunks — pack never holds
-/// the deck. Returns the raw input bytes pumped.
-fn stream_input(
-    mut reader: Box<dyn std::io::Read>,
-    mut write: impl FnMut(&[u8]) -> Result<(), String>,
-) -> Result<u64, String> {
-    let mut buf = vec![0u8; 1 << 20];
-    let mut total = 0u64;
-    loop {
-        let n = reader.read(&mut buf).map_err(|e| e.to_string())?;
-        if n == 0 {
-            return Ok(total);
-        }
-        write(&buf[..n])?;
-        total += n as u64;
     }
 }
 
@@ -404,13 +414,7 @@ fn same_file(a: &str, b: &str) -> bool {
 }
 
 fn cmd_pack(args: &Args) -> Result<(), String> {
-    let input = args.require("--input")?;
-    let output = args.require("--output")?;
-    if input != "-" && same_file(input, output) {
-        return Err(format!(
-            "refusing to pack '{input}' onto itself: input and output are the same file"
-        ));
-    }
+    let (input, output) = distinct_paths(args)?;
     // --train fits the embedded dictionary to the deck being packed: one
     // sampling pass over the input, then the normal streaming pack. Two
     // passes need a re-readable input, so stdin is refused.
@@ -447,6 +451,9 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
         load_dict(args)?
     };
     let reader = open_input(input)?;
+    // The writers stage a batch of their own, so the pump hands them
+    // reads of one reader batch and holds no second writer batch.
+    let read_bytes = zsmiles_core::reader::DEFAULT_BATCH_BYTES;
     let flavor = dict.flavor();
     let opts = WriterOptions {
         threads: args.get_usize("--threads", 1)?,
@@ -473,7 +480,8 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
         let mut w = ShardedWriter::create(Path::new(output), dict, policy, opts)
             .map_err(|e| e.to_string())?;
         w.set_generation(generation);
-        let raw = stream_input(reader, |chunk| w.write(chunk).map_err(|e| e.to_string()))?;
+        let raw =
+            pump_lines(reader, read_bytes, |lines| w.write(lines)).map_err(|e| e.to_string())?;
         let info = w.finish().map_err(|e| e.to_string())?;
         if !args.get_bool("--quiet") {
             let manifest = std::fs::metadata(output).map_err(|e| e.to_string())?.len();
@@ -503,7 +511,7 @@ fn cmd_pack(args: &Args) -> Result<(), String> {
     // previous output (or nothing), never a half-written container.
     let sink = AtomicFileSink::create(Path::new(output)).map_err(|e| e.to_string())?;
     let mut w = ArchiveWriter::with_options(sink, dict, opts).map_err(|e| e.to_string())?;
-    let raw = stream_input(reader, |chunk| w.write(chunk).map_err(|e| e.to_string()))?;
+    let raw = pump_lines(reader, read_bytes, |lines| w.write(lines)).map_err(|e| e.to_string())?;
     let (sink, info) = w.finish().map_err(|e| e.to_string())?;
     sink.commit().map_err(|e| e.to_string())?;
     if !args.get_bool("--quiet") {
@@ -624,99 +632,56 @@ fn read_path_report(bytes_mapped: u64, counters: Option<(u64, u64)>) -> String {
 
 fn cmd_get(args: &Args) -> Result<(), String> {
     let line_no = args.get_usize("--line", 0)?;
-
-    // Either layout through one reader: a .zsm manifest routes global
-    // line numbers across its shards, a bare .zsa is a one-shard deck.
-    // Only metadata plus the requested byte ranges are read — a probe
-    // into a multi-GB deck never allocates the payload. Files are mmapped
-    // where the platform allows (each fetch is a zero-syscall copy from
-    // the mapping); otherwise positioned reads go through the shared
-    // block cache.
-    if let Some(path) = args.get("--archive") {
-        let reader = ShardedReader::open(Path::new(path)).map_err(|e| e.to_string())?;
-        if args.get_bool("--verify") {
-            // Opt-in integrity pass: one sequential CRC scan per file.
-            // Without it a fetch touches only metadata + the lines read.
-            reader.verify().map_err(|e| e.to_string())?;
-        }
-        let count = args.get_usize("--count", 1)?.max(1);
-        let end = line_no
-            .checked_add(count)
-            .ok_or_else(|| "line number overflows".to_string())?;
-        // Snapshot after open/verify so the report covers line fetches
-        // only, not the metadata reads (or the CRC scan).
-        let base = reader.cache_counters();
-        let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
-        // A consecutive run is one batched range fetch per file.
-        for smiles in reader.get_range(line_no..end).map_err(|e| e.to_string())? {
-            writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
-        }
-        stdout.flush().map_err(stdout_error)?;
-        if args.get_bool("--verbose") {
-            if !reader.is_single_file() {
-                eprintln!(
-                    "sharded deck: {} lines across {} shard(s)",
-                    reader.len(),
-                    reader.shard_count(),
-                );
-            }
-            let fetched = match (base, reader.cache_counters()) {
-                (Some((h0, m0)), Some((h, m))) => Some((h - h0, m - m0)),
-                _ => None,
-            };
+    // Every layout through one reader: a .zsm manifest routes global
+    // line numbers across its shards, a bare .zsa is a one-shard deck,
+    // and so is a loose .zsmi with the dictionary from -d (and its .zsx
+    // sidecar, when there is one). Only metadata plus the requested byte
+    // ranges are read — a probe into a multi-GB deck never allocates the
+    // payload. Files are mmapped where the platform allows (each fetch
+    // is a zero-syscall copy from the mapping); otherwise positioned
+    // reads go through the shared block cache.
+    let reader = match args.get("--archive") {
+        Some(path) => ShardedReader::open(Path::new(path)),
+        None => ShardedReader::open_loose(Path::new(args.require("--input")?), load_dict(args)?),
+    }
+    .map_err(|e| e.to_string())?;
+    if args.get_bool("--verify") {
+        // Opt-in integrity pass: one sequential CRC scan per file (a
+        // loose deck has no CRC, and says so). Without it a fetch
+        // touches only metadata + the lines read.
+        reader.verify().map_err(|e| e.to_string())?;
+    }
+    let count = args.get_usize("--count", 1)?.max(1);
+    let end = line_no
+        .checked_add(count)
+        .ok_or_else(|| "line number overflows".to_string())?;
+    // Snapshot after open/verify so the report covers line fetches only,
+    // not the metadata reads (or the CRC scan).
+    let base = reader.cache_counters();
+    let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
+    // A consecutive run is one batched range fetch per file.
+    for smiles in reader.get_range(line_no..end).map_err(|e| e.to_string())? {
+        writeln!(stdout, "{}", String::from_utf8_lossy(&smiles)).map_err(stdout_error)?;
+    }
+    stdout.flush().map_err(stdout_error)?;
+    if args.get_bool("--verbose") {
+        if !reader.is_single_file() {
             eprintln!(
-                "{} over {count} line fetch(es)",
-                read_path_report(reader.bytes_mapped(), fetched)
+                "sharded deck: {} lines across {} shard(s)",
+                reader.len(),
+                reader.shard_count(),
             );
         }
-        return Ok(());
+        let fetched = match (base, reader.cache_counters()) {
+            (Some((h0, m0)), Some((h, m))) => Some((h - h0, m - m0)),
+            _ => None,
+        };
+        eprintln!(
+            "{} over {count} line fetch(es)",
+            read_path_report(reader.bytes_mapped(), fetched)
+        );
     }
-
-    let input = args.require("--input")?;
-    let dict = load_dict(args)?;
-    let smiles = get_loose_line(Path::new(input), &dict, line_no)?;
-    outln!("{}", String::from_utf8_lossy(&smiles));
     Ok(())
-}
-
-/// The loose-file `get -i deck.zsmi -d dict.dct --line K`: decode line
-/// `line_no` of a compressed deck through the `<deck>.zsx` sidecar index
-/// beside it (any wire version), or through an index built on the fly
-/// when there is none.
-pub fn get_loose_line(
-    input: &Path,
-    dict: &AnyDictionary,
-    line_no: usize,
-) -> Result<Vec<u8>, String> {
-    let data = std::fs::read(input).map_err(|e| e.to_string())?;
-    let mut sidecar = input.as_os_str().to_owned();
-    sidecar.push(".zsx");
-    let sidecar = Path::new(&sidecar);
-    let idx = if sidecar.exists() {
-        LineIndex::load(sidecar).map_err(|e| e.to_string())?
-    } else {
-        LineIndex::build(&data)
-    };
-    if line_no >= idx.len() {
-        return Err(format!(
-            "line {line_no} out of range (file has {})",
-            idx.len()
-        ));
-    }
-    // A sidecar describing some other file would slice out of bounds.
-    if idx.total_bytes() != data.len() as u64 {
-        return Err(format!(
-            "{} indexes {} bytes but {} holds {}",
-            sidecar.display(),
-            idx.total_bytes(),
-            input.display(),
-            data.len()
-        ));
-    }
-    let mut smiles = Vec::new();
-    dict.decompress_line(idx.line(&data, line_no), &mut smiles)
-        .map_err(|e| e.to_string())?;
-    Ok(smiles)
 }
 
 /// `index v4, 80316 bytes, 1.00 B/line`: the wire version(s) of the
@@ -1615,6 +1580,152 @@ mod tests {
             "input survived the refused self-pack"
         );
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compress_and_decompress_refuse_to_write_onto_their_input() {
+        let dir = std::env::temp_dir().join(format!("zcli_selfz_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let (smi, dct, zsmi) = (p("deck.smi"), p("deck.dct"), p("deck.zsmi"));
+        run(&argv(&[
+            "gen",
+            "--profile",
+            "gdb17",
+            "-n",
+            "60",
+            "-o",
+            &smi,
+            "--quiet",
+        ]))
+        .unwrap();
+        run(&argv(&["train", "-i", &smi, "-o", &dct, "--quiet"])).unwrap();
+        run(&argv(&[
+            "compress", "-i", &smi, "-d", &dct, "-o", &zsmi, "--quiet",
+        ]))
+        .unwrap();
+        for (cmd, file) in [("compress", &smi), ("decompress", &zsmi)] {
+            let before = std::fs::read(file).unwrap();
+            let err =
+                run(&argv(&[cmd, "-i", file, "-d", &dct, "-o", file, "--quiet"])).unwrap_err();
+            assert!(err.contains("same file"), "{cmd}: {err}");
+            assert_eq!(std::fs::read(file).unwrap(), before, "{cmd}: input intact");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `compress` and `decompress` stream in batches, yet write what one
+    /// whole-buffer call writes; `get -i` reads through the same reader
+    /// as `get --archive` on a pack of the same deck, sidecar or not.
+    #[test]
+    fn the_loose_layout_reads_as_its_pack_for_both_flavours() {
+        let dir = std::env::temp_dir().join(format!("zcli_loose_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let smi = p("deck.smi");
+        run(&argv(&[
+            "gen",
+            "--profile",
+            "mixed",
+            "-n",
+            "700",
+            "--seed",
+            "21",
+            "-o",
+            &smi,
+            "--quiet",
+        ]))
+        .unwrap();
+        for wide in ["0", "48"] {
+            let (dct, zsmi, zsa, back) = (p("d.dct"), p("d.zsmi"), p("d.zsa"), p("back.smi"));
+            run(&argv(&[
+                "train", "-i", &smi, "-o", &dct, "--wide", wide, "--quiet",
+            ]))
+            .unwrap();
+            run(&argv(&[
+                "compress",
+                "-i",
+                &smi,
+                "-d",
+                &dct,
+                "-o",
+                &zsmi,
+                "--index",
+                "--threads",
+                "2",
+                "--quiet",
+            ]))
+            .unwrap();
+            run(&argv(&[
+                "pack", "-i", &smi, "-d", &dct, "-o", &zsa, "--quiet",
+            ]))
+            .unwrap();
+            let dict = AnyDictionary::load(Path::new(&dct)).unwrap();
+            let raw = std::fs::read(&smi).unwrap();
+            let (z, _) = dict.compress_parallel(&raw, 1);
+            assert_eq!(std::fs::read(&zsmi).unwrap(), z, "wide {wide}: .zsmi");
+            let mut zsx = Vec::new();
+            LineIndex::build(&z).write_to(&mut zsx).unwrap();
+            assert_eq!(
+                std::fs::read(format!("{zsmi}.zsx")).unwrap(),
+                zsx,
+                "wide {wide}: .zsx"
+            );
+            run(&argv(&[
+                "decompress",
+                "-i",
+                &zsmi,
+                "-d",
+                &dct,
+                "-o",
+                &back,
+                "--threads",
+                "2",
+                "--quiet",
+            ]))
+            .unwrap();
+            let (text, _) = dict.decompress_parallel(&z, 1).unwrap();
+            assert_eq!(
+                std::fs::read(&back).unwrap(),
+                text,
+                "wide {wide}: decompress"
+            );
+
+            let archive = ShardedReader::open(Path::new(&zsa)).unwrap();
+            for sidecar in [true, false] {
+                if !sidecar {
+                    std::fs::remove_file(format!("{zsmi}.zsx")).unwrap();
+                }
+                let loose = ShardedReader::open_loose(Path::new(&zsmi), dict.clone()).unwrap();
+                for window in [0..1, 0..10, 345..355, 690..700] {
+                    assert_eq!(
+                        loose.get_range(window.clone()).unwrap(),
+                        archive.get_range(window.clone()).unwrap(),
+                        "wide {wide}, sidecar {sidecar}, lines {window:?}"
+                    );
+                }
+                run(&argv(&[
+                    "get",
+                    "-i",
+                    &zsmi,
+                    "-d",
+                    &dct,
+                    "--line",
+                    "690",
+                    "--count",
+                    "10",
+                    "--verbose",
+                ]))
+                .unwrap();
+                assert!(run(&argv(&[
+                    "get", "-i", &zsmi, "-d", &dct, "--line", "695", "--count", "10"
+                ]))
+                .is_err());
+                let err = run(&argv(&["get", "-i", &zsmi, "-d", &dct, "--verify"])).unwrap_err();
+                assert!(err.contains("unsupported"), "got: {err}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -370,7 +370,7 @@ impl Archive {
             )));
         }
         let payload = bytes[payload_start..index_start].to_vec();
-        let index = LineIndex::read_from_bytes(&bytes[index_start..index_end])?;
+        let index = LineIndex::read_from(&bytes[index_start..index_end])?;
         // The stored index must describe this exact payload — a foreign or
         // buggy writer can produce a CRC-consistent container whose index
         // points past the payload, which would turn get() into a slice

@@ -26,7 +26,7 @@ use crate::error::ZsmilesError;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
-const MAGIC: &str = "#zsmiles-dict v1";
+pub(crate) const MAGIC: &str = "#zsmiles-dict v1";
 
 /// Header fields shared by the base and wide dictionary text formats —
 /// the one canonical parse both [`read_dict`] and

@@ -181,17 +181,24 @@ pub enum AnyDictionary {
 
 impl AnyDictionary {
     /// Parse a serialized dictionary, sniffing the flavour from the magic
-    /// line (`#zsmiles-dict v1` vs `#zsmiles-wide-dict v1`).
+    /// line (`#zsmiles-dict v1` vs `#zsmiles-wide-dict v1`). The magic is
+    /// checked on the bytes, before the text parser copies any line into
+    /// a `String`: bytes that are no dictionary fail without a copy of
+    /// their first line, however long it runs.
     pub fn read(bytes: &[u8]) -> Result<AnyDictionary, ZsmilesError> {
-        let first_line = bytes.split(|&b| b == LINE_SEP).next().unwrap_or(b"");
-        if first_line.starts_with(b"#zsmiles-wide-dict") {
-            Ok(AnyDictionary::Wide(Box::new(crate::wide::read_wide_dict(
-                bytes,
-            )?)))
-        } else {
-            Ok(AnyDictionary::Base(Box::new(
+        use crate::{dict::format::MAGIC, wide::WIDE_MAGIC};
+        let magic = bytes.split(|&b| b == LINE_SEP).next().unwrap_or(b"");
+        match magic.trim_ascii() {
+            m if m == WIDE_MAGIC.as_bytes() => Ok(AnyDictionary::Wide(Box::new(
+                crate::wide::read_wide_dict(bytes)?,
+            ))),
+            m if m == MAGIC.as_bytes() => Ok(AnyDictionary::Base(Box::new(
                 crate::dict::format::read_dict(bytes)?,
-            )))
+            ))),
+            _ => Err(ZsmilesError::DictFormat {
+                line: 1,
+                reason: format!("expected magic '{MAGIC}' or '{WIDE_MAGIC}'"),
+            }),
         }
     }
 

@@ -72,6 +72,7 @@
 use crate::decompress::Decompressor;
 use crate::dict::Dictionary;
 use crate::error::ZsmilesError;
+use crate::writer::{pump_lines, DEFAULT_WRITER_BATCH};
 use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -253,6 +254,18 @@ impl LineIndex {
         idx.append_scan(buf);
         idx.shrink_to_fit();
         idx
+    }
+
+    /// [`LineIndex::build`] over a stream that is never held whole: one
+    /// pass of line batches through [`crate::writer::pump_lines`].
+    pub(crate) fn scan<R: Read>(input: R) -> Result<LineIndex, ZsmilesError> {
+        let mut idx = LineIndex::default();
+        pump_lines(input, DEFAULT_WRITER_BATCH, |lines| {
+            idx.append_scan(lines);
+            Ok(())
+        })?;
+        idx.shrink_to_fit();
+        Ok(idx)
     }
 
     /// Extend the index with one more scanned chunk of the buffer it
@@ -497,7 +510,8 @@ impl LineIndex {
         w.write_all(&buf)
     }
 
-    /// Parse a `.zsx` sidecar, any version.
+    /// Parse a `.zsx` sidecar or a container's index section, any
+    /// version.
     ///
     /// Every version is held to the same rules: each range is non-empty,
     /// ends within `total`, and starts at least one byte past the
@@ -508,22 +522,12 @@ impl LineIndex {
     /// trailing-newline flag), which is exact for buffers without
     /// interior blank lines — the invariant every compressed payload
     /// satisfies.
-    pub fn read_from<R: Read>(r: R) -> Result<LineIndex, ZsmilesError> {
-        LineIndex::read_reserving(r, MAX_PREALLOC_LINES)
-    }
-
-    /// [`LineIndex::read_from`] over an index section a container holds
-    /// in memory. Every wire version spends at least one byte a line, so
-    /// room is reserved for no more lines than `bytes` could describe:
-    /// a corrupted count cannot make the open reserve more than the
-    /// container holds.
-    pub(crate) fn read_from_bytes(bytes: &[u8]) -> Result<LineIndex, ZsmilesError> {
-        LineIndex::read_reserving(bytes, bytes.len().min(MAX_PREALLOC_LINES))
-    }
-
-    /// The parser behind both entry points, reserving room for at most
-    /// `max_lines` lines before reading them.
-    fn read_reserving<R: Read>(mut r: R, max_lines: usize) -> Result<LineIndex, ZsmilesError> {
+    ///
+    /// Every wire version spends at least one byte a line, so room is
+    /// reserved for no more lines than `bytes` could describe: a
+    /// corrupted count cannot make a parse reserve more than its input.
+    pub fn read_from(bytes: &[u8]) -> Result<LineIndex, ZsmilesError> {
+        let (mut r, max_lines) = (bytes, bytes.len().min(MAX_PREALLOC_LINES));
         let mut head = [0u8; HEAD_LEN];
         r.read_exact(&mut head[..8])?;
         let version = match &head[..8] {
@@ -557,11 +561,6 @@ impl LineIndex {
         let f = std::fs::File::create(path)?;
         self.write_to(std::io::BufWriter::new(f))?;
         Ok(())
-    }
-
-    pub fn load(path: &Path) -> Result<LineIndex, ZsmilesError> {
-        let f = std::fs::File::open(path)?;
-        Self::read_from(std::io::BufReader::new(f))
     }
 }
 
@@ -1209,7 +1208,7 @@ mod tests {
         let idx = LineIndex::build(buf);
         let path = std::env::temp_dir().join("zsmiles_test.zsx");
         idx.save(&path).unwrap();
-        let back = LineIndex::load(&path).unwrap();
+        let back = LineIndex::read_from(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(idx, back);
         std::fs::remove_file(&path).ok();
     }

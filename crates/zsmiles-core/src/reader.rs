@@ -33,7 +33,9 @@
 //! this code knows which code width the archive uses. Decks on disk are
 //! read through [`crate::shard::ShardedReader`], which holds one
 //! `ArchiveReader` over a [`crate::source::AutoSource`] per file, a bare
-//! `.zsa` included.
+//! `.zsa` included, and the paper's loose layout: the same container
+//! split into a `.zsmi` payload, a `.dct` and a `.zsx`, its reader's
+//! payload starting at offset 0.
 //!
 //! # Integrity
 //!
@@ -41,7 +43,7 @@
 //! consistency with the payload length) but cannot checksum a payload it
 //! refuses to read; [`ArchiveReader::verify`] streams the whole container
 //! through the CRC in bounded memory when end-to-end integrity is worth
-//! one sequential pass.
+//! one sequential pass (a loose payload has no CRC to check).
 
 use crate::archive::{bad, parse_layout, FOOTER_LEN, HEADER_LEN};
 use crate::decompress::DecompressStats;
@@ -75,7 +77,8 @@ pub struct ArchiveReader<S: ArchiveSource> {
     payload_len: u64,
     index_len: u64,
     metadata_bytes: u64,
-    stored_crc: u32,
+    /// The footer's CRC32; `None` for a loose payload, which stores none.
+    stored_crc: Option<u32>,
 }
 
 impl ArchiveReader<FileSource> {
@@ -114,7 +117,7 @@ impl<S: ArchiveSource> ArchiveReader<S> {
             )));
         }
         let index_bytes = source.read_range(layout.index_start, layout.index_len as usize)?;
-        let index = LineIndex::read_from_bytes(&index_bytes)?;
+        let index = LineIndex::read_from(&index_bytes)?;
         // The index must describe exactly the payload section. Its own
         // parser already guarantees every stored range lies inside
         // `total_bytes()`, so this one comparison makes every later
@@ -135,7 +138,38 @@ impl<S: ArchiveSource> ArchiveReader<S> {
             payload_len: layout.payload_len,
             index_len: layout.index_len,
             metadata_bytes: (HEADER_LEN + FOOTER_LEN) as u64 + layout.dict_len + layout.index_len,
-            stored_crc: layout.stored_crc,
+            stored_crc: Some(layout.stored_crc),
+        })
+    }
+
+    /// A loose deck's payload, the `.zsmi` of the paper's own layout: a
+    /// container split into files, with no header, footer or CRC. `dict`
+    /// and `index` come from its other files; `index_len` is the bytes the
+    /// index was read from (0 when scanned). The payload is not read.
+    pub(crate) fn loose(
+        source: S,
+        dict: AnyDictionary,
+        index: LineIndex,
+        index_len: u64,
+    ) -> Result<ArchiveReader<S>, ZsmilesError> {
+        // As in `from_source`: an index that describes exactly the
+        // payload keeps every later read in bounds.
+        if index.total_bytes() != source.len() {
+            return Err(bad(format!(
+                "the line index describes {} payload bytes but the payload holds {}",
+                index.total_bytes(),
+                source.len()
+            )));
+        }
+        Ok(ArchiveReader {
+            payload_len: source.len(),
+            source,
+            dict,
+            index,
+            payload_start: 0,
+            index_len,
+            metadata_bytes: index_len,
+            stored_crc: None,
         })
     }
 
@@ -183,18 +217,15 @@ impl<S: ArchiveSource> ArchiveReader<S> {
 
     /// The CRC32 stored in the container's footer. Structural identity a
     /// shard manifest can cross-check without reading any payload
-    /// (verifying the checksum is [`ArchiveReader::verify`]).
+    /// (verifying the checksum is [`ArchiveReader::verify`]). 0 for a
+    /// loose payload, which stores none.
     pub fn container_crc(&self) -> u32 {
-        self.stored_crc
+        self.stored_crc.unwrap_or(0)
     }
 
     /// The underlying source.
     pub fn source(&self) -> &S {
         &self.source
-    }
-
-    pub fn into_source(self) -> S {
-        self.source
     }
 
     fn check_line(&self, i: usize) -> Result<(), ZsmilesError> {
@@ -346,8 +377,14 @@ impl<S: ArchiveSource> ArchiveReader<S> {
     /// Verify the container's CRC32 end to end, streaming the source in
     /// bounded memory. This is the integrity pass `from_source`
     /// deliberately skips (it would read the whole payload); run it when
-    /// opening untrusted archives.
+    /// opening untrusted archives. A loose payload stores no CRC, so
+    /// there it is [`ZsmilesError::Unsupported`].
     pub fn verify(&self) -> Result<(), ZsmilesError> {
+        let Some(stored_crc) = self.stored_crc else {
+            return Err(ZsmilesError::Unsupported {
+                what: "verify on a loose deck: a .zsmi payload stores no CRC".into(),
+            });
+        };
         let crc_at = self.source.len() - 12;
         let mut hasher = Crc32::new();
         let mut buf = vec![0u8; DEFAULT_BATCH_BYTES.min(crc_at.max(1) as usize)];
@@ -359,10 +396,9 @@ impl<S: ArchiveSource> ArchiveReader<S> {
             offset += n as u64;
         }
         let actual = hasher.finish();
-        if actual != self.stored_crc {
+        if actual != stored_crc {
             return Err(bad(format!(
-                "CRC mismatch: stored {:08x}, computed {actual:08x} — archive corrupt",
-                self.stored_crc
+                "CRC mismatch: stored {stored_crc:08x}, computed {actual:08x} — archive corrupt"
             )));
         }
         Ok(())
@@ -543,6 +579,46 @@ mod tests {
                 reader.source().bytes_read(),
                 line_len,
                 "the read is exactly the line's range"
+            );
+        }
+    }
+
+    #[test]
+    fn loose_payload_reads_no_payload_at_open_and_one_range_per_get() {
+        for wide in [false, true] {
+            let (payload, _) = dict(wide).compress_parallel(&deck_bytes(), 2);
+            let mut sidecar = Vec::new();
+            LineIndex::build(&payload).write_to(&mut sidecar).unwrap();
+            let index = LineIndex::read_from(&sidecar).unwrap();
+            let len = sidecar.len() as u64;
+            let src = CountingSource::new(InMemorySource::new(payload.clone()));
+            let reader = ArchiveReader::loose(src, dict(wide), index.clone(), len).unwrap();
+            assert_eq!(reader.source().reads(), 0, "a loose open reads no payload");
+            assert_eq!(reader.metadata_bytes(), len);
+            assert_eq!(reader.payload_bytes(), payload.len() as u64);
+            for i in [0usize, 17, 119] {
+                reader.source().reset();
+                assert_eq!(
+                    reader.get(i).unwrap(),
+                    deck_lines()[i],
+                    "wide={wide} line {i}"
+                );
+                assert_eq!(reader.source().reads(), 1, "one positioned read per get");
+                assert_eq!(
+                    reader.source().bytes_read(),
+                    reader.index().line_range(i).len() as u64
+                );
+            }
+            // No CRC to check, and a typed error that says so.
+            assert!(matches!(
+                reader.verify().unwrap_err(),
+                ZsmilesError::Unsupported { .. }
+            ));
+            // The index of some other payload is refused at open.
+            let err = ArchiveReader::loose(&payload[1..], dict(wide), index, len).unwrap_err();
+            assert!(
+                matches!(&err, ZsmilesError::ArchiveFormat { reason } if reason.contains("payload")),
+                "got {err}"
             );
         }
     }

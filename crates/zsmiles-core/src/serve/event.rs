@@ -92,7 +92,7 @@ pub(super) fn start(
 
 #[cfg(all(unix, target_pointer_width = "64"))]
 mod imp {
-    use super::super::protocol::{ErrorCode, Request, Response};
+    use super::super::protocol::{ErrorCode, Request, Response, MAX_REQUEST_FRAME};
     use super::super::server::{
         busy_response, default_workers, Shared, DRAIN_DEADLINE, OVERCAP_DEADLINE,
     };
@@ -516,7 +516,7 @@ mod imp {
                 break;
             }
             let len = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
-            if len == 0 || len > shared.max_request_frame {
+            if len == 0 || len > MAX_REQUEST_FRAME {
                 // Frame boundary lost: typed error in this request's
                 // slot, then no more reads — earlier responses still
                 // flush first.
@@ -525,7 +525,7 @@ mod imp {
                 } else {
                     format!(
                         "oversized frame: {len} bytes declared, cap is {}",
-                        shared.max_request_frame
+                        MAX_REQUEST_FRAME
                     )
                 };
                 let seq = conn.next_seq;
@@ -650,7 +650,7 @@ mod imp {
         pipe_r: &PipeReader,
         inline_cheap: bool,
     ) {
-        let rbuf_limit = shared.max_request_frame + 4 + 64 * 1024;
+        let rbuf_limit = MAX_REQUEST_FRAME + 4 + 64 * 1024;
         let depth = shared.pipeline_depth as u64;
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_conn_id: u64 = 0;

@@ -99,8 +99,8 @@ pub trait Screener: Send + Sync {
 
 /// Serving knobs. `Default` is the pooled executor with `min(cores, 8)`
 /// workers, a 64-connection cap, 64 requests in flight per connection,
-/// the protocol's 1 MiB request-frame cap, and the platform-default read
-/// path per file.
+/// and the platform-default read path per file. Request frames are
+/// always capped at the protocol's [`MAX_REQUEST_FRAME`].
 #[derive(Clone)]
 pub struct ServeOptions {
     /// Most simultaneous connections; excess connects are answered with
@@ -108,8 +108,6 @@ pub struct ServeOptions {
     /// `health` probe is still answered (a saturated server must not
     /// look dead to its orchestrator).
     pub max_connections: usize,
-    /// Largest request frame accepted (bytes).
-    pub max_request_frame: usize,
     /// Force every deck file through cached positioned I/O on this
     /// cache (instead of mmap-or-cache per platform). Generation
     /// retirement then deterministically releases blocks here — tests
@@ -139,7 +137,6 @@ impl std::fmt::Debug for ServeOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeOptions")
             .field("max_connections", &self.max_connections)
-            .field("max_request_frame", &self.max_request_frame)
             .field("cache", &self.cache.is_some())
             .field("degraded", &self.degraded)
             .field("executor", &self.executor)
@@ -154,7 +151,6 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             max_connections: 64,
-            max_request_frame: MAX_REQUEST_FRAME,
             cache: None,
             degraded: false,
             executor: Executor::default(),
@@ -199,7 +195,6 @@ pub(super) struct Shared {
     deck_options: DeckOptions,
     degraded_opens: bool,
     pub(super) max_connections: usize,
-    pub(super) max_request_frame: usize,
     pub(super) pipeline_depth: usize,
     screener: Option<Arc<dyn Screener>>,
     pub(super) requests: AtomicU64,
@@ -474,7 +469,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let body = match read_frame(&mut stream, shared.max_request_frame) {
+        let body = match read_frame(&mut stream, MAX_REQUEST_FRAME) {
             Ok(FrameRead::Frame(b)) => b,
             Ok(FrameRead::Eof) => break,
             Ok(FrameRead::TimedOut) => continue,
@@ -535,7 +530,7 @@ fn handle_overcap(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let deadline = Instant::now() + OVERCAP_DEADLINE;
     let resp = loop {
-        match read_frame(&mut stream, shared.max_request_frame) {
+        match read_frame(&mut stream, MAX_REQUEST_FRAME) {
             Ok(FrameRead::Frame(body)) => match Request::decode(&body) {
                 Ok(Request::Health) => {
                     shared.requests.fetch_add(1, Ordering::Relaxed);
@@ -634,7 +629,6 @@ impl Server {
             deck_options,
             degraded_opens: options.degraded,
             max_connections: options.max_connections,
-            max_request_frame: options.max_request_frame,
             pipeline_depth: options.pipeline_depth.max(1),
             screener: options.screener.clone(),
             requests: AtomicU64::new(0),

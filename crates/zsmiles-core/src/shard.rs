@@ -39,7 +39,9 @@
 //!   line table. Pointed at a bare `.zsa` it opens a one-shard deck
 //!   whose manifest row is the container's own metadata, so every caller
 //!   (CLI, server, screening code) works unchanged against either
-//!   layout.
+//!   layout. [`ShardedReader::open_loose`] opens the paper's loose layout
+//!   (a `.zsmi` payload, the dictionary from its `.dct`, and its `.zsx`
+//!   sidecar index or one scan without it) as a one-shard deck too.
 //! * [`DeckReader`] wraps that reader in the layout enum the benchmark
 //!   harness matches on, and does nothing else.
 //!
@@ -53,6 +55,7 @@ use crate::cache::BlockCache;
 use crate::compress::CompressStats;
 use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
+use crate::index::LineIndex;
 use crate::parallel::WorkerPool;
 use crate::reader::{ArchiveReader, LineIter, DEFAULT_BATCH_BYTES};
 use crate::sink::{sync_parent_dir, ArchiveSink, AtomicFileSink, DeferredSync};
@@ -604,12 +607,6 @@ impl ShardedWriter {
         self.generation = generation;
     }
 
-    /// Shards completed so far (shards being written or staged for a
-    /// parallel flush are not counted).
-    pub fn shards_completed(&self) -> usize {
-        self.shards.len()
-    }
-
     fn next_shard_name(&mut self) -> String {
         let name = format!("{}.{:05}.zsa", self.stem, self.shard_no);
         self.shard_no += 1;
@@ -945,8 +942,9 @@ pub struct QuarantinedShard {
 /// A deck opened for random access, either layout: the manifest plus one
 /// out-of-core [`ArchiveReader`] per shard (metadata only — no payload is
 /// resident). Global line numbers route across shards by binary search on
-/// the cumulative line table. A bare `.zsa` opens as a one-shard deck of
-/// generation 0 whose one manifest row comes from the container itself.
+/// the cumulative line table. A bare `.zsa` or a loose `.zsmi` opens as
+/// a one-shard deck of generation 0 whose one manifest row comes from the
+/// file itself.
 ///
 /// A reader from [`ShardedReader::open`] is fully healthy: every shard
 /// passed its cross-checks or the open failed. A reader from
@@ -966,7 +964,8 @@ pub struct ShardedReader {
     /// Index of the first healthy shard — where `dictionary()` reads
     /// from (shard 0 itself may be quarantined).
     dict_shard: usize,
-    /// Opened from a bare `.zsa` rather than a `.zsm` manifest.
+    /// Opened from one file (a bare `.zsa`, or a loose `.zsmi`) rather
+    /// than a `.zsm` manifest.
     single_file: bool,
 }
 
@@ -1057,17 +1056,11 @@ impl ShardedReader {
         options: &DeckOptions,
         degraded: bool,
     ) -> Result<ShardedReader, ZsmilesError> {
-        let single_file = !is_manifest(path)?;
-        // A bare `.zsa` opens once, here, with its own error; its one
-        // manifest row is its own metadata, so the loop below adopts it.
-        let (manifest, mut bare) = if single_file {
+        if !is_manifest(path)? {
             let reader = ArchiveReader::from_source(options.open_source(path)?)?;
-            let file = path.file_name().unwrap_or_default().to_string_lossy();
-            let row = ShardMeta::of(file.into_owned(), &reader);
-            (ShardManifest::new(reader.flavor(), vec![row]), Some(reader))
-        } else {
-            (ShardManifest::load(path)?, None)
-        };
+            return Ok(ShardedReader::one_file(path, reader));
+        }
+        let manifest = ShardManifest::load(path)?;
         let dir = path.parent().map(Path::to_path_buf).unwrap_or_default();
         let mut readers: Vec<Option<ArchiveReader<AutoSource>>> =
             Vec::with_capacity(manifest.shards().len());
@@ -1075,32 +1068,34 @@ impl ShardedReader {
         let mut starts = Vec::with_capacity(manifest.shards().len());
         let mut at = 0u64;
         // Reference dictionary: the first healthy shard's, remembered
-        // with its file name so mismatch errors can cite it.
+        // with its file name so mismatch errors can cite it. A one-shard
+        // deck has nothing to compare it with, so nothing is serialized.
+        let compare_dicts = manifest.shards().len() > 1;
         let mut first_dict: Option<(String, Vec<u8>)> = None;
         let mut dict_shard = None;
         for (index, meta) in manifest.shards().iter().enumerate() {
-            let opened = match bare.take() {
-                Some(reader) => Ok(reader),
-                None => options
-                    .open_source(&dir.join(&meta.file))
-                    .and_then(ArchiveReader::from_source),
-            }
-            .and_then(|reader| {
-                check_shard_meta(&reader, meta, manifest.flavor())?;
-                let mut dict_bytes = Vec::new();
-                reader.dictionary().write(&mut dict_bytes)?;
-                match &first_dict {
-                    None => first_dict = Some((meta.file.clone(), dict_bytes)),
-                    Some((ref_file, first)) if *first != dict_bytes => {
-                        return Err(bad(format!(
-                            "shard {}: embedded dictionary differs from shard {ref_file}",
-                            meta.file
-                        )))
+            let opened = options
+                .open_source(&dir.join(&meta.file))
+                .and_then(ArchiveReader::from_source)
+                .and_then(|reader| {
+                    check_shard_meta(&reader, meta, manifest.flavor())?;
+                    if !compare_dicts {
+                        return Ok(reader);
                     }
-                    Some(_) => {}
-                }
-                Ok(reader)
-            });
+                    let mut dict_bytes = Vec::new();
+                    reader.dictionary().write(&mut dict_bytes)?;
+                    match &first_dict {
+                        None => first_dict = Some((meta.file.clone(), dict_bytes)),
+                        Some((ref_file, first)) if *first != dict_bytes => {
+                            return Err(bad(format!(
+                                "shard {}: embedded dictionary differs from shard {ref_file}",
+                                meta.file
+                            )))
+                        }
+                        Some(_) => {}
+                    }
+                    Ok(reader)
+                });
             match opened {
                 Ok(reader) => {
                     dict_shard.get_or_insert(index);
@@ -1142,8 +1137,49 @@ impl ShardedReader {
             quarantined,
             starts,
             dict_shard,
-            single_file,
+            single_file: false,
         })
+    }
+
+    /// Open a loose deck as a one-shard deck: the `.zsmi` payload at
+    /// `path`, `dict` as loaded from its `.dct`, and the `<path>.zsx`
+    /// sidecar index, parsed within its own length, so no payload byte is
+    /// read at open. Without a sidecar (or with a legacy v1/v2 one) the
+    /// index comes from one streaming scan of the payload. A loose deck
+    /// stores no CRC, so its [`ShardedReader::verify`] is
+    /// [`ZsmilesError::Unsupported`].
+    pub fn open_loose(path: &Path, dict: AnyDictionary) -> Result<ShardedReader, ZsmilesError> {
+        let mut sidecar = path.as_os_str().to_owned();
+        sidecar.push(".zsx");
+        let sidecar = match std::fs::read(&sidecar) {
+            Ok(bytes) => Some((LineIndex::read_from(&bytes)?, bytes.len() as u64)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
+        // A v1 or v2 sidecar derives each end from the next start, which
+        // cuts short a last line the payload does not terminate.
+        let (index, index_len) = match sidecar {
+            Some((index, len)) if !matches!(index.wire_version(), Some(1 | 2)) => (index, len),
+            _ => (LineIndex::scan(std::fs::File::open(path)?)?, 0),
+        };
+        let reader = ArchiveReader::loose(AutoSource::open(path)?, dict, index, index_len)?;
+        Ok(ShardedReader::one_file(path, reader))
+    }
+
+    /// The deck of one file, a bare `.zsa` or a loose `.zsmi`: generation
+    /// 0, and one manifest row made from the file's own metadata.
+    fn one_file(path: &Path, reader: ArchiveReader<AutoSource>) -> ShardedReader {
+        let file = path.file_name().unwrap_or_default().to_string_lossy();
+        let row = ShardMeta::of(file.into_owned(), &reader);
+        ShardedReader {
+            total: reader.len(),
+            manifest: ShardManifest::new(reader.flavor(), vec![row]),
+            readers: vec![Some(reader)],
+            quarantined: Vec::new(),
+            starts: vec![0],
+            dict_shard: 0,
+            single_file: true,
+        }
     }
 
     /// Total ligand lines across all shards.
@@ -1201,8 +1237,9 @@ impl ShardedReader {
         self.manifest.generation()
     }
 
-    /// Whether the deck was opened from a bare `.zsa` (its one manifest
-    /// row synthesised from the container) rather than a `.zsm` file.
+    /// Whether the deck was opened from one file, a bare `.zsa` or a
+    /// loose `.zsmi` (its one manifest row synthesised from the file),
+    /// rather than a `.zsm` file.
     pub fn is_single_file(&self) -> bool {
         self.single_file
     }
@@ -1946,6 +1983,96 @@ mod tests {
         ShardedReader::open(&manifest_path).unwrap();
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_refuses_shards_with_different_dictionaries() {
+        let dir = tmpdir("mixed");
+        let other = AnyDictionary::Base(Box::new(
+            DictBuilder {
+                min_count: 2,
+                lmax: 4,
+                preprocess: false,
+                ..Default::default()
+            }
+            .train(deck_lines())
+            .unwrap(),
+        ));
+        let mut rows = Vec::new();
+        for (file, dict) in [("a.zsa", dict(false)), ("b.zsa", other)] {
+            Archive::pack(dict, &deck_bytes(), 1)
+                .save(&dir.join(file))
+                .unwrap();
+            let reader = ArchiveReader::open(&dir.join(file)).unwrap();
+            rows.push(ShardMeta {
+                file: file.into(),
+                lines: reader.len() as u64,
+                file_bytes: reader.source().len(),
+                crc32: reader.container_crc(),
+            });
+        }
+        let path = dir.join("mixed.zsm");
+        ShardManifest::new(DictFlavor::Base, rows)
+            .save(&path)
+            .unwrap();
+        let err = ShardedReader::open(&path).unwrap_err();
+        assert!(
+            matches!(&err, ZsmilesError::ManifestFormat { reason } if reason.contains("differs")),
+            "got {err}"
+        );
+        let degraded = ShardedReader::open_degraded(&path).unwrap();
+        assert_eq!(degraded.quarantined().len(), 1);
+        assert_eq!(degraded.quarantined()[0].file, "b.zsa");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_loose_deck_opens_as_one_shard_with_or_without_its_sidecar() {
+        for wide in [false, true] {
+            let dir = tmpdir(if wide { "loose_w" } else { "loose_b" });
+            let zsmi = dir.join("deck.zsmi");
+            let (payload, _) = dict(wide).compress_parallel(&deck_bytes(), 2);
+            std::fs::write(&zsmi, &payload).unwrap();
+            let single = Archive::pack(dict(wide), &deck_bytes(), 1);
+            let scanned = ShardedReader::open_loose(&zsmi, dict(wide)).unwrap();
+            LineIndex::build(&payload)
+                .save(&dir.join("deck.zsmi.zsx"))
+                .unwrap();
+            let indexed = ShardedReader::open_loose(&zsmi, dict(wide)).unwrap();
+            for deck in [&scanned, &indexed] {
+                assert!(deck.is_single_file());
+                assert_eq!(deck.manifest().shards()[0].file, "deck.zsmi");
+                assert_eq!(deck.len(), single.len());
+                assert_eq!(
+                    deck.get_range(0..deck.len()).unwrap(),
+                    single.get_range(0..single.len()).unwrap(),
+                    "wide={wide}"
+                );
+                assert!(matches!(
+                    deck.verify().unwrap_err(),
+                    ZsmilesError::Unsupported { .. }
+                ));
+            }
+            assert_eq!(indexed.metadata_bytes(), {
+                std::fs::metadata(dir.join("deck.zsmi.zsx")).unwrap().len()
+            });
+            // A v1 sidecar over a payload without its final newline
+            // derives the last end one byte short; the open scans instead.
+            let cut = &payload[..payload.len() - 1];
+            std::fs::write(&zsmi, cut).unwrap();
+            let starts: Vec<u64> = LineIndex::build(cut)
+                .ranges(0..120)
+                .map(|r| r.start as u64)
+                .collect();
+            let mut v1 = b"ZSXIDX01".to_vec();
+            for word in [120, cut.len() as u64].into_iter().chain(starts) {
+                v1.extend_from_slice(&word.to_le_bytes());
+            }
+            std::fs::write(dir.join("deck.zsmi.zsx"), v1).unwrap();
+            let legacy = ShardedReader::open_loose(&zsmi, dict(wide)).unwrap();
+            assert_eq!(legacy.get(119).unwrap(), deck_lines()[119], "wide={wide}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

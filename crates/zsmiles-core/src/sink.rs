@@ -118,10 +118,6 @@ impl FileSink {
             written: 0,
         })
     }
-
-    pub fn into_file(self) -> File {
-        self.file
-    }
 }
 
 impl ArchiveSink for FileSink {

@@ -530,7 +530,7 @@ impl<'d> WideDecompressor<'d> {
 // Serialization (readable, like `.dct`)
 // ---------------------------------------------------------------------------
 
-const WIDE_MAGIC: &str = "#zsmiles-wide-dict v1";
+pub(crate) const WIDE_MAGIC: &str = "#zsmiles-wide-dict v1";
 
 /// Serialize a wide dictionary to the readable text format: the `.dct`
 /// layout with a wide magic, a `#wide-size` header, and one- or two-byte

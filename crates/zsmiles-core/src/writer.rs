@@ -43,12 +43,39 @@ use crate::engine::AnyDictionary;
 use crate::error::ZsmilesError;
 use crate::index::LineIndex;
 use crate::sink::ArchiveSink;
+use std::io::{BufRead, Read};
 use textcomp::crc32::{crc32, crc32_combine, Crc32};
 
 /// Default raw-byte batch a writer stages before compressing — small
 /// enough that writer memory is megabytes, large enough that the worker
 /// pool sees real spans.
 pub const DEFAULT_WRITER_BATCH: usize = 4 << 20;
+
+/// Read `input` to its end and hand `batch` its bytes in runs of whole
+/// lines: `batch_bytes` at a time, each run completed to the end of its
+/// last line (only the final run may lack a newline). Returns the input
+/// bytes read. The one streaming loop over whole decks, so that none is
+/// held in memory.
+pub fn pump_lines<R: Read>(
+    input: R,
+    batch_bytes: usize,
+    mut batch: impl FnMut(&[u8]) -> Result<(), ZsmilesError>,
+) -> Result<u64, ZsmilesError> {
+    let mut input = std::io::BufReader::new(input);
+    let (mut run, mut total) = (Vec::with_capacity(batch_bytes), 0u64);
+    loop {
+        run.clear();
+        (&mut input)
+            .take(batch_bytes as u64)
+            .read_to_end(&mut run)?;
+        input.read_until(b'\n', &mut run)?;
+        if run.is_empty() {
+            return Ok(total);
+        }
+        total += run.len() as u64;
+        batch(&run)?;
+    }
+}
 
 /// Tuning for an [`ArchiveWriter`].
 #[derive(Debug, Clone, Copy)]
@@ -151,12 +178,6 @@ impl<K: ArchiveSink> ArchiveWriter<K> {
     /// Which dictionary flavour the container embeds.
     pub fn dictionary(&self) -> &AnyDictionary {
         &self.dict
-    }
-
-    /// Ligand lines indexed so far (lines still staged in the current
-    /// batch are not counted until their batch is compressed).
-    pub fn lines_written(&self) -> usize {
-        self.index.len()
     }
 
     /// Compressed payload bytes appended to the sink so far.
@@ -517,6 +538,74 @@ mod tests {
         assert_eq!(reader.len(), 100_000);
         reader.verify().unwrap();
         assert_eq!(reader.get(99_999).unwrap(), deck_lines()[199]);
+    }
+
+    /// A reader that answers every other call with `Interrupted` and
+    /// returns at most `step` bytes a read.
+    struct Trickle<'a> {
+        rest: &'a [u8],
+        step: usize,
+        interrupt: bool,
+    }
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let n = self.rest.len().min(buf.len()).min(self.step);
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn pump_hands_on_whole_lines_at_every_batch_size() {
+        // Lines longer and shorter than each batch, blank lines, and no
+        // final newline.
+        let deck: &[u8] = b"CCO\n\nc1ccccc1C(=O)O\nN\n\n\nCC(C)Cc1ccc(cc1)C(C)C(=O)O\nCCN(CC)CC";
+        let d = dict(false);
+        let (whole, whole_stats) = d.compress_parallel(deck, 1);
+        for batch_bytes in [1usize, 7, 64] {
+            for step in [1usize, 5, deck.len()] {
+                let what = format!("batch {batch_bytes}, reads of {step}");
+                let mut batches: Vec<Vec<u8>> = Vec::new();
+                let (mut z, mut stats) = (Vec::new(), CompressStats::default());
+                let input = Trickle {
+                    rest: deck,
+                    step,
+                    interrupt: false,
+                };
+                let read = pump_lines(input, batch_bytes, |lines| {
+                    batches.push(lines.to_vec());
+                    let (part, s) = d.compress_parallel(lines, 2);
+                    z.extend_from_slice(&part);
+                    stats.merge(&s);
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!(read, deck.len() as u64, "{what}");
+                assert_eq!(batches.concat(), deck, "{what}");
+                let (last, rest) = batches.split_last().unwrap();
+                assert!(rest.iter().all(|b| b.ends_with(b"\n")), "{what}");
+                assert!(last.ends_with(b"CCN(CC)CC"), "{what}");
+                // Batches of whole lines compress to the whole deck's bytes.
+                assert_eq!(z, whole, "{what}");
+                assert_eq!(stats.lines, whole_stats.lines, "{what}");
+            }
+        }
+        let mut calls = 0;
+        assert_eq!(
+            pump_lines(&b""[..], 7, |_| {
+                calls += 1;
+                Ok(())
+            })
+            .unwrap(),
+            0
+        );
+        assert_eq!(calls, 0, "an empty input hands on nothing");
     }
 
     #[test]

@@ -103,11 +103,13 @@ fn v3_sidecar_reads_byte_identically_through_cli_get() {
     let sidecar = dir().join("deck.zsmi.zsx");
     assert_eq!(&std::fs::read(&sidecar).unwrap()[..8], b"ZSXIDX03");
     let dict = AnyDictionary::load(&dir().join("deck.dct")).unwrap();
+    // `get -i deck.zsmi -d deck.dct` reads through this one-shard deck.
+    let deck = ShardedReader::open_loose(&zsmi, dict).unwrap();
     for (i, line) in want.iter().enumerate() {
-        let got = zsmiles_cli::commands::get_loose_line(&zsmi, &dict, i).unwrap();
+        let got = deck.get(i).unwrap();
         assert_eq!(&got, line, "get -i deck.zsmi line {i}");
     }
-    assert!(zsmiles_cli::commands::get_loose_line(&zsmi, &dict, want.len()).is_err());
+    assert!(deck.get(want.len()).is_err());
 }
 
 /// The encoder's output is pinned to archives earlier builds wrote: every

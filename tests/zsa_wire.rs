@@ -448,7 +448,7 @@ fn a_dict_len_past_the_largest_dictionary_is_refused_before_it_is_read() {
     std::fs::remove_dir_all(dir).ok();
 
     // At the bound itself the dictionary is read, and these zeros fail
-    // to parse as one; the parser's line buffer grows by doubling.
+    // its magic check without being copied a second time.
     let len = 52 + MAX_DICT_BYTES as u64;
     let (opened, largest) =
         largest_alloc(|| ArchiveReader::from_source(claims_a_dictionary_of(len)).map(|_| ()));
@@ -456,8 +456,5 @@ fn a_dict_len_past_the_largest_dictionary_is_refused_before_it_is_read() {
         matches!(opened, Err(ZsmilesError::DictFormat { .. })),
         "got {opened:?}"
     );
-    assert!(
-        largest <= 2 * MAX_DICT_BYTES,
-        "open reserved {largest} bytes"
-    );
+    assert!(largest <= MAX_DICT_BYTES, "open reserved {largest} bytes");
 }
