@@ -56,23 +56,28 @@ fn bench_preprocess(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(3));
     group.warm_up_time(Duration::from_secs(1));
     group.throughput(Throughput::Bytes(deck.payload_bytes() as u64));
-    group.bench_function("ring_renumber", |b| {
-        let mut pp = smiles::Preprocessor::new();
-        let mut out = Vec::with_capacity(128);
-        b.iter(|| {
-            let mut n = 0usize;
-            for line in deck.iter() {
-                out.clear();
-                if pp
-                    .process_into(line, smiles::RingRenumber::Innermost, 0, &mut out)
-                    .is_ok()
-                {
-                    n += out.len();
+    // The paper's pre-processing (innermost, IDs from 0) and the
+    // `--postprocess` restyling (outermost, IDs from 1): one timing per
+    // strategy.
+    for (name, strategy, first_id) in [
+        ("ring_renumber", smiles::RingRenumber::Innermost, 0),
+        ("postprocess", smiles::RingRenumber::Outermost, 1),
+    ] {
+        group.bench_function(name, |b| {
+            let mut pp = smiles::Preprocessor::new();
+            let mut out = Vec::with_capacity(128);
+            b.iter(|| {
+                let mut n = 0usize;
+                for line in deck.iter() {
+                    out.clear();
+                    if pp.process_into(line, strategy, first_id, &mut out).is_ok() {
+                        n += out.len();
+                    }
                 }
-            }
-            n
-        })
-    });
+                n
+            })
+        });
+    }
     group.finish();
 }
 

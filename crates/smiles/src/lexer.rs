@@ -9,14 +9,23 @@
 //! Most bytes of a SMILES line are whole tokens by themselves. The
 //! crate-private byte-class table says which: a bare organic atom, a bond
 //! symbol, `(`, `)`, `.` or a ring digit. Two scanners read it instead of
-//! building a token per byte: the grammar loop in [`crate::parser`]
-//! dispatches on it and lexes only the other bytes (bracket atoms, `%nn`,
-//! the `se`/`as` traps, bad bytes) with [`Lexer::next_token`], and
-//! [`Lexer::next_ring`] steps over every one-byte token but the digits.
+//! building a token per byte:
+//!
+//! * the grammar loop in [`crate::parser`] dispatches on it and lexes
+//!   only the other bytes (bracket atoms, `%nn`, the `se`/`as` traps, bad
+//!   bytes) with [`Lexer::next_token`];
+//! * the ring scan, the one loop behind [`Lexer::next_ring`] and the
+//!   preprocessor's single pass, classifies up to 64 bytes at a time
+//!   into a bit mask of the bytes it must look at: ring digits and the
+//!   bytes only `next_token` can read. On a typical line that is a
+//!   handful of the ~50 bytes. A [`ByteScan`] says how the mask is made:
+//!   one table probe per byte, or a 16-byte SSSE3 nibble lookup where the
+//!   CPU has it.
 
 use crate::element::{parse_bracket_symbol, Element};
 use crate::error::{SmilesError, Span};
 use crate::token::{BareAtom, BondSym, BracketAtom, Chirality, RingForm, Token};
+use std::ops::ControlFlow;
 
 /// A token plus its origin in the input line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,17 +110,161 @@ pub(crate) const BYTE_CLASS: [ByteClass; 256] = {
     table
 };
 
-/// Bytes [`Lexer::next_ring`] steps over without lexing: every one-byte
-/// token of the byte-class table but the ring digits.
-const STEP_OVER: [bool; 256] = {
+/// Bytes the ring scan must look at one at a time: the ring digits and
+/// every `Lex` byte. Every other byte is a one-byte token that holds no
+/// ring bond, or the `l` of `Cl` or `r` of `Br`, which are `Lex` bytes
+/// the scan tells apart by the byte before.
+const LOOK: [bool; 256] = {
     let mut table = [false; 256];
     let mut b = 0;
     while b < 256 {
-        table[b] = !matches!(BYTE_CLASS[b], ByteClass::Digit | ByteClass::Lex);
+        table[b] = matches!(BYTE_CLASS[b], ByteClass::Digit | ByteClass::Lex);
         b += 1;
     }
     table
 };
+
+/// The bytes [`LOOK`] skips as two 16-entry nibble tables, high then
+/// low: `b` is skipped when `high[b >> 4] & low[b & 15] != 0`. Each high
+/// nibble that holds a skipped byte owns one bit of its own, so the test
+/// is exact; six of them do.
+const SKIP_NIBBLES: ([u8; 16], [u8; 16]) = {
+    let (mut high, mut low) = ([0u8; 16], [0u8; 16]);
+    let mut next_bit = 0;
+    let mut h = 0;
+    while h < 16 {
+        let mut l = 0;
+        while l < 16 {
+            if !LOOK[h << 4 | l] {
+                if high[h] == 0 {
+                    high[h] = 1 << next_bit;
+                    next_bit += 1;
+                }
+                low[l] |= high[h];
+            }
+            l += 1;
+        }
+        h += 1;
+    }
+    (high, low)
+};
+
+/// Bytes the ring scan classifies per step.
+const SCAN_BLOCK: usize = 64;
+
+/// How the ring scan classifies bytes: chosen once per
+/// [`crate::Preprocessor`] (tests force each path, as they do the
+/// encoder's relax paths).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ByteScan {
+    /// One byte-class table probe per byte: the portable path, and the
+    /// oracle the vector path is tested against.
+    Scalar,
+    /// A `pshufb` nibble lookup, sixteen bytes per step.
+    #[cfg(target_arch = "x86_64")]
+    Ssse3(cpu::Ssse3),
+}
+
+#[cfg(target_arch = "x86_64")]
+mod cpu {
+    /// Proof that this CPU runs SSSE3: its field is private to this
+    /// module, so only [`Ssse3::detect`] can make one.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Ssse3(());
+
+    impl Ssse3 {
+        pub(super) fn detect() -> Option<Ssse3> {
+            std::arch::is_x86_feature_detected!("ssse3").then_some(Ssse3(()))
+        }
+    }
+}
+
+impl ByteScan {
+    /// The fastest path this CPU runs.
+    pub fn detect() -> ByteScan {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(proof) = cpu::Ssse3::detect() {
+            return ByteScan::Ssse3(proof);
+        }
+        ByteScan::Scalar
+    }
+
+    /// Every path this CPU runs, the scalar one first.
+    pub fn available() -> Vec<ByteScan> {
+        let mut paths = vec![ByteScan::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        paths.extend(cpu::Ssse3::detect().map(ByteScan::Ssse3));
+        paths
+    }
+
+    /// Bit `i` set when `block[i]` is a byte the ring scan must look at;
+    /// `block` holds 1 to [`SCAN_BLOCK`] bytes.
+    fn look_mask(self, block: &[u8]) -> u64 {
+        debug_assert!((1..=SCAN_BLOCK).contains(&block.len()));
+        match self {
+            // SAFETY: a `cpu::Ssse3` exists only once
+            // `is_x86_feature_detected!("ssse3")` returned true, so the CPU
+            // has the feature the function enables.
+            #[cfg(target_arch = "x86_64")]
+            ByteScan::Ssse3(_) => unsafe { look_mask_ssse3(block) },
+            ByteScan::Scalar => block
+                .iter()
+                .enumerate()
+                .fold(0, |mask, (i, &b)| mask | u64::from(LOOK[b as usize]) << i),
+        }
+    }
+}
+
+/// [`ByteScan::look_mask`] sixteen bytes per step, each step loaded
+/// straight from `block`: the last step of a block whose length is not
+/// a multiple of 16 overlaps the one before (the bits agree), and only a
+/// block shorter than 16 bytes is copied.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "ssse3")]
+fn look_mask_ssse3(block: &[u8]) -> u64 {
+    let len = block.len();
+    if len < 16 {
+        let mut padded = [0u8; 16];
+        padded[..len].copy_from_slice(block);
+        return look_mask_16(&padded) & !(u64::MAX << len);
+    }
+    let mut mask = 0;
+    let mut steps = block.chunks_exact(16);
+    for (k, step) in steps.by_ref().enumerate() {
+        mask |= look_mask_16(step.try_into().expect("16-byte step")) << (16 * k);
+    }
+    if !steps.remainder().is_empty() {
+        let at = len - 16;
+        mask |= look_mask_16(block[at..].try_into().expect("16-byte step")) << at;
+    }
+    mask
+}
+
+/// The look bits of sixteen bytes: each byte's two nibbles index the
+/// [`SKIP_NIBBLES`] tables, and a byte whose two entries share no bit is
+/// one to look at.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "ssse3")]
+#[inline]
+fn look_mask_16(bytes: &[u8; 16]) -> u64 {
+    use std::arch::x86_64::*;
+    let (high, low) = &SKIP_NIBBLES;
+    // SAFETY: each load reads the 16 bytes of a 16-byte array, and
+    // `_mm_loadu_si128` has no alignment requirement.
+    let (v, high, low) = unsafe {
+        (
+            _mm_loadu_si128(bytes.as_ptr().cast()),
+            _mm_loadu_si128(high.as_ptr().cast()),
+            _mm_loadu_si128(low.as_ptr().cast()),
+        )
+    };
+    let nibble = _mm_set1_epi8(0x0F);
+    let skip = _mm_and_si128(
+        _mm_shuffle_epi8(high, _mm_and_si128(_mm_srli_epi16::<4>(v), nibble)),
+        _mm_shuffle_epi8(low, _mm_and_si128(v, nibble)),
+    );
+    u64::from(_mm_movemask_epi8(_mm_cmpeq_epi8(skip, _mm_setzero_si128())) as u16)
+}
 
 /// Iterator-style lexer over one SMILES line.
 pub struct Lexer<'a> {
@@ -226,43 +379,79 @@ impl<'a> Lexer<'a> {
 
     /// Lex forward to the next ring-bond token, or `Ok(None)` at end of
     /// line. Yields exactly the `Ring` tokens, spans and first error that
-    /// filtering [`Lexer::next_token`] would, without building the tokens
-    /// in between: bytes that can only start a one- or two-byte non-ring
-    /// token are stepped over, and everything else (digits,
-    /// `%nn`, bracket atoms, `s`, bad bytes) goes through `next_token`.
+    /// filtering [`Lexer::next_token`] would, through the ring scan
+    /// ([`ByteScan::detect`]'s path).
     pub fn next_ring(&mut self) -> Result<Option<Spanned>, SmilesError> {
+        self.next_ring_via(ByteScan::detect())
+    }
+
+    /// [`Lexer::next_ring`] through a chosen [`ByteScan`] path.
+    pub fn next_ring_via(&mut self, scan: ByteScan) -> Result<Option<Spanned>, SmilesError> {
+        let found = self.scan_rings(scan, |span, id| {
+            let form = if span.len() == 1 {
+                RingForm::Digit
+            } else {
+                RingForm::Percent
+            };
+            ControlFlow::Break(Spanned {
+                token: Token::Ring { id, form },
+                span,
+            })
+        })?;
+        Ok(found.break_value())
+    }
+
+    /// The ring scan: lex from the current position to the end of the
+    /// line, handing `ring` the span and ID of every ring-bond token in
+    /// line order, until it breaks. Fails with the first lexical error,
+    /// as filtering [`Lexer::next_token`] would. A block of up to 64
+    /// bytes is classified at once; of the bytes [`LOOK`] marks, digits
+    /// are ring bonds, the `l` of `Cl` and the `r` of `Br` are stepped
+    /// over, and the rest go through `next_token`. Neither `C` nor `B` is
+    /// ever the second byte of a token, so the byte before decides the
+    /// pairs; a scan never starts right after a `C` or `B`. Bits of bytes
+    /// inside a token already lexed (a bracket atom, `%nn`) are dropped.
+    #[inline]
+    pub(crate) fn scan_rings<T>(
+        &mut self,
+        scan: ByteScan,
+        mut ring: impl FnMut(Span, u16) -> ControlFlow<T>,
+    ) -> Result<ControlFlow<T>, SmilesError> {
         let input = self.input;
-        loop {
-            // Whether a byte may be stepped over depends only on it and
-            // the byte before, so the loop carries no dependency but
-            // `pos`. Neither `C` nor `B` is ever the second byte of a
-            // token, so an `l` after a stepped-over `C` (an `r` after a
-            // `B`) always completes `Cl` (`Br`). A scan resumes after a
-            // digit, `]` or `s`, or where the grammar finishes lexing a
-            // line past its first error: after a bond, branch, dot or
-            // ring bond. Never after a `C` or `B`. The two bytes
-            // are compared as one `u16`: testing them one at a time made
-            // preprocessing about 10% slower (80 000-line deck, 2-vCPU
-            // Xeon).
-            const CL: u16 = u16::from_be_bytes(*b"Cl");
-            const BR: u16 = u16::from_be_bytes(*b"Br");
-            let mut pos = self.pos;
-            let mut prev = pos.checked_sub(1).map_or(0, |p| input[p]);
-            while let Some(&b) = input.get(pos) {
-                let pair = u16::from_be_bytes([prev, b]);
-                if !(STEP_OVER[b as usize] || pair == CL || pair == BR) {
-                    break;
+        let mut block = self.pos;
+        while block < input.len() {
+            let end = (block + SCAN_BLOCK).min(input.len());
+            let mut look = scan.look_mask(&input[block..end]);
+            while look != 0 {
+                let at = block + look.trailing_zeros() as usize;
+                look &= look - 1;
+                if at < self.pos {
+                    continue;
                 }
-                prev = b;
-                pos += 1;
+                let b = input[at];
+                let (span, id) = if b.is_ascii_digit() {
+                    self.pos = at + 1;
+                    (Span::new(at, at + 1), u16::from(b - b'0'))
+                } else if at > 0 && matches!((input[at - 1], b), (b'C', b'l') | (b'B', b'r')) {
+                    continue;
+                } else {
+                    self.pos = at;
+                    match self.next_token()? {
+                        Some(Spanned {
+                            token: Token::Ring { id, .. },
+                            span,
+                        }) => (span, id),
+                        _ => continue,
+                    }
+                };
+                if let ControlFlow::Break(found) = ring(span, id) {
+                    return Ok(ControlFlow::Break(found));
+                }
             }
-            self.pos = pos;
-            match self.next_token()? {
-                Some(st) if matches!(st.token, Token::Ring { .. }) => return Ok(Some(st)),
-                Some(_) => {}
-                None => return Ok(None),
-            }
+            block = end;
         }
+        self.pos = input.len();
+        Ok(ControlFlow::Continue(()))
     }
 
     /// Bare upper-case atom: one of the organic subset, honouring two-letter
@@ -694,8 +883,8 @@ mod tests {
     }
 
     /// Every byte the table calls a one-byte token lexes as that token
-    /// whatever follows it, but for the `Cl`/`Br` pairs; `next_ring`
-    /// steps over the same bytes as before the table existed.
+    /// whatever follows it, but for the `Cl`/`Br` pairs; the ring scan
+    /// skips the same bytes as before the table existed.
     #[test]
     fn byte_class_table_agrees_with_next_token() {
         for b in 0..=255u8 {
@@ -734,10 +923,49 @@ mod tests {
                 assert_eq!(st.span, Span::new(0, len));
             }
         }
-        let stepped: Vec<u8> = (0..=255u8).filter(|&b| STEP_OVER[b as usize]).collect();
+        let stepped: Vec<u8> = (0..=255u8).filter(|&b| !LOOK[b as usize]).collect();
         let mut before = b"()./-=#$:\\*BCNOPSFIbcnop".to_vec();
         before.sort();
         assert_eq!(stepped, before);
+    }
+
+    /// Every path's mask matches the table, for every byte in every
+    /// lane and for blocks of every length.
+    #[test]
+    fn every_byte_scan_path_marks_what_the_table_marks() {
+        let want = |block: &[u8]| {
+            block
+                .iter()
+                .enumerate()
+                .fold(0u64, |m, (i, &b)| m | u64::from(LOOK[b as usize]) << i)
+        };
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for scan in ByteScan::available() {
+            for lane in 0..SCAN_BLOCK {
+                for b in 0..=255u8 {
+                    let mut block = [b'C'; SCAN_BLOCK];
+                    block[lane] = b;
+                    assert_eq!(
+                        scan.look_mask(&block),
+                        want(&block),
+                        "{scan:?} {b} at {lane}"
+                    );
+                }
+            }
+            for len in 1..=SCAN_BLOCK {
+                for _ in 0..64 {
+                    let block: Vec<u8> = (0..len)
+                        .map(|_| {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            rng as u8
+                        })
+                        .collect();
+                    assert_eq!(scan.look_mask(&block), want(&block), "{scan:?} len {len}");
+                }
+            }
+        }
     }
 
     #[test]

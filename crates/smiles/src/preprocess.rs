@@ -20,10 +20,25 @@
 //! copied verbatim, so bracket atoms, stereo markers and the rest of the
 //! string survive untouched. `%nn` spellings shrink to plain digits whenever
 //! the new ID fits (`%12` → `3`), which is itself worth a few bytes.
+//!
+//! # One pass
+//!
+//! [`Preprocessor::process_into`] copies the line to the output once and
+//! then makes one ring scan over it (see [`crate::lexer`]): a block of
+//! bytes is classified at a time, and only ring digits, `%`, `[` and the
+//! other bytes the lexer must read reach per-byte code. Each ring bond is
+//! paired as the scan meets it, in a fixed-size state: a bit set of the
+//! open input IDs and, per input ID, where its pair opened and what the
+//! coloring needs. As soon as a pair's new ID is known, its digits are
+//! patched into the copy in place. Only a site whose spelling changes
+//! length, a `%nn` taking an ID below 10 or a digit taking one of 10 or
+//! more, is left for a splice after the scan.
 
 use crate::error::{SmilesError, Span};
-use crate::lexer::Lexer;
+use crate::lexer::{ByteScan, Lexer};
 use crate::token::{RingForm, Token};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 /// Largest ring ID expressible in SMILES (`%99`).
 pub const MAX_RING_ID: u16 = 99;
@@ -45,51 +60,37 @@ type IdSet = u128;
 
 const ALL_IDS: IdSet = (1 << (MAX_RING_ID + 1)) - 1;
 
-/// Marks a pair that has no new ID yet (innermost, still open) or could
-/// not get one (the ID space ran out).
+/// Marks a pair that could not get a new ID (the ID space ran out).
 const NO_ID: u16 = u16::MAX;
 
-/// The pair an input ring ID currently keeps open.
+/// The pair an input ring ID keeps open. Meaningful only while the ID is
+/// in the line's open set, so nothing is reset between lines.
 #[derive(Debug, Clone, Copy)]
 struct OpenRing {
-    /// Index of the pair in `Preprocessor::ids`; `u32::MAX` when the
-    /// input ID is not open.
-    pair: u32,
-    /// Length of `Preprocessor::closed` when the pair opened.
-    closed_mark: u32,
-}
-
-const NOT_OPEN: OpenRing = OpenRing {
-    pair: u32::MAX,
-    closed_mark: 0,
-};
-
-impl OpenRing {
-    fn is_open(&self) -> bool {
-        self.pair != NOT_OPEN.pair
-    }
+    /// Where the opening ring bond is spelled.
+    site: Span,
+    /// Innermost: the new IDs of the pairs that closed since this one
+    /// opened.
+    taken: IdSet,
+    /// Outermost: this pair's new ID.
+    id: u16,
 }
 
 /// Reusable pre-processor. Its scratch lives between lines, so per-line
 /// processing is allocation-free in the steady state.
 ///
-/// One scan of the line pairs the ring digits and colors the intervals
-/// as it goes: [`RingRenumber::Outermost`] gives a pair the smallest ID
-/// no still-open pair holds when it opens; [`RingRenumber::Innermost`]
-/// gives it, when it closes, the smallest ID no pair that closed in the
-/// meantime took. A second walk over the recorded ring digits splices the
-/// new IDs into the output.
+/// The scan colors the intervals as it pairs them:
+/// [`RingRenumber::Outermost`] gives a pair the smallest ID no still-open
+/// pair holds when it opens; [`RingRenumber::Innermost`] gives it, when
+/// it closes, the smallest ID no pair that closed in the meantime took.
 #[derive(Debug)]
 pub struct Preprocessor {
-    /// Every ring digit of the line in order: its span and its pair.
-    sites: Vec<(Span, u32)>,
-    /// New ID per pair, pairs in opening order.
-    ids: Vec<u16>,
-    /// Innermost only: new IDs in the order their pairs closed.
-    closed: Vec<u8>,
-    /// Per input ring ID, the pair it currently keeps open. All
-    /// [`NOT_OPEN`] between lines.
+    /// Per input ring ID, the pair it keeps open.
     open: [OpenRing; 100],
+    /// The sites whose new spelling differs in length from the old one,
+    /// with their new IDs: spliced in after the scan.
+    splices: Vec<(Span, u16)>,
+    scan: ByteScan,
 }
 
 impl Default for Preprocessor {
@@ -100,11 +101,19 @@ impl Default for Preprocessor {
 
 impl Preprocessor {
     pub fn new() -> Self {
+        Preprocessor::with_scan(ByteScan::detect())
+    }
+
+    /// A pre-processor whose ring scan classifies bytes through `scan`.
+    pub fn with_scan(scan: ByteScan) -> Self {
         Preprocessor {
-            sites: Vec::new(),
-            ids: Vec::new(),
-            closed: Vec::new(),
-            open: [NOT_OPEN; 100],
+            open: [OpenRing {
+                site: Span::point(0),
+                taken: 0,
+                id: NO_ID,
+            }; 100],
+            splices: Vec::new(),
+            scan,
         }
     }
 
@@ -112,6 +121,11 @@ impl Preprocessor {
     /// result to `out`. `out` is *not* cleared, and on error it is left
     /// as it was. The first assigned ID is `first_id` — the paper starts
     /// at 0; conventional exporters start at 1.
+    ///
+    /// Errors, in this order: the line's first lexical error, an
+    /// unclosed ring (the only structural property the transform needs;
+    /// full validation is the parser's job, and compression must work
+    /// even on lines it has not parsed), then an exhausted ID space.
     pub fn process_into(
         &mut self,
         line: &[u8],
@@ -119,15 +133,20 @@ impl Preprocessor {
         first_id: u16,
         out: &mut Vec<u8>,
     ) -> Result<(), SmilesError> {
+        self.splices.clear();
+        let base = out.len();
+        out.extend_from_slice(line);
         if strategy == RingRenumber::Preserve {
-            out.extend_from_slice(line);
             return Ok(());
         }
-        if let Err(e) = self.assign_ids(line, strategy, first_id) {
-            self.open = [NOT_OPEN; 100];
+        if let Err(e) = self.renumber(line, strategy, first_id, &mut out[base..]) {
+            self.splices.clear();
+            out.truncate(base);
             return Err(e);
         }
-        self.rewrite(line, out);
+        if !self.splices.is_empty() {
+            self.splice(out, base);
+        }
         Ok(())
     }
 
@@ -146,24 +165,28 @@ impl Preprocessor {
         self.process_into(line, RingRenumber::Outermost, 1, out)
     }
 
-    /// Pair all ring digits and give each pair its new ID. Errors, in
-    /// this order: the line's first lexical error, an unclosed ring (the
-    /// only structural property the transform needs; full validation is
-    /// the parser's job, and compression must work even on lines it has
-    /// not parsed), then an exhausted ID space.
-    fn assign_ids(
+    /// Whether the last line renumbered needed the splice: some site's new
+    /// spelling differed in length from its old one. Otherwise (and after
+    /// an error) its output was the one copy, patched in place.
+    pub fn spliced(&self) -> bool {
+        !self.splices.is_empty()
+    }
+
+    /// The scan: pair every ring bond of `line`, color the pairs, and
+    /// patch each new ID into `copy`, a copy of `line`, as soon as it is
+    /// known; sites that change length go to `splices`.
+    fn renumber(
         &mut self,
         line: &[u8],
         strategy: RingRenumber,
         first_id: u16,
+        copy: &mut [u8],
     ) -> Result<(), SmilesError> {
-        self.sites.clear();
-        self.ids.clear();
-        self.closed.clear();
         let allowed = ALL_IDS & !((1 << first_id.min(MAX_RING_ID + 1)) - 1);
-        // Outermost: the new IDs of the pairs open right now.
-        let mut held: IdSet = 0;
-        let mut open_count = 0usize;
+        let innermost = strategy == RingRenumber::Innermost;
+        // The input IDs open right now, and (outermost) their new IDs.
+        let (mut open, mut held): (IdSet, IdSet) = (0, 0);
+        let mut pairs = 0usize;
         let mut exhausted = false;
         let mut lowest_free = |taken: IdSet| {
             let free = allowed & !taken;
@@ -174,78 +197,97 @@ impl Preprocessor {
                 free.trailing_zeros() as u16
             }
         };
-        let mut lexer = Lexer::new(line);
-        while let Some(st) = lexer.next_ring()? {
-            let Token::Ring { id, .. } = st.token else {
-                unreachable!("next_ring yields ring tokens only")
-            };
-            let slot = &mut self.open[id as usize];
-            let pair = if !slot.is_open() {
-                let pair = self.ids.len() as u32;
-                let new_id = if strategy == RingRenumber::Outermost {
-                    lowest_free(held)
+        let Preprocessor {
+            open: slots,
+            splices,
+            scan,
+        } = self;
+        let ControlFlow::Continue(()) = Lexer::new(line).scan_rings(*scan, |site, input_id| {
+            let bit = 1 << input_id;
+            if open & bit == 0 {
+                open |= bit;
+                pairs += 1;
+                let slot = &mut slots[input_id as usize];
+                slot.site = site;
+                if innermost {
+                    slot.taken = 0;
                 } else {
-                    NO_ID
-                };
-                if new_id != NO_ID {
-                    held |= 1 << new_id;
-                }
-                self.ids.push(new_id);
-                *slot = OpenRing {
-                    pair,
-                    closed_mark: self.closed.len() as u32,
-                };
-                open_count += 1;
-                pair
-            } else {
-                let pair = slot.pair;
-                let p = pair as usize;
-                if strategy == RingRenumber::Innermost {
-                    let taken = self.closed[slot.closed_mark as usize..]
-                        .iter()
-                        .fold(0, |set: IdSet, &id| set | 1 << id);
-                    self.ids[p] = lowest_free(taken);
-                    if self.ids[p] != NO_ID {
-                        self.closed.push(self.ids[p] as u8);
+                    slot.id = lowest_free(held);
+                    if slot.id != NO_ID {
+                        held |= 1 << slot.id;
                     }
-                } else if self.ids[p] != NO_ID {
-                    held &= !(1 << self.ids[p]);
+                    patch(copy, splices, site, slot.id);
                 }
-                *slot = NOT_OPEN;
-                open_count -= 1;
-                pair
-            };
-            self.sites.push((st.span, pair));
-        }
-        if open_count > 0 {
-            let id = self.open.iter().position(OpenRing::is_open);
+            } else {
+                open &= !bit;
+                let slot = slots[input_id as usize];
+                let id = if innermost {
+                    let id = lowest_free(slot.taken);
+                    // Every pair still open overlaps this one.
+                    if id != NO_ID {
+                        let mut others = open;
+                        while others != 0 {
+                            slots[others.trailing_zeros() as usize].taken |= 1 << id;
+                            others &= others - 1;
+                        }
+                    }
+                    patch(copy, splices, slot.site, id);
+                    id
+                } else {
+                    if slot.id != NO_ID {
+                        held &= !(1 << slot.id);
+                    }
+                    slot.id
+                };
+                patch(copy, splices, site, id);
+            }
+            ControlFlow::<Infallible>::Continue(())
+        })?;
+        if open != 0 {
             return Err(SmilesError::UnclosedRing {
-                id: id.expect("an open ring") as u16,
+                id: open.trailing_zeros() as u16,
             });
         }
         if exhausted {
-            return Err(SmilesError::RingIdSpaceExhausted {
-                concurrent: self.ids.len(),
-            });
+            return Err(SmilesError::RingIdSpaceExhausted { concurrent: pairs });
         }
         Ok(())
     }
 
-    /// Copy `line` to `out`, substituting the new ID at every ring digit.
-    fn rewrite(&self, line: &[u8], out: &mut Vec<u8>) {
-        let mut pos = 0;
-        for &(span, pair) in &self.sites {
-            out.extend_from_slice(&line[pos..span.start]);
-            let id = self.ids[pair as usize];
+    /// Rebuild the patched copy at `out[base..]` with every site in
+    /// `splices` respelled, in line order: the rare path, for `%nn`
+    /// inputs and lines with ten or more rings open at once.
+    fn splice(&mut self, out: &mut Vec<u8>, base: usize) {
+        self.splices.sort_unstable_by_key(|(site, _)| site.start);
+        let end = out.len();
+        let mut pos = base;
+        for &(site, id) in &self.splices {
+            out.extend_from_within(pos..base + site.start);
             let form = if id < 10 {
                 RingForm::Digit
             } else {
                 RingForm::Percent
             };
             Token::Ring { id, form }.write_to(out);
-            pos = span.end;
+            pos = base + site.end;
         }
-        out.extend_from_slice(&line[pos..]);
+        out.extend_from_within(pos..end);
+        out.drain(base..end);
+    }
+}
+
+/// Write new ID `id` at `site` of `copy` when its spelling keeps the
+/// site's length, else leave it to the splice.
+#[inline(always)]
+fn patch(copy: &mut [u8], splices: &mut Vec<(Span, u16)>, site: Span, id: u16) {
+    match (site.len(), id) {
+        (_, NO_ID) => {}
+        (1, 0..=9) => copy[site.start] = b'0' + id as u8,
+        (3, 10..) => {
+            copy[site.start + 1] = b'0' + (id / 10) as u8;
+            copy[site.start + 2] = b'0' + (id % 10) as u8;
+        }
+        _ => splices.push((site, id)),
     }
 }
 

@@ -1,13 +1,18 @@
-//! Differential tests for the ring-only scan and the one-pass renumbering.
+//! Differential tests for the ring scan and the one-pass renumbering.
 //!
 //! `Lexer::next_ring` must yield exactly the ring tokens, spans and first
 //! error of `Lexer::next_token` filtered to rings, and
 //! `Preprocessor::process_into` must match the token-driven oracle below:
 //! lex every token, pair the ring digits, color the intervals by an
-//! explicit sort, and splice the edits back in position order.
+//! explicit sort, and splice the edits back in position order. Both are
+//! checked through every byte-classification path the CPU runs
+//! (`ByteScan::available`), on random lines, on whole generated decks,
+//! and on lines that put each kind of token across the scan's 16- and
+//! 64-byte step edges.
 
+use molgen::Dataset;
 use proptest::prelude::*;
-use smiles::lexer::{Lexer, Spanned};
+use smiles::lexer::{ByteScan, Lexer, Spanned};
 use smiles::preprocess::{Preprocessor, RingRenumber, MAX_RING_ID};
 use smiles::token::{RingForm, Token};
 use smiles::SmilesError;
@@ -25,13 +30,27 @@ fn rings_by_token(line: &[u8]) -> Result<Vec<Spanned>, SmilesError> {
     Ok(rings)
 }
 
-fn rings_by_scan(line: &[u8]) -> Result<Vec<Spanned>, SmilesError> {
+fn rings_by_scan(line: &[u8], scan: ByteScan) -> Result<Vec<Spanned>, SmilesError> {
     let mut lexer = Lexer::new(line);
     let mut rings = Vec::new();
-    while let Some(st) = lexer.next_ring()? {
+    while let Some(st) = lexer.next_ring_via(scan)? {
         rings.push(st);
     }
     Ok(rings)
+}
+
+/// `rings_by_scan` through every path equals `rings_by_token`.
+fn assert_scans_match_tokens(line: &[u8]) {
+    let want = rings_by_token(line);
+    for scan in ByteScan::available() {
+        assert_eq!(
+            rings_by_scan(line, scan),
+            want,
+            "{:?} {}",
+            scan,
+            String::from_utf8_lossy(line)
+        );
+    }
 }
 
 /// One open/close ring-digit pair: byte spans and ring-token sequence
@@ -127,22 +146,77 @@ fn oracle(line: &[u8], strategy: RingRenumber, first_id: u16) -> Result<Vec<u8>,
 }
 
 thread_local! {
-    /// One preprocessor for every case on a thread, as a compressor keeps
-    /// one for every line: scratch left by a failed line must not leak
-    /// into the next.
-    static SHARED: RefCell<Preprocessor> = RefCell::new(Preprocessor::new());
+    /// One preprocessor per classification path for every case on a
+    /// thread, as a compressor keeps one for every line: scratch left by a
+    /// failed line must not leak into the next.
+    static SHARED: RefCell<Vec<Preprocessor>> = RefCell::new(
+        ByteScan::available().into_iter().map(Preprocessor::with_scan).collect()
+    );
+}
+
+/// Which writer the renumbered lines took.
+#[derive(Debug, Default)]
+struct Writers {
+    in_place: usize,
+    spliced: usize,
+}
+
+/// `process_into` through every classification path, which must agree;
+/// successful lines are counted into `writers` by the writer they took.
+fn processed_counting(
+    line: &[u8],
+    strategy: RingRenumber,
+    first_id: u16,
+    writers: &mut Writers,
+) -> Result<Vec<u8>, SmilesError> {
+    SHARED.with(|pps| {
+        let mut first = None;
+        for pp in pps.borrow_mut().iter_mut() {
+            let mut out = b"kept".to_vec();
+            let got = pp.process_into(line, strategy, first_id, &mut out);
+            assert_eq!(&out[..4], b"kept", "existing output is never touched");
+            let got = got
+                .map(|()| out[4..].to_vec())
+                .inspect_err(|_| assert_eq!(out, b"kept", "nothing appended on error"));
+            if got.is_ok() {
+                if pp.spliced() {
+                    writers.spliced += 1;
+                } else {
+                    writers.in_place += 1;
+                }
+            }
+            match &first {
+                None => first = Some(got),
+                Some(want) => assert_eq!(&got, want, "paths disagree"),
+            }
+        }
+        first.expect("the scalar path always runs")
+    })
 }
 
 fn processed(line: &[u8], strategy: RingRenumber, first_id: u16) -> Result<Vec<u8>, SmilesError> {
-    let mut out = b"kept".to_vec();
-    let got = SHARED.with(|pp| {
-        pp.borrow_mut()
-            .process_into(line, strategy, first_id, &mut out)
-    });
-    assert_eq!(&out[..4], b"kept", "existing output is never touched");
-    got.map(|()| out[4..].to_vec())
-        .inspect_err(|_| assert_eq!(out, b"kept", "nothing appended on error"))
+    processed_counting(line, strategy, first_id, &mut Writers::default())
 }
+
+/// Both strategies through every path against the oracle, counted.
+fn assert_processed_matches_oracle(line: &[u8], first_id: u16, writers: &mut Writers) {
+    for strategy in [RingRenumber::Innermost, RingRenumber::Outermost] {
+        assert_eq!(
+            processed_counting(line, strategy, first_id, writers),
+            oracle(line, strategy, first_id),
+            "{} {:?} from {}",
+            String::from_utf8_lossy(line),
+            strategy,
+            first_id
+        );
+    }
+}
+
+/// The first IDs the differential tests draw from: both ends of the
+/// range, so small pools exhaust.
+const FIRST_IDS: [u16; 19] = [
+    0, 1, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101,
+];
 
 /// Pieces of SMILES-alphabet lines, including every byte class the scan
 /// steps over, the two-letter bare atoms, their look-alikes, bracket
@@ -218,9 +292,8 @@ fn arb_line() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![arb_alphabet_line(), arb_closed_rings_line()]
 }
 
-/// First IDs around both ends of the range, so small pools exhaust.
 fn arb_first_id() -> impl Strategy<Value = u16> {
-    prop_oneof![0u16..=1, 85u16..=101]
+    (0..FIRST_IDS.len()).prop_map(|i| FIRST_IDS[i])
 }
 
 proptest! {
@@ -228,14 +301,14 @@ proptest! {
 
     #[test]
     fn next_ring_matches_filtered_next_token_on_bytes(
-        line in proptest::collection::vec(any::<u8>(), 0..64)
+        line in proptest::collection::vec(any::<u8>(), 0..160)
     ) {
-        prop_assert_eq!(rings_by_scan(&line), rings_by_token(&line));
+        assert_scans_match_tokens(&line);
     }
 
     #[test]
     fn next_ring_matches_filtered_next_token_on_alphabet_lines(line in arb_alphabet_line()) {
-        prop_assert_eq!(rings_by_scan(&line), rings_by_token(&line));
+        assert_scans_match_tokens(&line);
     }
 
     #[test]
@@ -289,4 +362,152 @@ fn one_hundred_concurrent_rings_exhaust_ids_from_one() {
         assert_eq!(processed(&line, strategy, 0), oracle(&line, strategy, 0));
         assert!(processed(&line, strategy, 0).is_ok());
     }
+}
+
+/// Every line of four generated decks, both strategies, every path, the
+/// first ID cycling through [`FIRST_IDS`]: the deck's lines take the
+/// in-place writer from IDs 0 and 1 and the splice from IDs of 10 or
+/// more.
+#[test]
+fn process_into_matches_token_oracle_on_generated_decks() {
+    let mut writers = Writers::default();
+    for seed in [7, 0xBEEF, 22_001, 40_101] {
+        let deck = Dataset::generate_mixed(20_000, seed);
+        for (i, line) in deck.iter().enumerate() {
+            assert_processed_matches_oracle(line, FIRST_IDS[i % FIRST_IDS.len()], &mut writers);
+        }
+    }
+    assert!(
+        writers.in_place > 10_000 && writers.spliced > 1_000,
+        "{writers:?}"
+    );
+}
+
+/// Filler with no ring bond and no byte the scan must look at.
+const FILLER: &[u8] = b"CCOC(=O)N(C)C=CC#N";
+
+/// `len` bytes of filler.
+fn filler(len: usize) -> Vec<u8> {
+    FILLER.iter().copied().cycle().take(len).collect()
+}
+
+/// Lines of up to 130 bytes that start a token at each byte offset
+/// around the scan's 16- and 64-byte step edges: a ring digit, `%nn`,
+/// bracket atoms, `Cl`, `Br`, the bare `se` trap and `[se]`, each
+/// followed by a ring bond and filler, with every ring closed at the end
+/// (or left open, or spelled with a bad `%`).
+fn edge_lines() -> Vec<Vec<u8>> {
+    const PIECES: [&[u8]; 10] = [
+        b"1",
+        b"%12",
+        b"[13C@@H]",
+        b"[nH]",
+        b"Cl",
+        b"Br",
+        b"se",
+        b"[se]",
+        b"%1",
+        b"[NH3+]",
+    ];
+    let mut lines = Vec::new();
+    for offset in (13..=18).chain(29..=34).chain(61..=66) {
+        for piece in PIECES {
+            for tail in [0, 1, 15, 16, 17, 63] {
+                for closed in [true, false] {
+                    let mut line = filler(offset);
+                    line.extend_from_slice(piece);
+                    line.push(b'2');
+                    line.extend(filler(tail));
+                    if closed {
+                        line.extend_from_slice(b"C2");
+                        if piece == b"1" || piece == b"%12" {
+                            line.extend_from_slice(piece);
+                        }
+                    }
+                    line.truncate(130);
+                    lines.push(line);
+                }
+            }
+        }
+    }
+    lines
+}
+
+#[test]
+fn tokens_across_step_edges_match_the_oracles() {
+    let mut writers = Writers::default();
+    let lines = edge_lines();
+    for line in &lines {
+        assert_scans_match_tokens(line);
+        for first_id in FIRST_IDS {
+            assert_processed_matches_oracle(line, first_id, &mut writers);
+        }
+    }
+    assert!(writers.in_place > 0 && writers.spliced > 0, "{writers:?}");
+    // The pieces reach every outcome: renumbered, an unclosed ring, a
+    // lexical error.
+    let mut seen = [0usize; 3];
+    for line in &lines {
+        seen[match oracle(line, RingRenumber::Innermost, 0) {
+            Ok(_) => 0,
+            Err(SmilesError::UnclosedRing { .. }) => 1,
+            Err(_) => 2,
+        }] += 1;
+    }
+    assert!(seen.iter().all(|&n| n > 0), "outcome counts {seen:?}");
+}
+
+/// `%nn` spellings and lines with ten or more rings open at once: the
+/// splice runs where a spelling changes length, the in-place writer
+/// everywhere else, and both match the oracle.
+#[test]
+fn percent_rings_and_ten_open_rings_take_both_writers() {
+    let mut ten_open = b"C".to_vec();
+    for id in 0..12u16 {
+        Token::Ring {
+            id,
+            form: if id < 10 {
+                RingForm::Digit
+            } else {
+                RingForm::Percent
+            },
+        }
+        .write_to(&mut ten_open);
+    }
+    ten_open.extend_from_slice(b"CCCC");
+    for id in (0..12u16).rev() {
+        ten_open.push(b'C');
+        Token::Ring {
+            id,
+            form: if id < 10 {
+                RingForm::Digit
+            } else {
+                RingForm::Percent
+            },
+        }
+        .write_to(&mut ten_open);
+    }
+    let lines: [&[u8]; 6] = [
+        b"C%10CCCCC%10",
+        b"C%12CCCC%12C1CC1",
+        b"C%45CC%45C%46CC%46",
+        b"C1CC2CCC2CC1",
+        b"c1ccc2ccccc2c1",
+        &ten_open,
+    ];
+    for first_id in FIRST_IDS {
+        let mut writers = Writers::default();
+        for line in lines {
+            assert_processed_matches_oracle(line, first_id, &mut writers);
+        }
+        if first_id <= 1 {
+            assert!(writers.in_place > 0 && writers.spliced > 0, "{writers:?}");
+        }
+    }
+    // From 0, twelve nested rings take IDs up to 11: the splice writes
+    // `%10` and `%11` over one-digit sites.
+    let mut writers = Writers::default();
+    let out = processed_counting(&ten_open, RingRenumber::Innermost, 0, &mut writers).unwrap();
+    assert!(writers.spliced > 0 && writers.in_place == 0, "{writers:?}");
+    assert!(out.windows(3).any(|w| w == b"%11"));
 }

@@ -691,7 +691,7 @@ fn index_footprint<'a, S: ArchiveSource + 'a>(
 ) -> String {
     let (mut versions, mut bytes, mut lines) = (Vec::new(), 0, 0);
     for r in readers {
-        versions.extend(r.index().wire_version());
+        versions.extend(r.index_version());
         bytes += r.index_bytes();
         lines += r.len();
     }

@@ -26,6 +26,51 @@ pub const ESCAPE: u8 = 0x20;
 /// The line separator (newline).
 pub const LINE_SEP: u8 = b'\n';
 
+/// Position of the first [`LINE_SEP`] in `hay` — SWAR, eight bytes per
+/// probe (the classic zero-byte trick on `word ^ LINE_SEP…`), so the
+/// pack path's line splitting runs at memory speed instead of a byte at
+/// a time.
+#[inline]
+pub(crate) fn find_newline(hay: &[u8]) -> Option<usize> {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    const NL: u64 = u64::from_le_bytes([LINE_SEP; 8]);
+    let mut words = hay.chunks_exact(8);
+    for (k, word) in words.by_ref().enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte probe")) ^ NL;
+        let found = x.wrapping_sub(LO) & !x & HI;
+        if found != 0 {
+            return Some(8 * k + (found.trailing_zeros() >> 3) as usize);
+        }
+    }
+    let tail = hay.len() - words.remainder().len();
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == LINE_SEP)
+        .map(|p| tail + p)
+}
+
+/// The pieces of `buf` between separators, exactly as
+/// `buf.split(|&b| b == LINE_SEP)` yields them, found by
+/// [`find_newline`].
+pub(crate) fn split_lines(buf: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = Some(buf);
+    std::iter::from_fn(move || {
+        let r = rest?;
+        Some(match find_newline(r) {
+            Some(p) => {
+                rest = Some(&r[p + 1..]);
+                &r[..p]
+            }
+            None => {
+                rest = None;
+                r
+            }
+        })
+    })
+}
+
 /// Is `b` usable as a dictionary code?
 pub const fn is_code_byte(b: u8) -> bool {
     matches!(b, 0x21..=0x7E) || b >= 0x80
@@ -94,6 +139,30 @@ impl Prepopulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The SWAR finder and the splitter built on it agree with a plain
+    /// byte search and `split`, for every length up to three probes and
+    /// every separator position, next to bytes one bit away from it.
+    #[test]
+    fn find_newline_and_split_lines_match_a_byte_search() {
+        for len in 0..=24 {
+            for fill in [b'C', 0x0B, 0x08, 0x8A, 0xFF] {
+                for nl in (0..len).map(Some).chain([None]) {
+                    for second in (0..len).map(Some).chain([None]) {
+                        let mut buf = vec![fill; len];
+                        for at in [nl, second].into_iter().flatten() {
+                            buf[at] = LINE_SEP;
+                        }
+                        let want = buf.iter().position(|&b| b == LINE_SEP);
+                        assert_eq!(find_newline(&buf), want, "{buf:?}");
+                        let pieces: Vec<&[u8]> = split_lines(&buf).collect();
+                        let split: Vec<&[u8]> = buf.split(|&b| b == LINE_SEP).collect();
+                        assert_eq!(pieces, split, "{buf:?}");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn code_space_is_222_displayable_bytes() {

@@ -22,7 +22,7 @@
 //! The pieces both widths share below that split — the ring-ID
 //! [`PreprocessStage`] and the buffer loops — live here too.
 
-use crate::codec::LINE_SEP;
+use crate::codec::{split_lines, LINE_SEP};
 use crate::compress::{CompressStats, Compressor};
 use crate::decompress::{DecompressStats, Decompressor};
 use crate::dict::Dictionary;
@@ -122,7 +122,7 @@ pub(crate) fn encode_buffer(
     mut encode_line: impl FnMut(&[u8], &mut Vec<u8>) -> (usize, bool),
 ) -> CompressStats {
     let mut stats = CompressStats::default();
-    for line in input.split(|&b| b == LINE_SEP) {
+    for line in split_lines(input) {
         if line.is_empty() {
             continue;
         }
@@ -144,7 +144,7 @@ pub(crate) fn decode_buffer(
     mut decode_line: impl FnMut(&[u8], &mut Vec<u8>) -> Result<usize, ZsmilesError>,
 ) -> Result<DecompressStats, ZsmilesError> {
     let mut stats = DecompressStats::default();
-    for line in input.split(|&b| b == LINE_SEP) {
+    for line in split_lines(input) {
         if line.is_empty() {
             continue;
         }

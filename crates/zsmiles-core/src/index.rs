@@ -69,6 +69,7 @@
 //! from them, which overshoots across blank lines and so forces a
 //! defensive re-trim in [`LineIndex::line`].
 
+use crate::codec::split_lines;
 use crate::decompress::Decompressor;
 use crate::dict::Dictionary;
 use crate::error::ZsmilesError;
@@ -286,21 +287,12 @@ impl LineIndex {
         );
         self.wire_version = None;
         let base = self.total;
-        let mut in_line = false;
-        let mut start = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            if b == b'\n' {
-                if in_line {
-                    self.push(base + start, base + i as u64);
-                    in_line = false;
-                }
-            } else if !in_line {
-                start = i as u64;
-                in_line = true;
+        let mut start = 0;
+        for line in split_lines(chunk) {
+            if !line.is_empty() {
+                self.push(base + start as u64, base + (start + line.len()) as u64);
             }
-        }
-        if in_line {
-            self.push(base + start, base + chunk.len() as u64);
+            start += line.len() + 1;
         }
         self.total += chunk.len() as u64;
     }
@@ -386,7 +378,9 @@ impl LineIndex {
         self.wire_version
     }
 
-    fn exact_ends(&self) -> bool {
+    /// Whether the ends are exact: built by scanning, or read from a v3
+    /// or v4 index.
+    pub(crate) fn exact_ends(&self) -> bool {
         !matches!(self.wire_version, Some(1 | 2))
     }
 

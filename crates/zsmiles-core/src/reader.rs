@@ -41,9 +41,15 @@
 //!
 //! Opening validates structure (magic, trailer, section bounds, index
 //! consistency with the payload length) but cannot checksum a payload it
-//! refuses to read; [`ArchiveReader::verify`] streams the whole container
-//! through the CRC in bounded memory when end-to-end integrity is worth
-//! one sequential pass (a loose payload has no CRC to check).
+//! refuses to read. An index in wire version 1 or 2, written by early
+//! releases, stores starts only; its *derived* ends run across blank
+//! lines and cut short a last line the payload does not terminate, so
+//! opening one costs a single streaming scan of the payload that makes
+//! the ends exact (see [`LineIndex::line`]), and every later read is the
+//! plain range read of a current index. [`ArchiveReader::verify`]
+//! streams the whole container through the CRC in bounded memory when
+//! end-to-end integrity is worth one sequential pass (a loose payload
+//! has no CRC to check).
 
 use crate::archive::{bad, parse_layout, FOOTER_LEN, HEADER_LEN};
 use crate::decompress::DecompressStats;
@@ -51,7 +57,7 @@ use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
 use crate::index::{LineIndex, Ranges};
 use crate::source::{ArchiveSource, FileSource};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::Path;
 use textcomp::crc32::Crc32;
@@ -76,6 +82,9 @@ pub struct ArchiveReader<S: ArchiveSource> {
     payload_start: u64,
     payload_len: u64,
     index_len: u64,
+    /// The stored index's wire version, kept when a legacy one is
+    /// replaced by a scan at open; `None` when the index was scanned.
+    index_version: Option<u8>,
     metadata_bytes: u64,
     /// The footer's CRC32; `None` for a loose payload, which stores none.
     stored_crc: Option<u32>,
@@ -130,10 +139,13 @@ impl<S: ArchiveSource> ArchiveReader<S> {
                 layout.payload_len
             )));
         }
+        let index_version = index.wire_version();
+        let index = exact_ends(&source, layout.payload_start, index)?;
         Ok(ArchiveReader {
             source,
             dict,
             index,
+            index_version,
             payload_start: layout.payload_start,
             payload_len: layout.payload_len,
             index_len: layout.index_len,
@@ -161,7 +173,10 @@ impl<S: ArchiveSource> ArchiveReader<S> {
                 source.len()
             )));
         }
+        let index_version = index.wire_version();
+        let index = exact_ends(&source, 0, index)?;
         Ok(ArchiveReader {
+            index_version,
             payload_len: source.len(),
             source,
             dict,
@@ -203,10 +218,15 @@ impl<S: ArchiveSource> ArchiveReader<S> {
         self.payload_len
     }
 
-    /// Size in bytes of the stored line index section (its wire version
-    /// is [`LineIndex::wire_version`] on [`ArchiveReader::index`]).
+    /// Size in bytes of the stored line index section.
     pub fn index_bytes(&self) -> u64 {
         self.index_len
+    }
+
+    /// The wire version (1–4) the stored line index was written in, or
+    /// `None` when there was none and the payload was scanned.
+    pub fn index_version(&self) -> Option<u8> {
+        self.index_version
     }
 
     /// Bytes of metadata (header, footer, dictionary, index) a reader
@@ -402,6 +422,60 @@ impl<S: ArchiveSource> ArchiveReader<S> {
             )));
         }
         Ok(())
+    }
+}
+
+/// `index` with exact ends over the payload at `payload_start` of
+/// `source`, whose length the index's total already matches. A current
+/// index is returned as it is. A v1 or v2 index is replaced by one
+/// streaming scan of the payload, which must find the lines the index
+/// starts, so that every range read then slices what
+/// [`LineIndex::line`] slices; a legacy index that names other lines is
+/// refused, as the in-memory parser refuses an index that is not the
+/// payload's.
+fn exact_ends<S: ArchiveSource>(
+    source: &S,
+    payload_start: u64,
+    index: LineIndex,
+) -> Result<LineIndex, ZsmilesError> {
+    if index.exact_ends() {
+        return Ok(index);
+    }
+    let scanned = LineIndex::scan(SourceRange {
+        source,
+        pos: payload_start,
+        end: payload_start + index.total_bytes(),
+    })?;
+    let same_starts = scanned.len() == index.len()
+        && scanned
+            .ranges(0..scanned.len())
+            .zip(index.ranges(0..index.len()))
+            .all(|(exact, derived)| exact.start == derived.start);
+    if !same_starts {
+        return Err(bad(
+            "the legacy line index does not start the payload's lines",
+        ));
+    }
+    Ok(scanned)
+}
+
+/// A byte range of a source read as a stream.
+struct SourceRange<'a, S: ArchiveSource> {
+    source: &'a S,
+    pos: u64,
+    end: u64,
+}
+
+impl<S: ArchiveSource> Read for SourceRange<'_, S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf
+            .len()
+            .min(usize::try_from(self.end - self.pos).unwrap_or(usize::MAX));
+        self.source
+            .read_at(self.pos, &mut buf[..n])
+            .map_err(std::io::Error::other)?;
+        self.pos += n as u64;
+        Ok(n)
     }
 }
 

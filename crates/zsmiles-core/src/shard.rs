@@ -52,6 +52,7 @@
 //! a property the proptest suite pins down at random budgets.
 
 use crate::cache::BlockCache;
+use crate::codec::find_newline;
 use crate::compress::CompressStats;
 use crate::engine::{AnyDictionary, DictFlavor};
 use crate::error::ZsmilesError;
@@ -451,27 +452,6 @@ pub struct ShardedPackInfo {
     /// writer, or (cross-shard parallel mode) raw shard input held for
     /// the jobs in flight.
     pub peak_buffered_bytes: usize,
-}
-
-/// Position of the first `b'\n'` in `hay` — SWAR, eight bytes per probe
-/// (the classic zero-byte trick on `word ^ NL`), so the shard writer's
-/// line splitting runs at memory speed instead of byte-at-a-time.
-#[inline]
-fn find_newline(hay: &[u8]) -> Option<usize> {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    const NL: u64 = 0x0A0A_0A0A_0A0A_0A0A;
-    let mut i = 0usize;
-    while i + 8 <= hay.len() {
-        let word = u64::from_le_bytes(hay[i..i + 8].try_into().expect("8-byte probe"));
-        let x = word ^ NL;
-        let found = x.wrapping_sub(LO) & !x & HI;
-        if found != 0 {
-            return Some(i + (found.trailing_zeros() >> 3) as usize);
-        }
-        i += 8;
-    }
-    hay[i..].iter().position(|&b| b == b'\n').map(|p| i + p)
 }
 
 /// A complete raw shard cut by the policy, waiting for a worker to
@@ -1144,8 +1124,9 @@ impl ShardedReader {
     /// Open a loose deck as a one-shard deck: the `.zsmi` payload at
     /// `path`, `dict` as loaded from its `.dct`, and the `<path>.zsx`
     /// sidecar index, parsed within its own length, so no payload byte is
-    /// read at open. Without a sidecar (or with a legacy v1/v2 one) the
-    /// index comes from one streaming scan of the payload. A loose deck
+    /// read at open. Without a sidecar the index comes from one streaming
+    /// scan of the payload, as the ends of a legacy v1/v2 one do (see
+    /// [`ArchiveReader`]'s integrity notes). A loose deck
     /// stores no CRC, so its [`ShardedReader::verify`] is
     /// [`ZsmilesError::Unsupported`].
     pub fn open_loose(path: &Path, dict: AnyDictionary) -> Result<ShardedReader, ZsmilesError> {
@@ -1156,11 +1137,9 @@ impl ShardedReader {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
             Err(e) => return Err(e.into()),
         };
-        // A v1 or v2 sidecar derives each end from the next start, which
-        // cuts short a last line the payload does not terminate.
         let (index, index_len) = match sidecar {
-            Some((index, len)) if !matches!(index.wire_version(), Some(1 | 2)) => (index, len),
-            _ => (LineIndex::scan(std::fs::File::open(path)?)?, 0),
+            Some(sidecar) => sidecar,
+            None => (LineIndex::scan(std::fs::File::open(path)?)?, 0),
         };
         let reader = ArchiveReader::loose(AutoSource::open(path)?, dict, index, index_len)?;
         Ok(ShardedReader::one_file(path, reader))

@@ -586,3 +586,71 @@ fn mutated_container_indexes_error_or_read_without_panicking() {
         assert!(opened > 0, "{name}: no mutant opened");
     }
 }
+
+/// `blob` rebuilt around another payload and index section: the header's
+/// `payload_len`, the footer's `index_len` and the container CRC follow
+/// them, so the container checks pass.
+fn with_payload(blob: &[u8], payload: &[u8], index: &[u8]) -> Vec<u8> {
+    let dict_len = u64::from_le_bytes(blob[16..24].try_into().unwrap()) as usize;
+    let mut out = blob[..32 + dict_len].to_vec();
+    out[24..32].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(index);
+    out.extend_from_slice(&(index.len() as u64).to_le_bytes());
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&blob[blob.len() - 8..]);
+    out
+}
+
+/// A container whose index is a legacy v1 or v2 one reads, out of core,
+/// what `LineIndex::line` slices from its payload: over a payload with no
+/// final newline, where a v1 index's derived last end falls one byte
+/// short, and over one with blank lines, where derived ends run across
+/// them.
+#[test]
+fn legacy_container_indexes_read_what_line_slices() {
+    let ds = Dataset::generate_mixed(200, 0x1E6);
+    let dict = AnyDictionary::Base(Box::new(Dictionary::builtin().clone()));
+    let archive = Archive::pack(dict, ds.as_bytes(), 1);
+    let mut blob = Vec::new();
+    archive.write_to(&mut blob).unwrap();
+    let unterminated = &archive.payload()[..archive.payload().len() - 1];
+    let mut blanks = Vec::new();
+    for (i, line) in unterminated.split(|&b| b == b'\n').enumerate() {
+        if i > 0 {
+            blanks.extend_from_slice(if i % 7 == 0 { b"\n\n" } else { b"\n" });
+        }
+        blanks.extend_from_slice(line);
+    }
+    for payload in [unterminated, &blanks] {
+        let exact = ranges_of(&LineIndex::build(payload));
+        for flag in [None, Some(false)] {
+            let raw = legacy_of(&exact, payload.len() as u64, flag);
+            let legacy = LineIndex::read_from(raw.as_slice()).unwrap();
+            let container = with_payload(&blob, payload, &raw);
+            let reader = ArchiveReader::from_source(container.as_slice()).unwrap();
+            assert_eq!(reader.len(), 200);
+            assert_eq!(reader.index_version(), Some(1 + u8::from(flag.is_some())));
+            let mut want = Vec::new();
+            for i in 0..reader.len() {
+                let line = legacy.line(payload, i);
+                assert_eq!(
+                    reader.compressed_line(i).unwrap(),
+                    line,
+                    "flag {flag:?}, line {i}"
+                );
+                let mut smiles = Vec::new();
+                reader
+                    .dictionary()
+                    .decompress_line(line, &mut smiles)
+                    .unwrap();
+                assert_eq!(reader.get(i).unwrap(), smiles, "flag {flag:?}, line {i}");
+                want.push(smiles);
+            }
+            assert_eq!(reader.get_range(0..reader.len()).unwrap(), want);
+            let lines: Result<Vec<_>, _> = reader.lines().collect();
+            assert_eq!(lines.unwrap(), want);
+        }
+    }
+}
