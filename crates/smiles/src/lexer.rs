@@ -18,9 +18,9 @@
 //!   preprocessor's single pass, classifies up to 64 bytes at a time
 //!   into a bit mask of the bytes it must look at: ring digits and the
 //!   bytes only `next_token` can read. On a typical line that is a
-//!   handful of the ~50 bytes. A [`ByteScan`] says how the mask is made:
-//!   one table probe per byte, or a 16-byte SSSE3 nibble lookup where the
-//!   CPU has it.
+//!   handful of the ~50 bytes. The mask is made by a 16-byte SSSE3 nibble
+//!   lookup where the CPU has it, or else by one table probe per byte,
+//!   the portable path and the oracle the vector path is tested against.
 
 use crate::element::{parse_bracket_symbol, Element};
 use crate::error::{SmilesError, Span};
@@ -156,7 +156,7 @@ const SCAN_BLOCK: usize = 64;
 /// [`crate::Preprocessor`] (tests force each path, as they do the
 /// encoder's relax paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ByteScan {
+pub(crate) enum ByteScan {
     /// One byte-class table probe per byte: the portable path, and the
     /// oracle the vector path is tested against.
     Scalar,
@@ -170,7 +170,7 @@ mod cpu {
     /// Proof that this CPU runs SSSE3: its field is private to this
     /// module, so only [`Ssse3::detect`] can make one.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct Ssse3(());
+    pub(crate) struct Ssse3(());
 
     impl Ssse3 {
         pub(super) fn detect() -> Option<Ssse3> {
@@ -181,7 +181,7 @@ mod cpu {
 
 impl ByteScan {
     /// The fastest path this CPU runs.
-    pub fn detect() -> ByteScan {
+    pub(crate) fn detect() -> ByteScan {
         #[cfg(target_arch = "x86_64")]
         if let Some(proof) = cpu::Ssse3::detect() {
             return ByteScan::Ssse3(proof);
@@ -190,7 +190,8 @@ impl ByteScan {
     }
 
     /// Every path this CPU runs, the scalar one first.
-    pub fn available() -> Vec<ByteScan> {
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<ByteScan> {
         let mut paths = vec![ByteScan::Scalar];
         #[cfg(target_arch = "x86_64")]
         paths.extend(cpu::Ssse3::detect().map(ByteScan::Ssse3));
@@ -379,14 +380,13 @@ impl<'a> Lexer<'a> {
 
     /// Lex forward to the next ring-bond token, or `Ok(None)` at end of
     /// line. Yields exactly the `Ring` tokens, spans and first error that
-    /// filtering [`Lexer::next_token`] would, through the ring scan
-    /// ([`ByteScan::detect`]'s path).
+    /// filtering [`Lexer::next_token`] would, through the ring scan.
     pub fn next_ring(&mut self) -> Result<Option<Spanned>, SmilesError> {
         self.next_ring_via(ByteScan::detect())
     }
 
     /// [`Lexer::next_ring`] through a chosen [`ByteScan`] path.
-    pub fn next_ring_via(&mut self, scan: ByteScan) -> Result<Option<Spanned>, SmilesError> {
+    pub(crate) fn next_ring_via(&mut self, scan: ByteScan) -> Result<Option<Spanned>, SmilesError> {
         let found = self.scan_rings(scan, |span, id| {
             let form = if span.len() == 1 {
                 RingForm::Digit

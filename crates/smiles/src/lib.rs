@@ -43,6 +43,9 @@ pub mod token;
 pub mod validate;
 pub mod writer;
 
+#[cfg(test)]
+mod ring_scan_tests;
+
 pub use error::{SmilesError, Span};
 pub use features::{FeatureCounter, FeatureCounts};
 pub use formula::{molar_mass, molecular_formula, Composition};

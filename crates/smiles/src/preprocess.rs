@@ -37,6 +37,7 @@
 use crate::error::{SmilesError, Span};
 use crate::lexer::{ByteScan, Lexer};
 use crate::token::{RingForm, Token};
+use std::cell::RefCell;
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 
@@ -105,7 +106,7 @@ impl Preprocessor {
     }
 
     /// A pre-processor whose ring scan classifies bytes through `scan`.
-    pub fn with_scan(scan: ByteScan) -> Self {
+    pub(crate) fn with_scan(scan: ByteScan) -> Self {
         Preprocessor {
             open: [OpenRing {
                 site: Span::point(0),
@@ -168,7 +169,8 @@ impl Preprocessor {
     /// Whether the last line renumbered needed the splice: some site's new
     /// spelling differed in length from its old one. Otherwise (and after
     /// an error) its output was the one copy, patched in place.
-    pub fn spliced(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn spliced(&self) -> bool {
         !self.splices.is_empty()
     }
 
@@ -291,17 +293,23 @@ fn patch(copy: &mut [u8], splices: &mut Vec<(Span, u16)>, site: Span, id: u16) {
     }
 }
 
+thread_local! {
+    /// The one-shots' pre-processor: a call reuses its per-ID state
+    /// instead of initialising a fresh one.
+    static ONE_SHOT: RefCell<Preprocessor> = RefCell::new(Preprocessor::new());
+}
+
 /// One-shot [`Preprocessor::preprocess_into`].
 pub fn preprocess(line: &[u8]) -> Result<Vec<u8>, SmilesError> {
     let mut out = Vec::with_capacity(line.len());
-    Preprocessor::new().preprocess_into(line, &mut out)?;
+    ONE_SHOT.with_borrow_mut(|pp| pp.preprocess_into(line, &mut out))?;
     Ok(out)
 }
 
 /// One-shot [`Preprocessor::postprocess_into`].
 pub fn postprocess(line: &[u8]) -> Result<Vec<u8>, SmilesError> {
     let mut out = Vec::with_capacity(line.len() + 4);
-    Preprocessor::new().postprocess_into(line, &mut out)?;
+    ONE_SHOT.with_borrow_mut(|pp| pp.postprocess_into(line, &mut out))?;
     Ok(out)
 }
 

@@ -8,14 +8,15 @@
 //! checked through every byte-classification path the CPU runs
 //! (`ByteScan::available`), on random lines, on whole generated decks,
 //! and on lines that put each kind of token across the scan's 16- and
-//! 64-byte step edges.
+//! 64-byte step edges. The paths and the writer a line took are
+//! crate-private, so these tests live inside the crate.
 
+use crate::error::SmilesError;
+use crate::lexer::{ByteScan, Lexer, Spanned};
+use crate::preprocess::{Preprocessor, RingRenumber, MAX_RING_ID};
+use crate::token::{RingForm, Token};
 use molgen::Dataset;
 use proptest::prelude::*;
-use smiles::lexer::{ByteScan, Lexer, Spanned};
-use smiles::preprocess::{Preprocessor, RingRenumber, MAX_RING_ID};
-use smiles::token::{RingForm, Token};
-use smiles::SmilesError;
 use std::cell::RefCell;
 
 /// Every ring token via `next_token`, or its first error.

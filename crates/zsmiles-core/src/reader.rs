@@ -100,11 +100,14 @@ impl ArchiveReader<FileSource> {
 }
 
 impl<S: ArchiveSource> ArchiveReader<S> {
-    /// Open a container served by `source`, loading only its metadata
-    /// sections (header, footer, dictionary, line index). The header's
-    /// `dict_len` is bounded by [`crate::engine::MAX_DICT_BYTES`] before
-    /// the dictionary is read, so an untrusted header cannot make the
-    /// open reserve more than that for it.
+    /// Open a container served by `source`, loading its metadata sections
+    /// (header, footer, dictionary, line index). The payload is not read
+    /// when the index is a current (v3 or v4) one; a legacy v1 or v2
+    /// index costs one streaming scan of the payload, which must start
+    /// the lines the index starts or the container is refused. The
+    /// header's `dict_len` is bounded by [`crate::engine::MAX_DICT_BYTES`]
+    /// before the dictionary is read, so an untrusted header cannot make
+    /// the open reserve more than that for it.
     pub fn from_source(source: S) -> Result<ArchiveReader<S>, ZsmilesError> {
         let total = source.len();
         if total < (HEADER_LEN + FOOTER_LEN) as u64 {
@@ -157,7 +160,9 @@ impl<S: ArchiveSource> ArchiveReader<S> {
     /// A loose deck's payload, the `.zsmi` of the paper's own layout: a
     /// container split into files, with no header, footer or CRC. `dict`
     /// and `index` come from its other files; `index_len` is the bytes the
-    /// index was read from (0 when scanned). The payload is not read.
+    /// index was read from (0 when scanned). The payload is not read,
+    /// unless `index` is a legacy v1 or v2 one: that costs one scan of the
+    /// payload, as in [`ArchiveReader::from_source`].
     pub(crate) fn loose(
         source: S,
         dict: AnyDictionary,

@@ -1124,8 +1124,10 @@ impl ShardedReader {
     /// Open a loose deck as a one-shard deck: the `.zsmi` payload at
     /// `path`, `dict` as loaded from its `.dct`, and the `<path>.zsx`
     /// sidecar index, parsed within its own length, so no payload byte is
-    /// read at open. Without a sidecar the index comes from one streaming
-    /// scan of the payload, as the ends of a legacy v1/v2 one do (see
+    /// read at open when the sidecar is a current (v3 or v4) index.
+    /// Without a sidecar the index comes from one streaming scan of the
+    /// payload, and so do the ends of a legacy v1/v2 one, which must start
+    /// the lines the scan finds or the deck is refused (see
     /// [`ArchiveReader`]'s integrity notes). A loose deck
     /// stores no CRC, so its [`ShardedReader::verify`] is
     /// [`ZsmilesError::Unsupported`].

@@ -652,5 +652,19 @@ fn legacy_container_indexes_read_what_line_slices() {
             let lines: Result<Vec<_>, _> = reader.lines().collect();
             assert_eq!(lines.unwrap(), want);
         }
+        // A legacy index that starts other lines than the payload holds
+        // is refused at open, not read through its derived ends.
+        let mut shifted = exact.clone();
+        shifted[1].start += 1;
+        let raw = legacy_of(&shifted, payload.len() as u64, None);
+        let container = with_payload(&blob, payload, &raw);
+        let Err(err) = ArchiveReader::from_source(container.as_slice()) else {
+            panic!("a legacy index with a shifted start opened");
+        };
+        assert!(
+            err.to_string()
+                .contains("does not start the payload's lines"),
+            "{err}"
+        );
     }
 }
